@@ -235,6 +235,8 @@ def propagate_point(x: LieVec, cy: DupinCyclide, next_sphere_hat: LieVec
     if max(abs(inner(xm, xm)), abs(inner(xp, xp))) > 1e-6 * scale:
         raise LieGeometryError("point does not lie on the cyclide")
     c_next = touching_circle_space(next_sphere_hat, cy.dminus)
+    if c_next.dim != 3:
+        raise LieGeometryError(f"circle of the next sphere degenerates (dim {c_next.dim})")
 
     # quadratic: null vectors of {Y in C_next : (Y, X-) = 0}
     cond = np.array([inner(bv, xm) for bv in c_next.basis])

@@ -526,26 +526,83 @@ def is_ribaucour_pair(a: DiscreteCurve3D, b: DiscreteCurve3D,
     return True
 
 
-def _lines_both(net: LegendreNet, direction: str):
-    return _direction_structures(net.complex, direction)[0]
+# Rounding allowance of the concurrent-lines accept, relative to the unit
+# lifts: it keeps the accept sound when t approaches machine precision.
+_ROUNDING = 64 * np.finfo(float).eps
+
+
+def _planes_concurrent(x: np.ndarray, y: np.ndarray, t: float) -> bool:
+    """Sound accept: every plane <x_a, y_a> passes within t/3 of one z.
+
+    z is the unit vector minimising the summed squared distances to the
+    planes. With w_a = alpha_a x_a + beta_a y_a the projection of z and
+    eps >= |z - w_a| (rounding allowance included) for every a, the
+    quadrilateral matrix M = [x_s, x_u, y_u, y_s] maps
+    c = (alpha_s, -alpha_u, -beta_u, beta_s) to w_s - w_u, so
+    |M^T c| <= 2 eps while |c| >= 1 - eps; with unit rows sigma_1 >= 1, hence
+    sigma_4 / sigma_1 <= 2 eps / (1 - eps) < t for eps <= t/3 and t < 1
+    (for t >= 1 the cutoff passes every quadrilateral anyway).
+    """
+    # non-finite input is left to the fallback, which fails as the
+    # per-quadrilateral SVD does (eigh would raise its own error first)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        return False
+    q, r = np.linalg.qr(np.stack([x, y], axis=2))
+    flat = q.transpose(1, 0, 2).reshape(6, -1)
+    _, vecs = np.linalg.eigh(flat @ flat.T)
+    z = vecs[:, -1]
+    c = np.einsum("aij,i->aj", q, z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta = c[:, 1] / r[:, 1, 1]
+        alpha = (c[:, 0] - r[:, 0, 1] * beta) / r[:, 0, 0]
+        res = np.linalg.norm(z - alpha[:, None] * x - beta[:, None] * y, axis=1)
+        eps = res + _ROUNDING * (1.0 + np.abs(alpha) + np.abs(beta))
+    return bool(np.max(eps) <= t / 3)
+
+
+def _quads_circular(x: np.ndarray, y: np.ndarray, t: float) -> bool:
+    """Every quadrilateral [x_s, x_u, y_u, y_s], s < u, has rank <= 3.
+
+    x and y are aligned (n, 6) stacks of unit Moebius lifts, the crossings
+    of two lines with a family of transversal lines. All quadrilaterals are
+    circular exactly when the lines <x_a, y_a> of projective space meet
+    pairwise, i.e. (classical lemma) are all concurrent or all coplanar.
+    The concurrent case is accepted in O(n) by `_planes_concurrent`; any
+    other input is decided by the per-quadrilateral rank test of
+    `liecore.points_concircular` (same lifts, SVD and cutoff sv > t*sv[0]),
+    batched over the C(n, 2) quadrilaterals.
+    """
+    n = x.shape[0]
+    if n < 2 or _planes_concurrent(x, y, t):
+        return True
+    s, u = np.triu_indices(n, 1)
+    sv = np.linalg.svd(np.stack([x[s], x[u], y[u], y[s]], axis=1), compute_uv=False)
+    return bool(np.all(np.sum(sv > t * sv[:, :1], axis=1) <= 3))
 
 
 def is_multi_circular(net: LegendreNet, direction: str, tol: Optional[float] = None) -> bool:
     """Within each dir-ribbon, every coordinate quadrilateral is circular.
 
     A dir-ribbon is bounded by two dir-lines; the quadrilaterals pair any
-    two crossings of those lines, including non-elementary ones.
+    two crossings of those lines, including non-elementary ones. Each
+    ribbon costs O(n) when the lines joining corresponding crossings are
+    concurrent to within tol/3 (`_planes_concurrent`); otherwise its
+    C(n, 2) quadrilaterals are rank-tested exactly as by
+    `liecore.points_concircular` with cutoff `tol`.
     """
     t = TOL.membership if tol is None else tol
-    res = ribbon_line_pairs(net, direction)
-    for la, lb in res:
+    lifts: Dict[int, LieVec] = {}
+
+    def lifted(vertices) -> np.ndarray:
+        for v in vertices:
+            if v not in lifts:
+                lifts[v] = normalized(lc.lift_point(net.vertex_point(v)))
+        return np.array([lifts[v] for v in vertices]).reshape(-1, 6)
+
+    for la, lb in ribbon_line_pairs(net, direction):
         m = min(len(la), len(lb))
-        pa = [net.vertex_point(v) for v in la[:m]]
-        pb = [net.vertex_point(v) for v in lb[:m]]
-        for s in range(m):
-            for u in range(s + 1, m):
-                if not points_concircular([pa[s], pa[u], pb[u], pb[s]], t):
-                    return False
+        if not _quads_circular(lifted(la[:m]), lifted(lb[:m]), t):
+            return False
     return True
 
 
@@ -644,29 +701,31 @@ def circle_euclidean(space: Subspace, n_probe: int = 12):
 
 
 def is_multi_circular_net(net: LegendreNet, tol: Optional[float] = None) -> bool:
-    """Every coordinate quadrilateral of every span, in both directions."""
+    """Every coordinate quadrilateral of every span, in both directions.
+
+    The quadrilaterals of two '+'-lines are those of their crossings with
+    the '-'-lines both meet, so each pair of '+'-lines is one call of
+    `_quads_circular`: O(n) when the lines joining corresponding crossings
+    are concurrent to within tol/3, and otherwise the exact
+    per-quadrilateral rank test with cutoff `tol`. Total cost is
+    O(lines^2 * n) on a multi-circular net instead of O(lines^2 * n^2).
+    """
     t = TOL.membership if tol is None else tol
     plines = plus_lines(net.complex)
     mlines = minus_lines(net.complex)
-    # vertices indexed by (plus-line, minus-line) crossing
+    # vertices indexed by (plus-line, minus-line) crossing, -1 where none
     on_m = {}
     for mi, ml in enumerate(mlines):
         for v in ml:
             on_m[v] = mi
-    grididx: Dict[Tuple[int, int], int] = {}
+    grid = np.full((len(plines), len(mlines)), -1)
     for pi, pl in enumerate(plines):
         for v in pl:
-            grididx[(pi, on_m[v])] = v
-    pts = net.vertex_points()
-    np_, nm = len(plines), len(mlines)
-    for p1 in range(np_):
-        for p2 in range(p1 + 1, np_):
-            for m1 in range(nm):
-                for m2 in range(m1 + 1, nm):
-                    keys = [(p1, m1), (p1, m2), (p2, m2), (p2, m1)]
-                    if any(k not in grididx for k in keys):
-                        continue
-                    quad = [pts[grididx[k]] for k in keys]
-                    if not points_concircular(quad, t):
-                        return False
+            grid[pi, on_m[v]] = v
+    lifts = np.array([normalized(lc.lift_point(p)) for p in net.vertex_points()]).reshape(-1, 6)
+    for p1 in range(len(plines)):
+        for p2 in range(p1 + 1, len(plines)):
+            both = (grid[p1] >= 0) & (grid[p2] >= 0)
+            if not _quads_circular(lifts[grid[p1, both]], lifts[grid[p2, both]], t):
+                return False
     return True

@@ -119,12 +119,14 @@ def cmd_classify(args) -> int:
         net = io_json.load_net(args.infile)
     except io_json.FormatError as exc:
         return _fail(str(exc))
-    for d in (PLUS, MINUS):
-        cert = full_certificate(net, d)
-        if cert.ok:
-            vc = vessiot_classify(cert)
-            print(vc.kind)
-            return 0
+    try:
+        for d in (PLUS, MINUS):
+            cert = full_certificate(net, d)
+            if cert.ok:
+                print(vessiot_classify(cert).kind)
+                return 0
+    except LieGeometryError as exc:
+        return _fail(str(exc), 1)
     print("not a channel surface", file=sys.stderr)
     return 1
 

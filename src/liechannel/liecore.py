@@ -268,10 +268,6 @@ def project_onto(v: LieVec, s: Subspace, tol: Optional[float] = None) -> LieVec:
     return s.basis.T @ coeff
 
 
-def subspace_equal(a: Subspace, b: Subspace, tol: Optional[float] = None) -> bool:
-    return subspace_distance(a, b) <= (TOL.membership if tol is None else tol)
-
-
 def subspace_distance(a: Subspace, b: Subspace) -> float:
     """Max containment residual in both directions (0 iff equal subspaces)."""
     if a.dim != b.dim:

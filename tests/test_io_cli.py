@@ -8,7 +8,11 @@ import liechannel as L
 from liechannel import io_json
 from liechannel.cli import main
 from liechannel.liecore import subspace_distance
-from liechannel.builder import random_sphere_curve, sphere_curve_from_certificate
+from liechannel.builder import (
+    random_sphere_curve, sphere_curve_from_certificate, _extend_element,
+)
+from liechannel.legendre import FaceCyclideFamily, curvature_sphere
+from liechannel.liecore import orthocomplement, oriented_representative, span
 
 from geo_helpers import revolution_net
 
@@ -203,3 +207,51 @@ class TestCli:
                          "--out", str(net)]) == 0
             assert main(["verify", "--in", str(net), "--direction", "+"]) == 0
             assert main(["classify", "--in", str(net)]) == 0
+
+    def test_classify_too_few_face_spheres_exit_1(self, tmp_path, capsys):
+        for args in (["revolution", "--n", "3"], ["cylinder", "--n", "3", "--m", "3"],
+                     ["cone", "--n", "3", "--m", "3"]):
+            net = tmp_path / f"{args[0]}.json"
+            assert main(["generate", *args, "--out", str(net)]) == 0
+            capsys.readouterr()
+            assert main(["classify", "--in", str(net)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "face-spheres" in err
+
+    def test_blend_degenerate_next_circle_exit_2(self, tmp_path, capsys):
+        # round-trip blend through columns 7, 8 of a net built from a random
+        # sphere curve: the circle of one propagation step is only a 2-space
+        curve = tmp_path / "curve.json"
+        io_json.save_sphere_curve(random_sphere_curve(np.random.default_rng(9), 12), curve)
+        built = L.channel_from_sphere_curve(io_json.load_sphere_curve(curve), 16)
+        net_path = tmp_path / "net.json"
+        io_json.save_net(built.net, net_path)
+        vdocs = json.loads(net_path.read_text())["vertices"]
+        points = np.array([d["point"] for d in vdocs])
+        c1 = L.DiscreteCurve3D(points=points[7::16])
+        c2 = L.DiscreteCurve3D(points=points[8::16])
+        p1, p2 = tmp_path / "c1.json", tmp_path / "c2.json"
+        io_json.save_curve(c1, p1)
+        io_json.save_curve(c2, p2)
+        p0, n0 = vdocs[7]["point"], vdocs[7]["normal"]
+        f0 = L.contact_from_point_normal(p0, np.asarray(n0) / np.linalg.norm(n0))
+        # face-cyclide parameter of the source ribbon's cyclide
+        f11, s1 = _extend_element(f0, L.lift_point(c1.points[1]))
+        f20, _ = _extend_element(f0, L.lift_point(c2.points[0]))
+        f21, s2 = _extend_element(f20, L.lift_point(c2.points[1]))
+        u = span([oriented_representative(curvature_sphere(f0, f20)),
+                  oriented_representative(curvature_sphere(f11, f21))])
+        v = span([s1, s2])
+        w = orthocomplement(span(list(u.basis) + list(v.basis)))
+        eig, vecs = np.linalg.eigh(w.restricted_gram())
+        fam = FaceCyclideFamily(u=u, v=v,
+                                w1=w.basis.T @ vecs[:, 0] / math.sqrt(eig[0]),
+                                w2=w.basis.T @ vecs[:, 1] / math.sqrt(eig[1]))
+        ribbon = built.certificate.ribbon_lines.index((0, 1))
+        t0 = fam.parameter_of(built.certificate.cyclides[ribbon])
+        capsys.readouterr()
+        assert main(["blend", "--c1", str(p1), "--c2", str(p2),
+                     "--contact-point", *map(repr, p0), "--contact-normal", *map(repr, n0),
+                     "--t0", repr(t0), "--samples", "16",
+                     "--out", str(tmp_path / "blend.json")]) == 2
+        assert "degenerates" in capsys.readouterr().err
