@@ -23,9 +23,11 @@ from .cellcomplex import (
 from .legendre import (
     ContactElement, LegendreNet, DupinCyclide, FaceCyclideFamily,
     contact_from_point_normal, contact_from_vectors, curvature_sphere,
+    contact_bases, curvature_spheres, net_from_bases,
     is_legendre, net_from_edge_spheres, net_from_points_normals,
     face_cyclide_family, is_face_cyclide,
     NotInContactError, IdenticalContactElementsError, DegenerateFaceError,
+    ContactElementError,
 )
 from .channel import (
     ChannelCertificate, ChannelFailure, DiscreteCurve3D,
@@ -44,7 +46,8 @@ from .builder import (
 )
 from .curvature import (
     CurvatureReport, IsothermicReport, VessiotClass, RibbonCmcReport,
-    mixed_area, wedge, gauss_mean, principal_curvature, curvature_report,
+    mixed_area, wedge, gauss_mean, gauss_means, principal_curvature,
+    principal_curvatures, curvature_report,
     kappa_line_spread, is_isothermic_5point, diagonal_concircular,
     vessiot_classify, ribbon_cmc_analysis,
 )

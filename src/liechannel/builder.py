@@ -46,8 +46,8 @@ from .liecore import (
 )
 from .cellcomplex import make_grid, PLUS
 from .legendre import (
-    ContactElement, LegendreNet, DupinCyclide, FaceCyclideFamily,
-    contact_from_vectors, curvature_sphere, net_from_points_normals,
+    ContactElement, LegendreNet, DupinCyclide, FaceCyclideFamily, contact_bases,
+    contact_from_vectors, curvature_spheres, net_from_bases, net_from_points_normals,
 )
 from .channel import (
     ChannelCertificate, DiscreteCurve3D, full_certificate, is_ribaucour_pair,
@@ -339,12 +339,8 @@ def _assemble_channel_net(circle_spaces: List[Subspace], hats: List[LieVec],
 
     n_rows = len(rows)
     grid = make_grid(m, n_rows, wrap_plus=True)
-    elements = []
-    for b in range(n_rows):
-        hat = hats[b % len(hats)]
-        for a in range(m):
-            elements.append(contact_from_vectors(rows[b][a], hat))
-    net = LegendreNet(complex=grid, elements=tuple(elements))
+    net = net_from_bases(grid, contact_bases(np.array(
+        [[x, hats[b % len(hats)]] for b in range(n_rows) for x in rows[b]], dtype=float)))
     cert = full_certificate(net, PLUS)
     if not cert.ok:
         raise LieGeometryError(f"constructed net fails verification: {cert.message}")
@@ -502,10 +498,11 @@ def blend_channel(c1: DiscreteCurve3D, c2: DiscreteCurve3D, f0: ContactElement,
         if subspace_distance(f.space, f_alt.space) > math.sqrt(TOL.agreement):
             raise LieGeometryError(f"inconsistent quad propagation at step {t + 1}")
 
-    cross = []
-    for t in range(n):
-        s = curvature_sphere(f_row1[t], f_row2[t])
-        cross.append(oriented_representative(s))
+    spheres, failures = curvature_spheres(np.array([f.basis for f in f_row1]),
+                                          np.array([f.basis for f in f_row2]))
+    if failures:
+        raise next(iter(failures.values()))
+    cross = [oriented_representative(s) for s in spheres]
 
     # face-cyclide chain along the prescribed strip
     cyclides: List[DupinCyclide] = []

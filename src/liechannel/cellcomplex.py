@@ -42,6 +42,7 @@ class QuadComplex:
     _labels: Dict[Edge, str] = field(default_factory=dict, repr=False, compare=False)
     _vertex_edges: Dict[int, List[Edge]] = field(default_factory=dict, repr=False, compare=False)
     _edge_faces: Dict[Edge, List[int]] = field(default_factory=dict, repr=False, compare=False)
+    _vertex_faces: Dict[int, List[int]] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         labels: Dict[Edge, str] = {}
@@ -52,12 +53,16 @@ class QuadComplex:
             vertex_edges[i].append(k)
             vertex_edges[j].append(k)
         edge_faces: Dict[Edge, List[int]] = {k: [] for k in labels}
+        vertex_faces: Dict[int, List[int]] = {v: [] for v in range(self.n_vertices)}
         for fi, face in enumerate(self.faces):
             for a, b in face_edges(face):
                 edge_faces[edge_key(a, b)].append(fi)
+            for v in dict.fromkeys(face):
+                vertex_faces[v].append(fi)
         object.__setattr__(self, "_labels", labels)
         object.__setattr__(self, "_vertex_edges", vertex_edges)
         object.__setattr__(self, "_edge_faces", edge_faces)
+        object.__setattr__(self, "_vertex_faces", vertex_faces)
 
     def label(self, i: int, j: int) -> str:
         return self._labels[edge_key(i, j)]
@@ -70,6 +75,10 @@ class QuadComplex:
 
     def edge_faces(self, i: int, j: int) -> List[int]:
         return self._edge_faces[edge_key(i, j)]
+
+    def vertex_faces(self, v: int) -> List[int]:
+        """Indices of the faces containing v, ascending."""
+        return self._vertex_faces[v]
 
     def vertex_star_degree(self, v: int) -> int:
         return len(self._vertex_edges[v])

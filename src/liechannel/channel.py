@@ -44,8 +44,8 @@ from .cellcomplex import (
     plus_lines, minus_lines, plus_ribbons, minus_ribbons,
 )
 from .legendre import (
-    LegendreNet, DupinCyclide, is_legendre, face_cyclide_family,
-    DegenerateFaceError,
+    NO_POINT_SPHERE, LegendreNet, DupinCyclide, is_legendre, face_cyclide_family,
+    point_spheres, DegenerateFaceError,
 )
 
 
@@ -95,8 +95,8 @@ class ChannelCertificate:
 @dataclass
 class ChannelFailure:
     direction: str
-    check: str                  # "legendre" | "constancy" | "ribbon_span"
-    location: str
+    check: str                  # "legendre" | "constancy" | "ribbon_span" | "underdetermined"
+    location: Optional[str]
     message: str
     envelopes: bool             # whether check (a) held
 
@@ -273,6 +273,7 @@ def generating_circles(cert: ChannelCertificate, net: LegendreNet) -> List[Dupin
     """
     circles: List[Optional[DupinCyclide]] = [None] * len(cert.lines)
     agreement = 0.0
+    point_sphere, has_point = point_spheres(net.bases)
     for li, line in enumerate(cert.lines):
         s = cert.line_spheres[li]
         if abs(inner(s, POINT_COMPLEX)) <= TOL.membership * lc.aux_norm(s):
@@ -293,7 +294,9 @@ def generating_circles(cert: ChannelCertificate, net: LegendreNet) -> List[Dupin
         cspace = spaces[0]
         # every vertex point sphere of the line lies on the circle
         for v in line:
-            r = cspace.residual(net.element(v).point_sphere())
+            if not has_point[v]:
+                raise LieGeometryError(NO_POINT_SPHERE)
+            r = cspace.residual(point_sphere[v])
             if r > TOL.agreement:
                 raise LieGeometryError(
                     f"vertex {v} does not lie on the generating circle of line {li} "
@@ -482,7 +485,8 @@ def cross_ratio_constancy(cert: ChannelCertificate, net: LegendreNet) -> float:
                 order.append(oi)
     if len(order) < 4:
         raise LieGeometryError("need at least four non-circular lines for cross-ratios")
-    pts = {v: net.vertex_point(v) for line in cert.lines for v in line}
+    on_lines = [v for line in cert.lines for v in line]
+    pts = dict(zip(on_lines, net.vertex_points(on_lines)))
     line_vertex = [set(other_lines[oi]) for oi in range(len(other_lines))]
 
     wrap = len(first) > 2 and net.complex.has_edge(first[-1], first[0])
@@ -594,9 +598,9 @@ def is_multi_circular(net: LegendreNet, direction: str, tol: Optional[float] = N
     lifts: Dict[int, LieVec] = {}
 
     def lifted(vertices) -> np.ndarray:
-        for v in vertices:
-            if v not in lifts:
-                lifts[v] = normalized(lc.lift_point(net.vertex_point(v)))
+        new = [v for v in dict.fromkeys(vertices) if v not in lifts]
+        for v, p in zip(new, net.vertex_points(new)):
+            lifts[v] = normalized(lc.lift_point(p))
         return np.array([lifts[v] for v in vertices]).reshape(-1, 6)
 
     for la, lb in ribbon_line_pairs(net, direction):

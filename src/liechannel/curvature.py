@@ -25,7 +25,6 @@ vectors inside the Moebius subgeometry:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -37,78 +36,106 @@ from .liecore import (
     LieVec, LieGeometryError, Subspace, GRAM, inner, span, signature,
     orthocomplement, normalized,
 )
-from .cellcomplex import QuadComplex, PLUS, MINUS, edge_key, face_edge_labels
-from .legendre import LegendreNet
+from .cellcomplex import QuadComplex, PLUS, MINUS, edge_key, face_edges, face_edge_labels
+from .legendre import (
+    NO_PLANE_LIFT, NO_POINT_SPHERE, LegendreNet, plane_lifts, point_spheres,
+)
 from .channel import ChannelCertificate, _direction_structures, _line_edges
 
 
 def wedge(x: LieVec, y: LieVec) -> np.ndarray:
-    """Matrix of v -> (x,v) y - (y,v) x."""
-    gx, gy = GRAM @ x, GRAM @ y
-    return np.outer(y, gx) - np.outer(x, gy)
+    """Matrix of v -> (x,v) y - (y,v) x; stacks (..., 6) give (..., 6, 6)."""
+    gx, gy = (GRAM @ x[..., None])[..., 0], (GRAM @ y[..., None])[..., 0]
+    return y[..., :, None] * gx[..., None, :] - x[..., :, None] * gy[..., None, :]
 
 
 def mixed_area(a: Sequence[LieVec], b: Sequence[LieVec]) -> np.ndarray:
-    """Mixed area operator of two quads indexed (i, j, k, l)."""
-    da_ik, da_jl = a[0] - a[2], a[1] - a[3]
-    db_ik, db_jl = b[0] - b[2], b[1] - b[3]
+    """Mixed area operator of two quads indexed (i, j, k, l); stacks of
+    quads (..., 4, 6) give (..., 6, 6)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    da_ik, da_jl = a[..., 0, :] - a[..., 2, :], a[..., 1, :] - a[..., 3, :]
+    db_ik, db_jl = b[..., 0, :] - b[..., 2, :], b[..., 1, :] - b[..., 3, :]
     return 0.25 * (wedge(da_ik, db_jl) + wedge(db_ik, da_jl))
 
 
-def _operator_ratio(num: np.ndarray, den: np.ndarray) -> Tuple[float, float]:
-    """Least-squares scalar num ~ k * den plus relative collinearity residual."""
-    dd = float(np.sum(den * den))
-    if dd == 0.0:
+def _operator_ratios(num: np.ndarray, den: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Least-squares scalars num ~ k * den of (F, 6, 6) stacks plus the
+    relative collinearity residuals; k and the residual are 0 where num = 0."""
+    num, den = num.reshape(-1, 36), den.reshape(-1, 36)
+    k = np.sum(num * den, axis=1) / np.sum(den * den, axis=1)
+    nn = np.sum(num * num, axis=1)
+    r = num - k[:, None] * den
+    with np.errstate(divide="ignore", invalid="ignore"):
+        res = np.sqrt(lc.dots(r, r)) / np.sqrt(nn)
+    zero = nn == 0.0
+    return np.where(zero, 0.0, k), np.where(zero, 0.0, res)
+
+
+def euclidean_lifts(net: LegendreNet) -> Tuple[np.ndarray, np.ndarray]:
+    """(V, 6) point lifts f normalized to (f,q) = -1 (Euclidean positions)
+    and tangent plane lifts n normalized to (n,p) = -1.
+
+    Raises for the first vertex without a point lift, then for the first
+    without a plane lift.
+    """
+    p, has_point = point_spheres(net.bases)
+    _raise_first([(~has_point, NO_POINT_SPHERE),
+                  (np.abs(p[:, 3]) <= 1e-13, "vertex {} is a point at infinity")])
+    n, has_plane = plane_lifts(net.bases)
+    _raise_first([(~has_plane, NO_PLANE_LIFT),
+                  (np.abs(n[:, 5]) <= 1e-13, "vertex {} has no tangent plane lift")])
+    return p / p[:, 3:4], n / n[:, 5:6]
+
+
+def _raise_first(checks) -> None:
+    failure = lc.first_failure(checks)
+    if failure is not None:
+        raise LieGeometryError(failure[1])
+
+
+def gauss_means(f_quads: np.ndarray, n_quads: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(K, H, collinearity residual) of a stack of faces from their
+    (F, 4, 6) point and normal lifts."""
+    aff = mixed_area(f_quads, f_quads)
+    if np.any(np.max(np.abs(aff).reshape(-1, 36), axis=1) <= 1e-14):
         raise LieGeometryError("degenerate face: vanishing mixed area")
-    k = float(np.sum(num * den) / dd)
-    nn = float(np.sum(num * num))
-    if nn == 0.0:
-        return 0.0, 0.0
-    res = float(np.linalg.norm(num - k * den) / math.sqrt(nn))
-    return k, res
-
-
-def vertex_space_form_lift(net: LegendreNet, v: int) -> LieVec:
-    """Point lift normalized to (f,q) = -1 (Euclidean position)."""
-    p = net.element(v).point_sphere()
-    if abs(p[3]) <= 1e-13:
-        raise LieGeometryError(f"vertex {v} is a point at infinity")
-    return p / p[3]
-
-
-def vertex_normal_lift(net: LegendreNet, v: int) -> LieVec:
-    """Tangent plane lift normalized to (n,p) = -1."""
-    n = net.element(v).plane_lift()
-    if abs(n[5]) <= 1e-13:
-        raise LieGeometryError(f"vertex {v} has no tangent plane lift")
-    return n / n[5]
+    k, r1 = _operator_ratios(mixed_area(n_quads, n_quads), aff)
+    h_neg, r2 = _operator_ratios(mixed_area(n_quads, f_quads), aff)
+    return k, -h_neg, np.where(r2 > r1, r2, r1)
 
 
 def gauss_mean(f_quad: Sequence[LieVec], n_quad: Sequence[LieVec]
                ) -> Tuple[float, float, float]:
     """(K, H, collinearity residual) of one face from its lifts."""
-    aff = mixed_area(f_quad, f_quad)
-    if float(np.max(np.abs(aff))) <= 1e-14:
-        raise LieGeometryError("degenerate face: vanishing mixed area")
-    ann = mixed_area(n_quad, n_quad)
-    anf = mixed_area(n_quad, f_quad)
-    k, r1 = _operator_ratio(ann, aff)
-    h_neg, r2 = _operator_ratio(anf, aff)
-    return k, -h_neg, max(r1, r2)
+    k, h, r = gauss_means(np.asarray(f_quad, dtype=float)[None],
+                          np.asarray(n_quad, dtype=float)[None])
+    return float(k[0]), float(h[0]), float(r[0])
+
+
+def principal_curvatures(f_i: np.ndarray, f_j: np.ndarray, n_i: np.ndarray,
+                         n_j: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Edge principal curvatures from dn = -kappa df, least squares, and
+    their residuals, for (E, 6) stacks of endpoint lifts."""
+    df = f_i - f_j
+    dn = n_i - n_j
+    dd = lc.dots(df, df)
+    if np.any(dd <= 1e-26):
+        raise LieGeometryError("principal curvature undefined: df = 0")
+    kappa = -lc.dots(dn, df) / dd
+    nn = lc.dots(dn, dn)
+    r = dn + kappa[:, None] * df
+    with np.errstate(divide="ignore", invalid="ignore"):
+        res = np.where(nn == 0.0, 0.0, np.sqrt(lc.dots(r, r)) / np.sqrt(nn))
+    return kappa, res
 
 
 def principal_curvature(f_i: LieVec, f_j: LieVec, n_i: LieVec, n_j: LieVec
                         ) -> Tuple[float, float]:
     """Edge principal curvature from dn = -kappa df, least squares."""
-    df = f_i - f_j
-    dn = n_i - n_j
-    dd = float(df @ df)
-    if dd <= 1e-26:
-        raise LieGeometryError("principal curvature undefined: df = 0")
-    kappa = -float(dn @ df) / dd
-    nn = float(dn @ dn)
-    res = 0.0 if nn == 0.0 else float(np.linalg.norm(dn + kappa * df) / math.sqrt(nn))
-    return kappa, res
+    kappa, res = principal_curvatures(*(np.asarray(x, dtype=float)[None]
+                                        for x in (f_i, f_j, n_i, n_j)))
+    return float(kappa[0]), float(res[0])
 
 
 @dataclass
@@ -129,38 +156,39 @@ class CurvatureReport:
 def curvature_report(net: LegendreNet) -> CurvatureReport:
     """Per-face K, H and per-edge principal curvatures of the Euclidean
     projection, with the face identity
-    (k_ij - k_il - k_jk + k_kl) H = k_jk k_li - k_ij k_kl checked per face."""
+    (k_ij - k_il - k_jk + k_kl) H = k_jk k_li - k_ij k_kl checked per face.
+
+    Vertices, edges and faces are each one stacked computation; errors are
+    raised for the first offending vertex (point lifts before plane
+    lifts), then edge, then face.
+    """
     c = net.complex
-    f_lift = {v: vertex_space_form_lift(net, v) for v in range(c.n_vertices)}
-    n_lift = {v: vertex_normal_lift(net, v) for v in range(c.n_vertices)}
+    f_lift, n_lift = euclidean_lifts(net)
+    ij = np.array([(i, j) for i, j, _lab in c.edges], dtype=int).reshape(-1, 2)
+    kappa, k_res = principal_curvatures(f_lift[ij[:, 0]], f_lift[ij[:, 1]],
+                                        n_lift[ij[:, 0]], n_lift[ij[:, 1]])
+    keys = [edge_key(i, j) for i, j in ij.tolist()]
 
-    kappa: Dict[Tuple[int, int], float] = {}
-    k_res: Dict[Tuple[int, int], float] = {}
-    for i, j, _lab in c.edges:
-        k, r = principal_curvature(f_lift[i], f_lift[j], n_lift[i], n_lift[j])
-        kappa[edge_key(i, j)] = k
-        k_res[edge_key(i, j)] = r
-
-    gauss, mean, res, ident = [], [], [], []
-    for face in c.faces:
-        i, j, k, l = face
-        kk, hh, rr = gauss_mean([f_lift[v] for v in face], [n_lift[v] for v in face])
-        gauss.append(kk)
-        mean.append(hh)
-        res.append(rr)
-        kij = kappa[edge_key(i, j)]
-        kjk = kappa[edge_key(j, k)]
-        kkl = kappa[edge_key(k, l)]
-        kli = kappa[edge_key(l, i)]
-        # with dn = -kappa df and H = -A(n,f)/A(f,f) taken literally, H is
-        # the mean of the edge curvatures and the face identity reads
-        lhs = (kij - kli - kjk + kkl) * hh
-        rhs = kij * kkl - kjk * kli
-        scale = max(abs(lhs), abs(rhs), abs(kij * kkl), abs(kjk * kli), 1e-12)
-        ident.append(abs(lhs - rhs) / scale)
-    return CurvatureReport(faces=list(c.faces), gauss=gauss, mean=mean,
-                           face_residuals=res, edge_kappa=kappa,
-                           edge_residuals=k_res, identity_residuals=ident)
+    faces = np.array(c.faces, dtype=int).reshape(-1, 4)
+    gauss, mean, res = gauss_means(f_lift[faces], n_lift[faces])
+    # kappa per face edge (i,j), (j,k), (k,l), (l,i); a repeated edge keeps
+    # its last value, as in the per-edge dictionaries
+    slot = {k: e for e, k in enumerate(keys)}
+    fe = np.array([[slot[edge_key(a, b)] for a, b in face_edges(face)] for face in c.faces],
+                  dtype=int).reshape(-1, 4)
+    kij, kjk, kkl, kli = (kappa[fe[:, t]] for t in range(4))
+    # with dn = -kappa df and H = -A(n,f)/A(f,f) taken literally, H is
+    # the mean of the edge curvatures and the face identity reads
+    lhs = (kij - kli - kjk + kkl) * mean
+    rhs = kij * kkl - kjk * kli
+    scale = np.max([np.abs(lhs), np.abs(rhs), np.abs(kij * kkl), np.abs(kjk * kli),
+                    np.full(len(faces), 1e-12)], axis=0)
+    ident = np.abs(lhs - rhs) / scale
+    return CurvatureReport(faces=list(c.faces), gauss=gauss.tolist(), mean=mean.tolist(),
+                           face_residuals=res.tolist(),
+                           edge_kappa=dict(zip(keys, kappa.tolist())),
+                           edge_residuals=dict(zip(keys, k_res.tolist())),
+                           identity_residuals=ident.tolist())
 
 
 def kappa_line_spread(net: LegendreNet, report: CurvatureReport, direction: str) -> float:
@@ -195,7 +223,7 @@ def interior_vertex_stars(c: QuadComplex) -> List[VertexStar]:
         edges = c.vertex_edges(v)
         if len(edges) != 4:
             continue
-        faces = [fi for fi, face in enumerate(c.faces) if v in face]
+        faces = c.vertex_faces(v)
         if len(faces) != 4:
             continue
         diagonals = []

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -17,10 +17,11 @@ from . import liecore as lc
 from .liecore import LieGeometryError, unlift, unlift_moebius
 from .cellcomplex import QuadComplex, make_grid, PLUS, MINUS
 from .legendre import (
-    LegendreNet, contact_from_point_normal, contact_from_vectors, is_legendre,
+    NO_PLANE_LIFT, NO_POINT_SPHERE, ContactElementError, LegendreNet, contact_bases,
+    is_legendre, net_from_bases, plane_lifts, point_normal_generators, point_spheres,
 )
 from .channel import (
-    DiscreteCurve3D, verify_channel, full_certificate, certificate_residuals,
+    ChannelFailure, DiscreteCurve3D, verify_channel, full_certificate, certificate_residuals,
     cross_ratio_constancy, is_multi_circular, is_multi_circular_net,
     is_dupin_cyclide, sample_circle, circle_euclidean,
 )
@@ -61,25 +62,27 @@ def net_to_dict(net: LegendreNet, form: str = "auto") -> dict:
             "edges": [[i, j, lab] for i, j, lab in c.edges],
             "faces": [list(f) for f in c.faces],
         }
+    euclidean = np.zeros(c.n_vertices, dtype=bool)
+    if form in ("auto", "euclidean"):
+        p, has_point = point_spheres(net.bases)
+        pl, has_plane = plane_lifts(net.bases)
+        checks = [(~has_point, NO_POINT_SPHERE),
+                  (~has_plane, NO_PLANE_LIFT),
+                  ((np.abs(p[:, 3]) <= 1e-13) | (np.abs(pl[:, 5]) <= 1e-13),
+                   "vertex {} has no Euclidean representative")]
+        failure = lc.first_failure(checks)
+        if form == "euclidean" and failure is not None:
+            raise LieGeometryError(failure[1])
+        euclidean = ~np.any([bad for bad, _ in checks], axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            points = (p[:, :3] / p[:, 3:4]).tolist()
+            normals = (pl[:, :3] / pl[:, 5:6]).tolist()
     vertices: List[dict] = []
     for v in range(c.n_vertices):
-        el = net.element(v)
-        entry: Optional[dict] = None
-        if form in ("auto", "euclidean"):
-            try:
-                p = el.point_sphere()
-                pl = el.plane_lift()
-                if abs(p[3]) <= 1e-13 or abs(pl[5]) <= 1e-13:
-                    raise LieGeometryError(f"vertex {v} has no Euclidean representative")
-                point = (p / p[3])[:3]
-                normal = (pl / pl[5])[:3]
-                entry = {"point": list(point), "normal": list(normal)}
-            except LieGeometryError:
-                if form == "euclidean":
-                    raise
-        if entry is None:
-            entry = {"contact": [list(el.basis[0]), list(el.basis[1])]}
-        vertices.append(entry)
+        if euclidean[v]:
+            vertices.append({"point": points[v], "normal": normals[v]})
+        else:
+            vertices.append({"contact": net.bases[v].tolist()})
     return {"format": "liechannel-net", "version": 1,
             "complex": complex_doc, "vertices": vertices}
 
@@ -88,39 +91,75 @@ def save_net(net: LegendreNet, path: Union[str, Path], form: str = "auto") -> No
     _dump(net_to_dict(net, form), path)
 
 
+def _vertex_count(doc: dict) -> int:
+    """Vertex count a complex spec declares, read without building it."""
+    if not isinstance(doc, dict):
+        raise FormatError("bad complex spec: expected a JSON object")
+    grid = "n_plus" in doc
+    try:
+        return int(doc["n_plus"]) * int(doc["n_minus"]) if grid else int(doc["n_vertices"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad {'grid' if grid else 'complex'} spec: {exc}") from exc
+
+
 def complex_from_dict(doc: dict) -> QuadComplex:
+    n = _vertex_count(doc)
     if "n_plus" in doc:
         try:
             return make_grid(int(doc["n_plus"]), int(doc["n_minus"]),
                              bool(doc.get("wrap_plus", False)))
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise FormatError(f"bad grid spec: {exc}") from exc
     try:
         edges = tuple((int(i), int(j), str(lab)) for i, j, lab in doc["edges"])
         faces = tuple(tuple(int(v) for v in f) for f in doc["faces"])
-        return QuadComplex(n_vertices=int(doc["n_vertices"]), edges=edges, faces=faces)
+        return QuadComplex(n_vertices=n, edges=edges, faces=faces)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad complex spec: {exc}") from exc
 
 
+def _coordinates(value, shape: tuple, name: str) -> np.ndarray:
+    a = np.asarray(value, dtype=float)
+    if a.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+    return a
+
+
 def net_from_dict(data: dict) -> LegendreNet:
+    """Net of a liechannel-net document.
+
+    The vertex count is compared with the complex spec before anything is
+    built; all contact elements are then computed as one stack
+    (`legendre.contact_bases`) and all edge spheres by one `is_legendre`.
+    """
     if data.get("format") != "liechannel-net":
         raise FormatError("not a liechannel-net document")
-    c = complex_from_dict(data.get("complex", {}))
+    cdoc = data.get("complex", {})
+    n = _vertex_count(cdoc)
     vdocs = data.get("vertices")
-    if not isinstance(vdocs, list) or len(vdocs) != c.n_vertices:
-        raise FormatError(f"expected {c.n_vertices} vertex entries")
-    elements = []
+    if not isinstance(vdocs, list) or len(vdocs) != n:
+        raise FormatError(f"expected {n} vertex entries")
+    c = complex_from_dict(cdoc)
+    gens = np.empty((n, 2, 6))
+    points, normals, euclidean = np.empty((n, 3)), np.empty((n, 3)), np.zeros(n, dtype=bool)
     for v, doc in enumerate(vdocs):
         try:
             if "contact" in doc:
-                a, b = (np.asarray(x, dtype=float) for x in doc["contact"])
-                elements.append(contact_from_vectors(a, b))
+                gens[v] = _coordinates(doc["contact"], (2, 6), "contact")
             else:
-                elements.append(contact_from_point_normal(doc["point"], doc["normal"]))
-        except (KeyError, TypeError, ValueError, LieGeometryError) as exc:
+                points[v] = _coordinates(doc["point"], (3,), "point")
+                normals[v] = _coordinates(doc["normal"], (3,), "normal")
+                euclidean[v] = True
+        except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"vertex {v}: {exc}") from exc
-    net = LegendreNet(complex=c, elements=tuple(elements))
+    lifts, bad_normals = point_normal_generators(points[euclidean], normals[euclidean])
+    gens[euclidean] = lifts
+    flagged = np.zeros(n, dtype=bool)
+    flagged[euclidean] = bad_normals
+    try:
+        net = net_from_bases(c, contact_bases(gens, flagged))
+    except ContactElementError as exc:
+        raise FormatError(f"vertex {exc.vertex}: {exc}") from exc
     diag = is_legendre(net)
     if not diag.ok:
         raise FormatError(
@@ -262,8 +301,17 @@ def verify_report(net: LegendreNet, directions: Sequence[str] = (PLUS, MINUS)) -
         entry: dict = {}
         res = verify_channel(net, d)
         if res.ok:
-            cert = full_certificate(net, d)
-            residuals = certificate_residuals(cert, net)
+            try:
+                cert = full_certificate(net, d)
+                residuals = certificate_residuals(cert, net)
+            except LieGeometryError as exc:
+                # the certificate cannot be completed: a ribbon of one face
+                # (or of one sphere pencil) leaves a 1-parameter family of
+                # cyclides, and the member verify_channel picks need not
+                # agree with the neighbouring ribbons on their shared line
+                res = ChannelFailure(direction=d, check="underdetermined", location=None,
+                                     message=str(exc), envelopes=True)
+        if res.ok:
             entry.update({
                 "channel": True, "envelopes": True,
                 "failed_check": None, "failure_location": None,
@@ -340,8 +388,7 @@ def export_obj(net: LegendreNet, path: Union[str, Path], circles: bool = False,
     """Write vertices as v-records and faces as quads; with circles, the
     generating circles are appended as sampled closed polylines."""
     lines = ["# liechannel export", "o net"]
-    for v in range(net.complex.n_vertices):
-        p = net.vertex_point(v)
+    for p in net.vertex_points():
         lines.append(f"v {float(p[0])!r} {float(p[1])!r} {float(p[2])!r}")
     for face in net.complex.faces:
         i, j, k, l = (v + 1 for v in face)

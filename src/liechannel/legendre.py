@@ -29,8 +29,8 @@ import numpy as np
 from .config import TOL
 from . import liecore as lc
 from .liecore import (
-    LieVec, LieGeometryError, Subspace, inner, lift_plane, lift_point,
-    canonical_sign, orthocomplement, signature, span,
+    GRAM, LieVec, LieGeometryError, Subspace, inner, canonical_sign,
+    orthocomplement, signature, span,
 )
 from .cellcomplex import QuadComplex, edge_key, face_edge_labels, PLUS
 
@@ -47,6 +47,46 @@ class DegenerateFaceError(LieGeometryError):
     pass
 
 
+class ContactElementError(LieGeometryError):
+    """Data of one vertex of a stack that defines no contact element."""
+
+    def __init__(self, vertex: int, message: str):
+        super().__init__(message)
+        self.vertex = vertex
+
+
+_NOT_2D = "contact element must be 2-dimensional"
+_NOT_ISOTROPIC = "contact element plane is not totally isotropic"
+NO_POINT_SPHERE = "contact element orthogonal to the point sphere complex"
+NO_PLANE_LIFT = "contact element has no plane representative"
+
+
+def _isotropy(bases: np.ndarray) -> np.ndarray:
+    """Largest restricted Gram entry of each basis of a (V, 2, 6) stack."""
+    g = bases @ GRAM @ bases.transpose(0, 2, 1)
+    return np.max(np.abs(g), axis=(1, 2))
+
+
+def _pencil_members(bases: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Unit member with vanishing coordinate k of each pencil of a (V, 2, 6)
+    stack, canonically signed, and the mask of pencils where it is defined."""
+    b1, b2 = bases[:, 0], bases[:, 1]
+    v = b2[:, k, None] * b1 - b1[:, k, None] * b2
+    n = np.sqrt(lc.dots(v, v))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return canonical_sign(v / n[:, None]), n > TOL.membership
+
+
+def point_spheres(bases: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Point sphere of each contact element (u6 = 0) and where it exists."""
+    return _pencil_members(bases, 5)
+
+
+def plane_lifts(bases: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Tangent plane lift of each contact element (u0 = 0) and where it exists."""
+    return _pencil_members(bases, 3)
+
+
 @dataclass(frozen=True)
 class ContactElement:
     """Totally isotropic 2-plane, stored with an aux-orthonormal basis."""
@@ -55,10 +95,9 @@ class ContactElement:
 
     def __post_init__(self):
         if self.space.dim != 2:
-            raise LieGeometryError("contact element must be 2-dimensional")
-        g = self.space.restricted_gram()
-        if float(np.max(np.abs(g))) > TOL.membership:
-            raise LieGeometryError("contact element plane is not totally isotropic")
+            raise LieGeometryError(_NOT_2D)
+        if _isotropy(self.space.basis[None])[0] > TOL.membership:
+            raise LieGeometryError(_NOT_ISOTROPIC)
 
     @property
     def basis(self) -> np.ndarray:
@@ -69,54 +108,134 @@ class ContactElement:
 
     def point_sphere(self) -> LieVec:
         """The unique direction orthogonal to the point sphere complex."""
-        b1, b2 = self.space.basis
-        # (v, p) = -v[5]; combination with vanishing u6 coordinate
-        v = b2[5] * b1 - b1[5] * b2
-        n = np.linalg.norm(v)
-        if n <= TOL.membership:
-            raise LieGeometryError("contact element orthogonal to the point sphere complex")
-        return canonical_sign(v / n)
+        p, ok = point_spheres(self.basis[None])
+        if not ok[0]:
+            raise LieGeometryError(NO_POINT_SPHERE)
+        return p[0]
 
     def plane_lift(self) -> LieVec:
         """The unique direction with vanishing e0 coordinate (tangent plane lift)."""
-        b1, b2 = self.space.basis
-        v = b2[3] * b1 - b1[3] * b2
-        n = np.linalg.norm(v)
-        if n <= TOL.membership:
-            raise LieGeometryError("contact element has no plane representative")
-        return canonical_sign(v / n)
+        pl, ok = plane_lifts(self.basis[None])
+        if not ok[0]:
+            raise LieGeometryError(NO_PLANE_LIFT)
+        return pl[0]
+
+
+def point_normal_generators(points: np.ndarray, normals: np.ndarray
+                            ) -> Tuple[np.ndarray, np.ndarray]:
+    """(V, 2, 6) point and tangent plane lifts of points with normals, and
+    the mask of normals that are not of unit length."""
+    x = np.asarray(points, dtype=float)
+    n = np.asarray(normals, dtype=float)
+    gens = np.zeros((len(x), 2, 6))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gens[:, 0, :3] = x
+        gens[:, 0, 3] = 1.0
+        gens[:, 0, 4] = 0.5 * lc.dots(x, x)
+        gens[:, 1, :3] = n
+        gens[:, 1, 4] = lc.dots(n, x)
+        gens[:, 1, 5] = 1.0
+        return gens, np.abs(np.sqrt(lc.dots(n, n)) - 1.0) > 1e-9
+
+
+def contact_bases(generators: np.ndarray,
+                  bad_normals: Optional[np.ndarray] = None) -> np.ndarray:
+    """Aux-orthonormal bases (V, 2, 6) of the planes spanned by a (V, 2, 6)
+    stack of generator pairs, with one batched SVD.
+
+    Raises ContactElementError for the first vertex whose generators are
+    not finite, whose normal is flagged in ``bad_normals``, or whose span
+    is not a totally isotropic 2-plane (rank cutoff sv > TOL.rank * sv[0]
+    as in ``span``).
+    """
+    gens = np.asarray(generators, dtype=float)
+    finite = np.isfinite(gens).all(axis=(1, 2))
+    if not finite.all():
+        gens = np.where(finite[:, None, None], gens, 0.0)
+    _, sv, vt = np.linalg.svd(gens)
+    bases = np.ascontiguousarray(vt[:, :2])
+    failure = lc.first_failure([
+        (~finite, "non-finite coordinate"),
+        (np.zeros(len(gens), bool) if bad_normals is None else bad_normals,
+         "normal must have unit length"),
+        (sv[:, 0] == 0.0, "span of zero vectors"),
+        (np.sum(sv > TOL.rank * sv[:, :1], axis=1) != 2, _NOT_2D),
+        (_isotropy(bases) > TOL.membership, _NOT_ISOTROPIC),
+    ])
+    if failure is not None:
+        raise ContactElementError(*failure)
+    return bases
+
+
+def _elements(bases: np.ndarray) -> Tuple[ContactElement, ...]:
+    """Contact elements of a stack that contact_bases has validated; the
+    per-element check of the constructor is not run again."""
+    out = []
+    for b in bases:
+        el = object.__new__(ContactElement)
+        object.__setattr__(el, "space", Subspace(basis=b))
+        out.append(el)
+    return tuple(out)
 
 
 def contact_from_point_normal(x: Sequence[float], n: Sequence[float]) -> ContactElement:
     """Contact element of a point with unit normal: <point lift, tangent plane lift>."""
-    nv = np.asarray(n, dtype=float)
-    if abs(np.linalg.norm(nv) - 1.0) > 1e-9:
-        raise LieGeometryError("normal must have unit length")
-    xv = np.asarray(x, dtype=float)
-    return ContactElement(space=span([lift_point(xv), lift_plane(nv, float(nv @ xv))]))
+    return _elements(contact_bases(*point_normal_generators([x], [n])))[0]
 
 
 def contact_from_vectors(a: LieVec, b: LieVec) -> ContactElement:
-    return ContactElement(space=span([a, b]))
+    return _elements(contact_bases(np.array([[a, b]], dtype=float)))[0]
+
+
+def curvature_spheres(a: np.ndarray, b: np.ndarray
+                      ) -> Tuple[np.ndarray, Dict[int, LieGeometryError]]:
+    """Common null directions of the contact element pairs (a[e], b[e]).
+
+    a and b are (E, 2, 6) basis stacks. The meets come from one batched SVD
+    of the (E, 6, 4) stack [a_e | -b_e]^T with nullity counted by the cutoff
+    sv > TOL.rank * sv[0], and are normalised by a batched SVD of (E, 1, 6);
+    the result is canonically signed. Returns the (E, 6) spheres and, in
+    pair order, the error of every pair that does not meet in a line (its
+    row is undefined).
+    """
+    m = np.concatenate([a, -b], axis=1).transpose(0, 2, 1)
+    _, sv, vt = np.linalg.svd(m)
+    nullity = 4 - np.sum(sv > TOL.rank * sv[:, :1], axis=1)
+    meet = (a.transpose(0, 2, 1) @ vt[:, 3, :2, None])[:, :, 0]
+    _, msv, mvt = np.linalg.svd(meet[:, None, :])
+    failures: Dict[int, LieGeometryError] = {}
+    for e in np.flatnonzero((nullity != 1) | (msv[:, 0] == 0.0)).tolist():
+        if nullity[e] >= 2:
+            failures[e] = IdenticalContactElementsError("identical contact elements")
+        elif nullity[e] == 0:
+            failures[e] = NotInContactError("not in contact: contact elements do not intersect")
+        else:
+            failures[e] = LieGeometryError("span of zero vectors")
+    return canonical_sign(mvt[:, 0]), failures
 
 
 def curvature_sphere(f_i: ContactElement, f_j: ContactElement) -> LieVec:
     """Common null direction of two contact elements (projective representative)."""
-    meet = lc.intersect(f_i.space, f_j.space)
-    if meet.dim >= 2:
-        raise IdenticalContactElementsError("identical contact elements")
-    if meet.dim == 0:
-        raise NotInContactError("not in contact: contact elements do not intersect")
-    return canonical_sign(meet.basis[0].copy())
+    spheres, failures = curvature_spheres(f_i.basis[None], f_j.basis[None])
+    if failures:
+        raise failures[0]
+    return spheres[0]
 
 
 @dataclass
 class LegendreNet:
-    """Contact element per vertex of a quad complex; edge spheres cached."""
+    """Contact element per vertex of a quad complex; edge spheres cached.
+
+    ``bases`` stacks the element bases into one (V, 2, 6) array.
+    """
 
     complex: QuadComplex
     elements: Tuple[ContactElement, ...]
+    bases: np.ndarray = field(init=False, repr=False, compare=False)
     _edge_spheres: Dict[Tuple[int, int], LieVec] = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        self.bases = np.array([el.basis for el in self.elements], dtype=float).reshape(-1, 2, 6)
 
     def element(self, v: int) -> ContactElement:
         return self.elements[v]
@@ -131,13 +250,26 @@ class LegendreNet:
 
     def vertex_point(self, v: int) -> np.ndarray:
         """Euclidean position of the vertex point sphere."""
-        d = lc.unlift(self.elements[v].point_sphere())
-        if d.kind != "point":
-            raise LieGeometryError(f"vertex {v} has no finite Euclidean position")
-        return d.center
+        return self.vertex_points([v])[0]
 
-    def vertex_points(self) -> np.ndarray:
-        return np.array([self.vertex_point(v) for v in range(self.complex.n_vertices)])
+    def vertex_points(self, vertices: Optional[Sequence[int]] = None) -> np.ndarray:
+        """Euclidean positions of the vertex point spheres (all by default)."""
+        vs = range(self.complex.n_vertices) if vertices is None else vertices
+        spheres, ok = point_spheres(self.bases[list(vs)])
+        out = []
+        for v, s, has_point in zip(vs, spheres, ok):
+            if not has_point:
+                raise LieGeometryError(NO_POINT_SPHERE)
+            d = lc.unlift(s)
+            if d.kind != "point":
+                raise LieGeometryError(f"vertex {v} has no finite Euclidean position")
+            out.append(d.center)
+        return np.array(out)
+
+
+def net_from_bases(c: QuadComplex, bases: np.ndarray) -> LegendreNet:
+    """Net of a (V, 2, 6) stack returned by contact_bases."""
+    return LegendreNet(complex=c, elements=_elements(bases))
 
 
 @dataclass
@@ -147,13 +279,23 @@ class LegendreDiagnostics:
 
 
 def is_legendre(net: LegendreNet) -> LegendreDiagnostics:
-    """Check every edge for a shared curvature sphere; caches the spheres."""
-    failed = []
-    for i, j, _lab in net.complex.edges:
-        try:
-            net.edge_sphere(i, j)
-        except LieGeometryError as exc:
-            failed.append((i, j, str(exc)))
+    """Check every edge for a shared curvature sphere; caches the spheres.
+
+    All uncached edges are computed by one `curvature_spheres` call, each
+    as the meet of the elements of its (smaller, larger) vertex pair.
+    """
+    keys = [edge_key(i, j) for i, j, _lab in net.complex.edges]
+    todo = [k for k in keys if k not in net._edge_spheres]
+    errors: Dict[Tuple[int, int], str] = {}
+    if todo:
+        ij = np.array(todo)
+        spheres, failures = curvature_spheres(net.bases[ij[:, 0]], net.bases[ij[:, 1]])
+        net._edge_spheres.update(zip(todo, spheres))
+        for e, exc in failures.items():
+            errors[todo[e]] = str(exc)
+            net._edge_spheres.pop(todo[e], None)
+    failed = [(i, j, errors[k]) for (i, j, _lab), k in zip(net.complex.edges, keys)
+              if k in errors]
     return LegendreDiagnostics(ok=not failed, failed_edges=failed)
 
 
@@ -188,8 +330,7 @@ def net_from_edge_spheres(c: QuadComplex, spheres: Dict[Tuple[int, int], LieVec]
 
 
 def net_from_points_normals(c: QuadComplex, points: np.ndarray, normals: np.ndarray) -> LegendreNet:
-    elements = tuple(contact_from_point_normal(points[v], normals[v]) for v in range(c.n_vertices))
-    return LegendreNet(complex=c, elements=elements)
+    return net_from_bases(c, contact_bases(*point_normal_generators(points, normals)))
 
 
 # ---------------------------------------------------------------------------

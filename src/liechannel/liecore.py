@@ -35,7 +35,7 @@ signatures come from eigenvalues of the restricted Gram form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -101,9 +101,29 @@ def normalized(v: LieVec) -> LieVec:
 
 
 def canonical_sign(v: LieVec) -> LieVec:
-    """Flip sign so the largest-magnitude coordinate is positive."""
-    i = int(np.argmax(np.abs(v)))
-    return -v if v[i] < 0 else v
+    """Flip sign so the largest-magnitude coordinate is positive; a stack
+    (..., 6) is flipped row by row."""
+    i = np.expand_dims(np.argmax(np.abs(v), axis=-1), -1)
+    return np.where(np.take_along_axis(v, i, axis=-1) < 0, -v, v)
+
+
+def dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two stacks (..., n) as batched matmul, which
+    rounds exactly as ``a[k] @ b[k]`` does (einsum does not)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def first_failure(checks) -> Optional[Tuple[int, str]]:
+    """Lowest index flagged by any of the (mask, message) checks, with the
+    message of the first check flagging it ("{}" is filled with the index);
+    None when nothing is flagged. This is the error a loop over the indices
+    running the checks in order would raise."""
+    first = None
+    for bad, message in checks:
+        hits = np.flatnonzero(bad)
+        if hits.size and (first is None or hits[0] < first[0]):
+            first = (int(hits[0]), message)
+    return None if first is None else (first[0], first[1].format(first[0]))
 
 
 def projective_distance(a: LieVec, b: LieVec) -> float:
@@ -231,11 +251,12 @@ def span(vectors: Sequence[LieVec], tol: Optional[float] = None) -> Subspace:
     """Subspace spanned by the vectors; rank via SVD with relative cutoff."""
     t = TOL.rank if tol is None else tol
     m = np.atleast_2d(np.asarray(vectors, dtype=float))
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
+    if m.size == 0:
+        raise LieGeometryError("span of zero vectors")
+    _, sv, vt = np.linalg.svd(m)
+    if sv[0] == 0.0:
         raise LieGeometryError("span of zero vectors")
     rank = int(np.sum(sv > t * sv[0]))
-    _, _, vt = np.linalg.svd(m)
     return Subspace(basis=vt[:rank].copy())
 
 

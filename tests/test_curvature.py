@@ -107,10 +107,10 @@ class TestGaussMean:
 
     def test_torus_against_entrywise_oracle(self):
         net = L.make_dupin_torus(2.0, 1.0, 16, 16)
-        from liechannel.curvature import vertex_space_form_lift, vertex_normal_lift
-        face = net.complex.faces[20]
-        f = [vertex_space_form_lift(net, v) for v in face]
-        n = [vertex_normal_lift(net, v) for v in face]
+        from liechannel.curvature import euclidean_lifts
+        face = list(net.complex.faces[20])
+        f_lift, n_lift = euclidean_lifts(net)
+        f, n = list(f_lift[face]), list(n_lift[face])
         k, h, res = gauss_mean(f, n)
         assert res < 1e-10
         aff = mixed_area(f, f)

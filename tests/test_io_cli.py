@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -255,3 +256,53 @@ class TestCli:
                      "--t0", repr(t0), "--samples", "16",
                      "--out", str(tmp_path / "blend.json")]) == 2
         assert "degenerates" in capsys.readouterr().err
+
+
+class TestHostileNetFiles:
+    def test_oversized_grid_spec_refused_before_building(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"format": "liechannel-net", "version": 1,
+                                    "complex": {"n_plus": 3000, "n_minus": 3000},
+                                    "vertices": []}))
+        start = time.perf_counter()
+        for command in (["verify", "--in", str(path)], ["curvature", "--in", str(path)]):
+            capsys.readouterr()
+            assert main(command) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: expected 9000000 vertex entries")
+            assert "Traceback" not in err
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("vertex, key, value", [
+        (2, "point", [float("nan"), 0.0, 1.0]),
+        (5, "normal", [float("inf"), 0.0, 0.0]),
+        (3, "contact", [[float("nan")] * 6, [0.0] * 6]),
+    ])
+    def test_non_finite_coordinates_exit_2(self, tmp_path, capsys, vertex, key, value):
+        doc = io_json.net_to_dict(revolution_net(seed=1, n_profile=4, m=5))
+        doc["vertices"][vertex] = {**({} if key == "contact" else doc["vertices"][vertex]),
+                                   key: value}
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))    # writes NaN / Infinity literals
+        capsys.readouterr()
+        assert main(["verify", "--in", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: vertex {vertex}: non-finite coordinate\n"
+
+
+class TestUnderdeterminedRibbons:
+    def test_verify_revolution_two_rows_reports_underdetermined(self, tmp_path, capsys):
+        # every '-' ribbon is a single face; the family members picked per
+        # ribbon disagree on the shared generating circles
+        net = tmp_path / "rev.json"
+        assert main(["generate", "revolution", "--n", "2", "--m", "3", "--out", str(net)]) == 0
+        for direction, code in (("-", 1), ("both", 0)):
+            report = tmp_path / f"rep{direction}.json"
+            capsys.readouterr()
+            assert main(["verify", "--in", str(net), "--direction", direction,
+                         "--report", str(report)]) == code
+            assert "underdetermined" in capsys.readouterr().out
+            entry = json.loads(report.read_text())["directions"]["-"]
+            assert entry["channel"] is False
+            assert entry["failed_check"] == "underdetermined"
+            assert "generating circles of line 0 disagree" in entry["message"]
