@@ -17,22 +17,15 @@ from liechannel.liecore import span, orthocomplement
 
 
 def strip_family(c1, c2, f0):
+    """Face-cyclide family of the first face of the blend strip."""
     from liechannel.builder import _extend_element
-    from liechannel.legendre import curvature_sphere, FaceCyclideFamily
     from liechannel.liecore import oriented_representative
-    x1 = [L.lift_point(p) for p in c1.points]
-    x2 = [L.lift_point(p) for p in c2.points]
-    f11, s1 = _extend_element(f0, x1[1])
-    f20, _ = _extend_element(f0, x2[0])
-    f21, s2 = _extend_element(f20, x2[1])
-    u = span([oriented_representative(curvature_sphere(f0, f20)),
-              oriented_representative(curvature_sphere(f11, f21))])
-    v = span([s1, s2])
-    w = orthocomplement(span(list(u.basis) + list(v.basis)))
-    eig, vecs = np.linalg.eigh(w.restricted_gram())
-    return FaceCyclideFamily(u=u, v=v,
-                             w1=w.basis.T @ vecs[:, 0] / math.sqrt(eig[0]),
-                             w2=w.basis.T @ vecs[:, 1] / math.sqrt(eig[1]))
+    f11, s1 = _extend_element(f0, L.lift_point(c1.points[1]))
+    f20, _ = _extend_element(f0, L.lift_point(c2.points[0]))
+    f21, s2 = _extend_element(f20, L.lift_point(c2.points[1]))
+    cross = [oriented_representative(L.curvature_sphere(f0, f20)),
+             oriented_representative(L.curvature_sphere(f11, f21))]
+    return L.FaceCyclideFamily.from_spheres(cross, [s1, s2])
 
 
 if __name__ == "__main__":

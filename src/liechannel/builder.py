@@ -46,8 +46,9 @@ from .liecore import (
 )
 from .cellcomplex import make_grid, PLUS
 from .legendre import (
-    ContactElement, LegendreNet, DupinCyclide, FaceCyclideFamily, contact_bases,
-    contact_from_vectors, curvature_spheres, net_from_bases, net_from_points_normals,
+    ContactElement, LegendreNet, DupinCyclide, DegenerateFaceError, FaceCyclideFamily,
+    contact_bases, contact_from_vectors, curvature_spheres, net_from_bases,
+    net_from_points_normals,
 )
 from .channel import (
     ChannelCertificate, DiscreteCurve3D, full_certificate, is_ribaucour_pair,
@@ -508,18 +509,11 @@ def blend_channel(c1: DiscreteCurve3D, c2: DiscreteCurve3D, f0: ContactElement,
     cyclides: List[DupinCyclide] = []
     circles: List[Subspace] = []
     for t in range(n - 1):
-        u = span([cross[t], cross[t + 1]])
-        v = span([s1_edges[t], s2_edges[t]])
-        if signature(u).triple != (1, 1, 0) or signature(v).triple != (1, 1, 0):
-            raise LieGeometryError(f"degenerate strip face at step {t}")
-        w = orthocomplement(span(list(u.basis) + list(v.basis)))
-        if signature(w).triple != (2, 0, 0):
-            raise LieGeometryError(f"degenerate strip face at step {t}")
-        g = w.restricted_gram()
-        eig, vecs = np.linalg.eigh(g)
-        fam = FaceCyclideFamily(u=u, v=v,
-                                w1=w.basis.T @ vecs[:, 0] / math.sqrt(eig[0]),
-                                w2=w.basis.T @ vecs[:, 1] / math.sqrt(eig[1]))
+        try:
+            fam = FaceCyclideFamily.from_spheres([cross[t], cross[t + 1]],
+                                                 [s1_edges[t], s2_edges[t]])
+        except DegenerateFaceError as exc:
+            raise LieGeometryError(f"degenerate strip face at step {t}") from exc
         if t == 0:
             cy = fam(t0)
             circles.append(touching_circle_space(cross[0], cy.dminus))

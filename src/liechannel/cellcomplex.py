@@ -8,12 +8,15 @@ diagonals ``(i,k)`` and ``(j,l)`` unambiguously.
 
 Coordinate lines follow edges of one label; coordinate ribbons are maximal
 face strips glued along edges of the opposite label, so a '+'-ribbon is
-bounded by two '+'-lines.
+bounded by two '+'-lines. Both are pure combinatorics: each complex walks
+them once per label and keeps them (`QuadComplex.coordinates`).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 PLUS = "+"
@@ -43,6 +46,8 @@ class QuadComplex:
     _vertex_edges: Dict[int, List[Edge]] = field(default_factory=dict, repr=False, compare=False)
     _edge_faces: Dict[Edge, List[int]] = field(default_factory=dict, repr=False, compare=False)
     _vertex_faces: Dict[int, List[int]] = field(default_factory=dict, repr=False, compare=False)
+    _coordinates: Dict[str, "Coordinates"] = field(default_factory=dict, init=False,
+                                                   repr=False, compare=False)
 
     def __post_init__(self):
         labels: Dict[Edge, str] = {}
@@ -82,6 +87,15 @@ class QuadComplex:
 
     def vertex_star_degree(self, v: int) -> int:
         return len(self._vertex_edges[v])
+
+    def coordinates(self, label: str) -> "Coordinates":
+        """Lines, ribbons and their maps for one label, built once per complex."""
+        coords = self._coordinates.get(label)
+        if coords is None:
+            if label not in (PLUS, MINUS):
+                raise ValueError("direction must be '+' or '-'")
+            coords = self._coordinates[label] = Coordinates(self, label)
+        return coords
 
 
 def face_edges(face: Sequence[int]) -> List[Tuple[int, int]]:
@@ -130,6 +144,28 @@ def make_grid(n_plus: int, n_minus: int, wrap_plus: bool = False) -> QuadComplex
     )
 
 
+def _walks(nbrs: Dict[int, List[int]], ends: Sequence[int],
+           rest: Sequence[int]) -> List[List[int]]:
+    """Maximal walks through a graph of degree <= 2: first from the `ends`,
+    then from the unvisited nodes of `rest` (closed cycles)."""
+    seen = set()
+    walks: List[List[int]] = []
+    for start in (*ends, *rest):
+        if start in seen:
+            continue
+        path, prev = [start], None
+        seen.add(start)
+        while True:
+            nxt = [w for w in nbrs[path[-1]] if w != prev]
+            if not nxt or nxt[0] in seen:
+                break
+            prev = path[-1]
+            path.append(nxt[0])
+            seen.add(nxt[0])
+        walks.append(path)
+    return walks
+
+
 def _label_lines(c: QuadComplex, label: str) -> List[List[int]]:
     """Paths (or cycles) along edges of one label."""
     nbrs: Dict[int, List[int]] = {v: [] for v in range(c.n_vertices)}
@@ -143,82 +179,122 @@ def _label_lines(c: QuadComplex, label: str) -> List[List[int]]:
                 f"vertex {v} has {len(ns)} '{label}'-edges; coordinate lines "
                 "are only defined for complexes with at most two per vertex"
             )
-    seen = set()
-    lines: List[List[int]] = []
-
-    def walk(start: int) -> List[int]:
-        path = [start]
-        seen.add(start)
-        prev, cur = None, start
-        while True:
-            nxt = [w for w in nbrs[cur] if w != prev]
-            if not nxt or nxt[0] in seen:
-                if nxt and nxt[0] == path[0] and len(path) > 2:
-                    pass  # closed cycle
-                return path
-            prev, cur = cur, nxt[0]
-            path.append(cur)
-            seen.add(cur)
-
+    vertices = range(c.n_vertices)
     # open paths first, starting from endpoints
-    for v in range(c.n_vertices):
-        if v not in seen and len(nbrs[v]) == 1:
-            lines.append(walk(v))
-    for v in range(c.n_vertices):
-        if v not in seen and nbrs[v]:
-            lines.append(walk(v))  # cycles
-    return lines
-
-
-def plus_lines(c: QuadComplex) -> List[List[int]]:
-    return _label_lines(c, PLUS)
-
-
-def minus_lines(c: QuadComplex) -> List[List[int]]:
-    return _label_lines(c, MINUS)
+    return _walks(nbrs, [v for v in vertices if len(nbrs[v]) == 1],
+                  [v for v in vertices if nbrs[v]])
 
 
 def _label_ribbons(c: QuadComplex, label: str) -> List[List[int]]:
     """Maximal face strips glued along edges of the opposite label."""
     glue = MINUS if label == PLUS else PLUS
-    nbrs: Dict[int, List[int]] = {fi: [] for fi in range(len(c.faces))}
-    for fi, face in enumerate(c.faces):
-        for a, b, lab in face_edge_labels(face):
-            if lab != glue:
-                continue
-            for fj in c.edge_faces(a, b):
-                if fj != fi:
-                    nbrs[fi].append(fj)
-    seen = set()
-    ribbons: List[List[int]] = []
+    nbrs = {fi: [fj for a, b, lab in face_edge_labels(face) if lab == glue
+                 for fj in c.edge_faces(a, b) if fj != fi]
+            for fi, face in enumerate(c.faces)}
+    # open strips first, then closed ones
+    return _walks(nbrs, [fi for fi, ns in nbrs.items() if len(ns) <= 1], list(nbrs))
 
-    def walk(start: int) -> List[int]:
-        strip = [start]
-        seen.add(start)
-        prev, cur = None, start
-        while True:
-            nxt = [w for w in nbrs[cur] if w != prev]
-            if not nxt or nxt[0] in seen:
-                return strip
-            prev, cur = cur, nxt[0]
-            strip.append(cur)
-            seen.add(cur)
 
-    for fi in range(len(c.faces)):
-        if fi not in seen and len(nbrs[fi]) <= 1:
-            ribbons.append(walk(fi))
-    for fi in range(len(c.faces)):
-        if fi not in seen:
-            ribbons.append(walk(fi))  # closed strips
-    return ribbons
+class Coordinates:
+    """Coordinate lines and ribbons of one label and the maps between them.
+
+    Built once per complex and label by `QuadComplex.coordinates`: the line
+    facts at once, each ribbon and crossing fact on first use (while the
+    complex is alive). They are shared by every certificate and test of
+    the net and must not be mutated. A ribbon's faces are glued along edges
+    of the opposite label.
+    """
+
+    def __init__(self, c: QuadComplex, label: str):
+        # weak, so that a dropped complex is freed at once, not by the cycle collector
+        self._complex, self.label = weakref.proxy(c), label
+        self.opposite = MINUS if label == PLUS else PLUS
+        self.lines: List[List[int]] = _label_lines(c, label)
+        self.line_edges: List[List[Edge]] = [_line_edges(c, line) for line in self.lines]
+        self.edge_line = {e: li for li, edges in enumerate(self.line_edges) for e in edges}
+        self.vertex_line = {v: li for li, line in enumerate(self.lines) for v in line}
+
+    def _strip_edges(self, strip: List[int], label: str) -> List[Edge]:
+        return [edge_key(a, b) for fi in strip
+                for a, b, lab in face_edge_labels(self._complex.faces[fi]) if lab == label]
+
+    @cached_property
+    def ribbons(self) -> List[List[int]]:
+        """Face index strips."""
+        return _label_ribbons(self._complex, self.label)
+
+    @cached_property
+    def ribbon_edges(self) -> List[List[Edge]]:
+        """Distinct opposite-label edges of each ribbon, in strip order."""
+        return [list(dict.fromkeys(self._strip_edges(strip, self.opposite)))
+                for strip in self.ribbons]
+
+    @cached_property
+    def ribbon_lines(self) -> List[Tuple[int, ...]]:
+        """Ascending ids of the lines bounding each ribbon (two when sound)."""
+        return [tuple(sorted({self.edge_line[e] for e in self._strip_edges(strip, self.label)
+                              if e in self.edge_line}))
+                for strip in self.ribbons]
+
+    @cached_property
+    def line_ribbons(self) -> Dict[int, List[int]]:
+        """Two-line ribbons of each bounding line."""
+        out: Dict[int, List[int]] = {}
+        for ri, bounds in enumerate(self.ribbon_lines):
+            for li in bounds if len(bounds) == 2 else ():
+                out.setdefault(li, []).append(ri)
+        return out
+
+    @cached_property
+    def line_pairs(self) -> List[Tuple[List[int], List[int]]]:
+        """Bounding lines of each two-line ribbon, the second reordered so
+        that corresponding vertices share an opposite-label edge (kept as
+        walked when some vertex has no unique mate)."""
+        c, pairs = self._complex, []
+        for la, lb in (bounds for bounds in self.ribbon_lines if len(bounds) == 2):
+            on_b = set(self.lines[lb])
+            mates = [{w for e in c.vertex_edges(v) for w in e
+                      if w in on_b and c.label(*e) == self.opposite} for v in self.lines[la]]
+            unique = all(len(m) == 1 for m in mates)
+            pairs.append((self.lines[la], [min(m) for m in mates] if unique else self.lines[lb]))
+        return pairs
+
+    @cached_property
+    def crossings(self) -> List[Dict[int, List[int]]]:
+        """Per line: id of each opposite-label line it crosses -> the
+        vertices of the line on it, ordered by first crossing along the line."""
+        other = self._complex.coordinates(self.opposite).vertex_line
+        out = []
+        for line in self.lines:
+            crossing: Dict[int, List[int]] = {}
+            for v in (v for v in line if v in other):
+                crossing.setdefault(other[v], []).append(v)
+            out.append(crossing)
+        return out
+
+
+def _line_edges(c: QuadComplex, line: List[int]) -> List[Edge]:
+    """Edges of a line in walk order, the closing edge of a cycle last."""
+    out = [edge_key(line[t], line[t + 1]) for t in range(len(line) - 1)]
+    if len(line) > 2 and c.has_edge(line[-1], line[0]):
+        out.append(edge_key(line[-1], line[0]))
+    return out
+
+
+def plus_lines(c: QuadComplex) -> List[List[int]]:
+    return c.coordinates(PLUS).lines
+
+
+def minus_lines(c: QuadComplex) -> List[List[int]]:
+    return c.coordinates(MINUS).lines
 
 
 def plus_ribbons(c: QuadComplex) -> List[List[int]]:
-    return _label_ribbons(c, PLUS)
+    return c.coordinates(PLUS).ribbons
 
 
 def minus_ribbons(c: QuadComplex) -> List[List[int]]:
-    return _label_ribbons(c, MINUS)
+    return c.coordinates(MINUS).ribbons
 
 
 def swapped_labels(c: QuadComplex) -> QuadComplex:

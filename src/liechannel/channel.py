@@ -39,13 +39,10 @@ from .liecore import (
     points_concircular, gram_reflection, unit_moebius_sphere,
     oriented_representative,
 )
-from .cellcomplex import (
-    QuadComplex, PLUS, MINUS, edge_key, face_edge_labels,
-    plus_lines, minus_lines, plus_ribbons, minus_ribbons,
-)
+from .cellcomplex import PLUS, MINUS
 from .legendre import (
     NO_POINT_SPHERE, LegendreNet, DupinCyclide, is_legendre, face_cyclide_family,
-    point_spheres, DegenerateFaceError,
+    face_spheres_of, point_spheres, DegenerateFaceError,
 )
 
 
@@ -73,7 +70,11 @@ class DiscreteCurve3D:
 
 @dataclass
 class ChannelCertificate:
-    """Per-line and per-ribbon data of a verified channel surface."""
+    """Per-line and per-ribbon data of a verified channel surface.
+
+    lines, ribbons, ribbon_lines and line_ribbons are the complex's shared
+    `Coordinates` of the direction and must not be mutated.
+    """
 
     direction: str
     lines: List[List[int]]                 # dir-coordinate lines (vertex paths)
@@ -103,25 +104,6 @@ class ChannelFailure:
     ok = False
 
 
-def _direction_structures(c: QuadComplex, direction: str):
-    if direction == PLUS:
-        return plus_lines(c), plus_ribbons(c)
-    if direction == MINUS:
-        return minus_lines(c), minus_ribbons(c)
-    raise ValueError("direction must be '+' or '-'")
-
-
-def _line_edges(line: List[int], c: QuadComplex) -> List[Tuple[int, int]]:
-    out = [(line[t], line[t + 1]) for t in range(len(line) - 1)]
-    if len(line) > 2 and c.has_edge(line[-1], line[0]):
-        out.append((line[-1], line[0]))
-    return out
-
-
-def _ribbon_minus_label(direction: str) -> str:
-    return MINUS if direction == PLUS else PLUS
-
-
 def verify_channel(net: LegendreNet, direction: str = PLUS):
     """Check the channel conditions; return a certificate or failure report.
 
@@ -136,15 +118,13 @@ def verify_channel(net: LegendreNet, direction: str = PLUS):
                               location=f"edges {diag.failed_edges[:3]}",
                               message="net is not a Legendre map", envelopes=False)
 
-    c = net.complex
-    lines, ribbons = _direction_structures(c, direction)
-    opp = _ribbon_minus_label(direction)
+    coords = net.complex.coordinates(direction)
 
     # (a) projective constancy of the dir-labelled curvature spheres per line
     line_spheres: List[LieVec] = []
     worst = 0.0
-    for li, line in enumerate(lines):
-        spheres = [net.edge_sphere(i, j) for i, j in _line_edges(line, c)]
+    for li, line in enumerate(coords.lines):
+        spheres = [net.edge_sphere(i, j) for i, j in coords.line_edges[li]]
         rep = normalized(spheres[0])
         for s in spheres[1:]:
             d = lc.projective_distance(rep, s)
@@ -160,33 +140,16 @@ def verify_channel(net: LegendreNet, direction: str = PLUS):
         _, _, vt = np.linalg.svd(stack)
         line_spheres.append(canonical_sign(vt[0]))
 
-    # map each dir-edge to its line id, to recover ribbon boundaries
-    edge_line: Dict[Tuple[int, int], int] = {}
-    for li, line in enumerate(lines):
-        for e in _line_edges(line, c):
-            edge_line[edge_key(*e)] = li
-
     # (b) the opposite-label spheres of each ribbon span a (2,1)-plane
     cyclides: List[DupinCyclide] = []
-    ribbon_lines: List[Tuple[int, int]] = []
-    for ri, strip in enumerate(ribbons):
-        seen = set()
-        minus_spheres = []
-        bounds = set()
-        for fi in strip:
-            for a, b, lab in face_edge_labels(net.complex.faces[fi]):
-                k = edge_key(a, b)
-                if lab == opp and k not in seen:
-                    seen.add(k)
-                    minus_spheres.append(net.edge_sphere(a, b))
-                if lab != opp:
-                    bounds.add(edge_line[k])
+    for ri, strip in enumerate(coords.ribbons):
+        bounds = coords.ribbon_lines[ri]
         if len(bounds) != 2:
             return ChannelFailure(direction=direction, check="ribbon_span",
                                   location=f"ribbon {ri}",
                                   message=f"ribbon bounded by {len(bounds)} lines",
                                   envelopes=True)
-        sp = span(minus_spheres)
+        sp = span([net.edge_sphere(i, j) for i, j in coords.ribbon_edges[ri]])
         if sp.dim == 2 and signature(sp).triple == (1, 1, 0):
             # underdetermined ribbon (single face, or all spheres in one
             # pencil): complete through the first face's cyclide family
@@ -208,16 +171,11 @@ def verify_channel(net: LegendreNet, direction: str = PLUS):
                          f"{signature(sp).triple}, expected a (2,1)-plane"),
                 envelopes=True)
         cyclides.append(cy)
-        ribbon_lines.append(tuple(sorted(bounds)))
 
-    cert = ChannelCertificate(
-        direction=direction, lines=lines, ribbons=ribbons,
-        ribbon_lines=ribbon_lines, line_spheres=line_spheres,
-        cyclides=cyclides, constancy_residual=worst)
-    for ri, (la, lb) in enumerate(ribbon_lines):
-        cert.line_ribbons.setdefault(la, []).append(ri)
-        cert.line_ribbons.setdefault(lb, []).append(ri)
-    return cert
+    return ChannelCertificate(
+        direction=direction, lines=coords.lines, ribbons=coords.ribbons,
+        ribbon_lines=coords.ribbon_lines, line_spheres=line_spheres,
+        cyclides=cyclides, constancy_residual=worst, line_ribbons=coords.line_ribbons)
 
 
 def certificate_residuals(cert: ChannelCertificate, net: LegendreNet) -> Dict[str, float]:
@@ -237,9 +195,7 @@ def certificate_residuals(cert: ChannelCertificate, net: LegendreNet) -> Dict[st
     for ri, strip in enumerate(cert.ribbons):
         cy = cert.cyclides[ri] if cert.direction == PLUS else cert.cyclides[ri].swapped()
         for fi in strip:
-            plusv, minusv = [], []
-            for a, b, lab in face_edge_labels(net.complex.faces[fi]):
-                (plusv if lab == PLUS else minusv).append(net.edge_sphere(a, b))
+            plusv, minusv = face_spheres_of(net, net.complex.faces[fi])
             for s in plusv:
                 fc = max(fc, cy.dplus.residual(s))
             for s in minusv:
@@ -390,16 +346,20 @@ def face_quer_spheres(cert: ChannelCertificate) -> List[LieVec]:
     return out
 
 
+def complete_certificate(res, net: LegendreNet):
+    """Add circles and all derived sphere families to a verify_channel
+    certificate, in place; a failure report is returned unchanged."""
+    if res.ok:
+        generating_circles(res, net)
+        face_spheres(res)
+        quer_spheres(res)
+        face_quer_spheres(res)
+    return res
+
+
 def full_certificate(net: LegendreNet, direction: str = PLUS):
     """verify_channel plus circles and all derived sphere families."""
-    res = verify_channel(net, direction)
-    if not res.ok:
-        return res
-    generating_circles(res, net)
-    face_spheres(res)
-    quer_spheres(res)
-    face_quer_spheres(res)
-    return res
+    return complete_certificate(verify_channel(net, direction), net)
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +368,13 @@ def full_certificate(net: LegendreNet, direction: str = PLUS):
 
 def is_dupin_cyclide(net: LegendreNet):
     """Channel in both directions; returns (ok, constant cyclide or None, info)."""
-    res_p = verify_channel(net, PLUS)
+    return dupin_verdict(net, verify_channel(net, PLUS), verify_channel(net, MINUS))
+
+
+def dupin_verdict(net: LegendreNet, res_p, res_m):
+    """is_dupin_cyclide from the verify_channel results of both directions."""
     if not res_p.ok:
         return False, None, f"'+' direction fails: {res_p.message}"
-    res_m = verify_channel(net, MINUS)
     if not res_m.ok:
         return False, None, f"'-' direction fails: {res_m.message}"
     s_plus = [net.edge_sphere(i, j) for i, j, lab in net.complex.edges if lab == PLUS]
@@ -471,23 +434,14 @@ def cross_ratio(points: Sequence[Sequence[float]], tol: Optional[float] = None) 
 def cross_ratio_constancy(cert: ChannelCertificate, net: LegendreNet) -> float:
     """Max relative spread of cross-ratios over consecutive quadruples of
     non-circular lines, evaluated on every generating circle."""
-    other_lines, _ = _direction_structures(net.complex, _ribbon_minus_label(cert.direction))
-    pos: Dict[int, Dict[int, int]] = {}
-    for oi, oline in enumerate(other_lines):
-        for v in oline:
-            pos.setdefault(v, {})[oi] = True
+    crossings = net.complex.coordinates(cert.direction).crossings
     # order the crossing lines consistently along one circle
-    first = cert.lines[0]
-    order = []
-    for v in first:
-        for oi in pos.get(v, {}):
-            if oi not in order:
-                order.append(oi)
+    order = list(crossings[0]) if crossings else []
     if len(order) < 4:
         raise LieGeometryError("need at least four non-circular lines for cross-ratios")
+    first = cert.lines[0]
     on_lines = [v for line in cert.lines for v in line]
     pts = dict(zip(on_lines, net.vertex_points(on_lines)))
-    line_vertex = [set(other_lines[oi]) for oi in range(len(other_lines))]
 
     wrap = len(first) > 2 and net.complex.has_edge(first[-1], first[0])
     n = len(order)
@@ -496,10 +450,10 @@ def cross_ratio_constancy(cert: ChannelCertificate, net: LegendreNet) -> float:
     for q in range(quad_count):
         ids = [order[(q + k) % n] for k in range(4)]
         values = []
-        for line in cert.lines:
+        for crossing in crossings:
             quad = []
             for oi in ids:
-                hit = [v for v in line if v in line_vertex[oi]]
+                hit = crossing.get(oi, [])
                 if len(hit) != 1:
                     break
                 quad.append(pts[hit[0]])
@@ -603,44 +557,11 @@ def is_multi_circular(net: LegendreNet, direction: str, tol: Optional[float] = N
             lifts[v] = normalized(lc.lift_point(p))
         return np.array([lifts[v] for v in vertices]).reshape(-1, 6)
 
-    for la, lb in ribbon_line_pairs(net, direction):
+    for la, lb in net.complex.coordinates(direction).line_pairs:
         m = min(len(la), len(lb))
         if not _quads_circular(lifted(la[:m]), lifted(lb[:m]), t):
             return False
     return True
-
-
-def ribbon_line_pairs(net: LegendreNet, direction: str):
-    """Pairs of bounding lines of each dir-ribbon, vertex order aligned."""
-    c = net.complex
-    lines, ribbons = _direction_structures(c, direction)
-    edge_line: Dict[Tuple[int, int], int] = {}
-    for li, line in enumerate(lines):
-        for e in _line_edges(line, c):
-            edge_line[edge_key(*e)] = li
-    opp = _ribbon_minus_label(direction)
-    pairs = []
-    for strip in ribbons:
-        bounds = set()
-        for fi in strip:
-            for a, b, lab in face_edge_labels(c.faces[fi]):
-                if lab != opp:
-                    bounds.add(edge_line[edge_key(a, b)])
-        if len(bounds) != 2:
-            continue
-        la, lb = sorted(bounds)
-        line_a, line_b = lines[la], lines[lb]
-        # align: order line_b so corresponding vertices share an opp-edge
-        aligned = []
-        for v in line_a:
-            mate = [w for w in line_b if c.has_edge(v, w) and c.label(v, w) == opp]
-            if len(mate) == 1:
-                aligned.append(mate[0])
-        if len(aligned) == len(line_a):
-            pairs.append((line_a, aligned))
-        else:
-            pairs.append((line_a, line_b))
-    return pairs
 
 
 def circle_basis(space: Subspace) -> Tuple[LieVec, LieVec, LieVec]:
@@ -715,20 +636,17 @@ def is_multi_circular_net(net: LegendreNet, tol: Optional[float] = None) -> bool
     O(lines^2 * n) on a multi-circular net instead of O(lines^2 * n^2).
     """
     t = TOL.membership if tol is None else tol
-    plines = plus_lines(net.complex)
-    mlines = minus_lines(net.complex)
-    # vertices indexed by (plus-line, minus-line) crossing, -1 where none
-    on_m = {}
-    for mi, ml in enumerate(mlines):
-        for v in ml:
-            on_m[v] = mi
-    grid = np.full((len(plines), len(mlines)), -1)
-    for pi, pl in enumerate(plines):
-        for v in pl:
-            grid[pi, on_m[v]] = v
+    crossings = net.complex.coordinates(PLUS).crossings
+    n_minus = len(net.complex.coordinates(MINUS).lines)
+    # vertices indexed by (plus-line, minus-line) crossing, -1 where none;
+    # a pair of lines crossing more than once keeps its last crossing
+    grid = np.full((len(crossings), n_minus), -1)
+    for pi, crossing in enumerate(crossings):
+        for mi, vertices in crossing.items():
+            grid[pi, mi] = vertices[-1]
     lifts = np.array([normalized(lc.lift_point(p)) for p in net.vertex_points()]).reshape(-1, 6)
-    for p1 in range(len(plines)):
-        for p2 in range(p1 + 1, len(plines)):
+    for p1 in range(len(grid)):
+        for p2 in range(p1 + 1, len(grid)):
             both = (grid[p1] >= 0) & (grid[p2] >= 0)
             if not _quads_circular(lifts[grid[p1, both]], lifts[grid[p2, both]], t):
                 return False

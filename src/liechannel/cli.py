@@ -8,7 +8,6 @@ requested direction); 1 valid Legendre map that is not a channel surface;
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -94,10 +93,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        net = io_json.load_net(args.infile)
-    except io_json.FormatError as exc:
-        return _fail(str(exc))
+    net = io_json.load_net(args.infile)
     directions = {"+": [PLUS], "-": [MINUS], "both": [PLUS, MINUS]}[args.direction]
     report = io_json.verify_report(net, directions)
     report["input"] = str(args.infile)
@@ -115,10 +111,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    try:
-        net = io_json.load_net(args.infile)
-    except io_json.FormatError as exc:
-        return _fail(str(exc))
+    net = io_json.load_net(args.infile)
     try:
         for d in (PLUS, MINUS):
             cert = full_certificate(net, d)
@@ -132,10 +125,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_curvature(args) -> int:
-    try:
-        net = io_json.load_net(args.infile)
-    except io_json.FormatError as exc:
-        return _fail(str(exc))
+    net = io_json.load_net(args.infile)
     try:
         report = io_json.curvature_report_json(net)
     except LieGeometryError as exc:
@@ -149,10 +139,7 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_build(args) -> int:
-    try:
-        sc = io_json.load_sphere_curve(args.spheres)
-    except io_json.FormatError as exc:
-        return _fail(str(exc))
+    sc = io_json.load_sphere_curve(args.spheres)
     try:
         result = builder.channel_from_sphere_curve(sc, args.samples, args.phase)
     except (ValueError, LieGeometryError) as exc:
@@ -166,11 +153,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_blend(args) -> int:
-    try:
-        c1 = io_json.load_curve(args.c1)
-        c2 = io_json.load_curve(args.c2)
-    except io_json.FormatError as exc:
-        return _fail(str(exc))
+    c1 = io_json.load_curve(args.c1)
+    c2 = io_json.load_curve(args.c2)
     normal = np.asarray(args.contact_normal, dtype=float)
     nn = np.linalg.norm(normal)
     if nn == 0.0:
@@ -186,10 +170,7 @@ def cmd_blend(args) -> int:
 
 
 def cmd_export(args) -> int:
-    try:
-        net = io_json.load_net(args.infile)
-    except io_json.FormatError as exc:
-        return _fail(str(exc))
+    net = io_json.load_net(args.infile)
     try:
         io_json.export_obj(net, args.obj, circles=args.circles)
     except LieGeometryError as exc:
@@ -262,7 +243,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (io_json.FormatError, OSError) as exc:  # malformed input, unwritable output
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ from .cellcomplex import QuadComplex, PLUS, MINUS, edge_key, face_edges, face_ed
 from .legendre import (
     NO_PLANE_LIFT, NO_POINT_SPHERE, LegendreNet, plane_lifts, point_spheres,
 )
-from .channel import ChannelCertificate, _direction_structures, _line_edges
+from .channel import ChannelCertificate
 
 
 def wedge(x: LieVec, y: LieVec) -> np.ndarray:
@@ -194,11 +194,11 @@ def curvature_report(net: LegendreNet) -> CurvatureReport:
 def kappa_line_spread(net: LegendreNet, report: CurvatureReport, direction: str) -> float:
     """Max spread of principal curvatures along dir-coordinate lines,
     relative to the largest curvature magnitude of the net."""
-    lines, _ = _direction_structures(net.complex, direction)
+    line_edges = net.complex.coordinates(direction).line_edges
     scale = max(max((abs(k) for k in report.edge_kappa.values()), default=1.0), 1e-12)
     worst = 0.0
-    for line in lines:
-        ks = [report.edge_kappa[edge_key(*e)] for e in _line_edges(line, net.complex)]
+    for edges in line_edges:
+        ks = [report.edge_kappa[e] for e in edges]
         if len(ks) > 1:
             worst = max(worst, (max(ks) - min(ks)) / scale)
     return worst

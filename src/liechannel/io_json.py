@@ -15,15 +15,15 @@ import numpy as np
 
 from . import liecore as lc
 from .liecore import LieGeometryError, unlift, unlift_moebius
-from .cellcomplex import QuadComplex, make_grid, PLUS, MINUS
+from .cellcomplex import QuadComplex, make_grid, validate, PLUS, MINUS
 from .legendre import (
     NO_PLANE_LIFT, NO_POINT_SPHERE, ContactElementError, LegendreNet, contact_bases,
     is_legendre, net_from_bases, plane_lifts, point_normal_generators, point_spheres,
 )
 from .channel import (
-    ChannelFailure, DiscreteCurve3D, verify_channel, full_certificate, certificate_residuals,
-    cross_ratio_constancy, is_multi_circular, is_multi_circular_net,
-    is_dupin_cyclide, sample_circle, circle_euclidean,
+    ChannelFailure, DiscreteCurve3D, verify_channel, complete_certificate, full_certificate,
+    certificate_residuals, cross_ratio_constancy, is_multi_circular, is_multi_circular_net,
+    dupin_verdict, sample_circle, circle_euclidean,
 )
 from .builder import SphereCurve
 from .curvature import curvature_report, kappa_line_spread, is_isothermic_5point
@@ -40,7 +40,8 @@ def _dump(payload: dict, path: Union[str, Path]) -> None:
 def _load(path: Union[str, Path]) -> dict:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: not JSON or not UTF-8; RecursionError: nested too deeply
         raise FormatError(f"cannot read {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise FormatError(f"{path}: expected a JSON object")
@@ -103,6 +104,9 @@ def _vertex_count(doc: dict) -> int:
 
 
 def complex_from_dict(doc: dict) -> QuadComplex:
+    """Complex of a spec. A grid is valid by construction; an explicit
+    complex must have faces, '+'/'-' edge labels, faces that follow the
+    label convention, and at most two edges of one label per vertex."""
     n = _vertex_count(doc)
     if "n_plus" in doc:
         try:
@@ -113,9 +117,20 @@ def complex_from_dict(doc: dict) -> QuadComplex:
     try:
         edges = tuple((int(i), int(j), str(lab)) for i, j, lab in doc["edges"])
         faces = tuple(tuple(int(v) for v in f) for f in doc["faces"])
-        return QuadComplex(n_vertices=n, edges=edges, faces=faces)
+        c = QuadComplex(n_vertices=n, edges=edges, faces=faces)
+        labels = [lab for _i, _j, lab in edges if lab not in (PLUS, MINUS)]
+        bad_faces = validate(c).bad_faces
+        if not faces:
+            raise ValueError("no faces")
+        if labels:
+            raise ValueError(f"edge label {labels[0]!r} is not '+' or '-'")
+        if bad_faces:
+            raise ValueError(f"faces with inconsistent edge labels: {bad_faces[:5]}")
+        for label in (PLUS, MINUS):
+            c.coordinates(label)  # lines need at most two edges of a label per vertex
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad complex spec: {exc}") from exc
+    return c
 
 
 def _coordinates(value, shape: tuple, name: str) -> np.ndarray:
@@ -289,6 +304,8 @@ def certificate_to_dict(cert) -> dict:
 
 
 def verify_report(net: LegendreNet, directions: Sequence[str] = (PLUS, MINUS)) -> dict:
+    """Report of the requested directions from one verify_channel result
+    per direction; both are always computed, for the Dupin test."""
     diag = is_legendre(net)
     report: dict = {
         "format": "liechannel-verify-report", "version": 1,
@@ -297,12 +314,13 @@ def verify_report(net: LegendreNet, directions: Sequence[str] = (PLUS, MINUS)) -
         "directions": {},
     }
     any_channel = False
+    results = {d: verify_channel(net, d) for d in (PLUS, MINUS)}
     for d in directions:
         entry: dict = {}
-        res = verify_channel(net, d)
+        res = cert = results[d]
         if res.ok:
             try:
-                cert = full_certificate(net, d)
+                complete_certificate(cert, net)
                 residuals = certificate_residuals(cert, net)
             except LieGeometryError as exc:
                 # the certificate cannot be completed: a ribbon of one face
@@ -356,7 +374,7 @@ def verify_report(net: LegendreNet, directions: Sequence[str] = (PLUS, MINUS)) -
         }
     except LieGeometryError as exc:
         report["isothermic"] = {"applicable": False, "all_pass": False, "note": str(exc)}
-    ok_dupin, _, _ = is_dupin_cyclide(net)
+    ok_dupin, _, _ = dupin_verdict(net, results[PLUS], results[MINUS])
     report["dupin_cyclide"] = ok_dupin
     return report
 

@@ -381,6 +381,25 @@ class FaceCyclideFamily:
     w1: LieVec    # spacelike unit
     w2: LieVec    # spacelike unit, orthogonal to w1
 
+    @classmethod
+    def from_spheres(cls, plus: Sequence[LieVec], minus: Sequence[LieVec]) -> "FaceCyclideFamily":
+        """Family of a face with '+' curvature spheres `plus` and '-' ones
+        `minus` (two each); DegenerateFaceError unless both pairs span
+        (1,1)-planes with a positive definite complement."""
+        u = span(plus)
+        v = span(minus)
+        if u.dim != 2 or signature(u).triple != (1, 1, 0):
+            raise DegenerateFaceError("degenerate face: '+' spheres do not span a (1,1)-plane")
+        if v.dim != 2 or signature(v).triple != (1, 1, 0):
+            raise DegenerateFaceError("degenerate face: '-' spheres do not span a (1,1)-plane")
+        w = orthocomplement(span(list(u.basis) + list(v.basis)))
+        if w.dim != 2 or signature(w).triple != (2, 0, 0):
+            raise DegenerateFaceError(
+                "degenerate face: complement of the sphere spans is not definite")
+        eig, vecs = np.linalg.eigh(w.restricted_gram())
+        return cls(u=u, v=v, w1=w.basis.T @ vecs[:, 0] / math.sqrt(eig[0]),
+                   w2=w.basis.T @ vecs[:, 1] / math.sqrt(eig[1]))
+
     def __call__(self, t: float) -> DupinCyclide:
         a = math.cos(t) * self.w1 + math.sin(t) * self.w2
         b = -math.sin(t) * self.w1 + math.cos(t) * self.w2
@@ -405,21 +424,7 @@ class FaceCyclideFamily:
 
 
 def face_cyclide_family(net: LegendreNet, face: Sequence[int]) -> FaceCyclideFamily:
-    plus, minus = face_spheres_of(net, face)
-    u = span(plus)
-    v = span(minus)
-    if u.dim != 2 or signature(u).triple != (1, 1, 0):
-        raise DegenerateFaceError("degenerate face: '+' spheres do not span a (1,1)-plane")
-    if v.dim != 2 or signature(v).triple != (1, 1, 0):
-        raise DegenerateFaceError("degenerate face: '-' spheres do not span a (1,1)-plane")
-    w = orthocomplement(span(list(u.basis) + list(v.basis)))
-    if w.dim != 2 or signature(w).triple != (2, 0, 0):
-        raise DegenerateFaceError("degenerate face: complement of the sphere spans is not definite")
-    g = w.restricted_gram()
-    eig, vecs = np.linalg.eigh(g)
-    w1 = w.basis.T @ vecs[:, 0] / math.sqrt(eig[0])
-    w2 = w.basis.T @ vecs[:, 1] / math.sqrt(eig[1])
-    return FaceCyclideFamily(u=u, v=v, w1=w1, w2=w2)
+    return FaceCyclideFamily.from_spheres(*face_spheres_of(net, face))
 
 
 def is_face_cyclide(net: LegendreNet, face: Sequence[int], cy: DupinCyclide,

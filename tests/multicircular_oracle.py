@@ -9,7 +9,6 @@ of lines, so keep the nets small.
 from typing import Dict, Optional, Tuple
 
 from liechannel.cellcomplex import minus_lines, plus_lines
-from liechannel.channel import ribbon_line_pairs
 from liechannel.config import TOL
 from liechannel.legendre import LegendreNet
 from liechannel.liecore import points_concircular
@@ -19,7 +18,7 @@ def brute_is_multi_circular(net: LegendreNet, direction: str,
                             tol: Optional[float] = None) -> bool:
     """Within each dir-ribbon, every coordinate quadrilateral is circular."""
     t = TOL.membership if tol is None else tol
-    for la, lb in ribbon_line_pairs(net, direction):
+    for la, lb in net.complex.coordinates(direction).line_pairs:
         m = min(len(la), len(lb))
         pa = [net.vertex_point(v) for v in la[:m]]
         pb = [net.vertex_point(v) for v in lb[:m]]

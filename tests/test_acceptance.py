@@ -13,16 +13,15 @@ import pytest
 import liechannel as L
 from liechannel.cli import main, random_generator_net
 from liechannel.liecore import subspace_distance
-from liechannel.builder import (
-    random_sphere_curve, sphere_curve_from_certificate, _extend_element,
-)
+from liechannel.builder import random_sphere_curve, sphere_curve_from_certificate
 from liechannel.channel import certificate_residuals
 from liechannel.curvature import (
     curvature_report, kappa_line_spread, is_isothermic_5point,
     diagonal_concircular, vessiot_classify, ribbon_cmc_analysis,
 )
-from liechannel.legendre import FaceCyclideFamily, curvature_sphere
-from liechannel.liecore import span, orthocomplement, oriented_representative
+from liechannel.liecore import span, orthocomplement
+
+from geo_helpers import strip_family
 
 
 def report(n: int, text: str) -> None:
@@ -154,23 +153,6 @@ def test_06_sphere_curve_roundtrip():
               f"{worst_fs:.1e}, discriminant {res.discriminant_max:.1e})")
 
 
-def _strip_family(c1, c2, f0):
-    x1 = [L.lift_point(p) for p in c1.points]
-    x2 = [L.lift_point(p) for p in c2.points]
-    f11, s1 = _extend_element(f0, x1[1])
-    f20, _ = _extend_element(f0, x2[0])
-    f21, s2 = _extend_element(f20, x2[1])
-    cross0 = oriented_representative(curvature_sphere(f0, f20))
-    cross1 = oriented_representative(curvature_sphere(f11, f21))
-    u = span([cross0, cross1])
-    v = span([s1, s2])
-    w = orthocomplement(span(list(u.basis) + list(v.basis)))
-    eig, vecs = np.linalg.eigh(w.restricted_gram())
-    return FaceCyclideFamily(u=u, v=v,
-                             w1=w.basis.T @ vecs[:, 0] / math.sqrt(eig[0]),
-                             w2=w.basis.T @ vecs[:, 1] / math.sqrt(eig[1]))
-
-
 def test_07_blend_freedom():
     torus = L.make_dupin_torus(2.0, 1.0, 12, 8)
     pts = torus.vertex_points()
@@ -208,7 +190,7 @@ def test_07_blend_freedom():
         planes.append(L.lift_plane(nu, float(nu @ (mid + (dist / 2) * nu))))
     dminus_cyl = span(planes)
     cyl = L.DupinCyclide(dplus=orthocomplement(dminus_cyl), dminus=dminus_cyl)
-    fam = _strip_family(p1, p2, f0)
+    fam = strip_family(p1, p2, f0)
     t_cyl = fam.parameter_of(cyl)
     res_cyl = L.blend_channel(p1, p2, f0, t0=t_cyl, samples_per_circle=8)
     radii = [L.circle_euclidean(c.dplus)[1] for c in res_cyl.certificate.circles]

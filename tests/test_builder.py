@@ -10,9 +10,7 @@ from liechannel.builder import (
     random_sphere_curve, blend_cyclide, _oriented_chain, _curve_circle_spaces,
 )
 from liechannel.channel import touching_circle_space
-from liechannel.legendre import FaceCyclideFamily
-
-from geo_helpers import revolution_net, cylinder_net, cone_net
+from geo_helpers import revolution_net, cylinder_net, cone_net, strip_family
 
 
 def _moebius_match(a, b):
@@ -149,24 +147,7 @@ class TestBlend:
         net, cert, c1, c2 = torus_pair
         f0 = net.element(0)
         # match the initial face-cyclide to the torus's own Lie cyclide
-        from liechannel.builder import _extend_element
-        from liechannel.legendre import curvature_sphere
-        from liechannel.liecore import span, orthocomplement, oriented_representative
-        x1 = [L.lift_point(p) for p in c1.points]
-        x2 = [L.lift_point(p) for p in c2.points]
-        f11, s1 = _extend_element(f0, x1[1])
-        f20, _ = _extend_element(f0, x2[0])
-        f21, s2 = _extend_element(f20, x2[1])
-        cross0 = oriented_representative(curvature_sphere(f0, f20))
-        cross1 = oriented_representative(curvature_sphere(f11, f21))
-        u = span([cross0, cross1])
-        v = span([s1, s2])
-        w = orthocomplement(span(list(u.basis) + list(v.basis)))
-        eig, vecs = np.linalg.eigh(w.restricted_gram())
-        fam = FaceCyclideFamily(u=u, v=v,
-                                w1=w.basis.T @ vecs[:, 0] / math.sqrt(eig[0]),
-                                w2=w.basis.T @ vecs[:, 1] / math.sqrt(eig[1]))
-        t0 = fam.parameter_of(cert.cyclides[0])
+        t0 = strip_family(c1, c2, f0).parameter_of(cert.cyclides[0])
         res = L.blend_channel(c1, c2, f0, t0=t0, samples_per_circle=12)
         assert res.certificate.ok
         for li in range(8):
@@ -219,24 +200,7 @@ class TestBlend:
         cyl = L.DupinCyclide(dplus=orthocomplement(dminus_cyl), dminus=dminus_cyl)
         cyl.validate()
 
-        from liechannel.builder import _extend_element
-        from liechannel.legendre import curvature_sphere
-        from liechannel.liecore import oriented_representative
-        x1 = [L.lift_point(p) for p in c1.points]
-        x2 = [L.lift_point(p) for p in c2.points]
-        f11, s1 = _extend_element(f0, x1[1])
-        f20, _ = _extend_element(f0, x2[0])
-        f21, s2 = _extend_element(f20, x2[1])
-        cross0 = oriented_representative(curvature_sphere(f0, f20))
-        cross1 = oriented_representative(curvature_sphere(f11, f21))
-        u = span([cross0, cross1])
-        v = span([s1, s2])
-        w = orthocomplement(span(list(u.basis) + list(v.basis)))
-        eig, vecs = np.linalg.eigh(w.restricted_gram())
-        fam = FaceCyclideFamily(u=u, v=v,
-                                w1=w.basis.T @ vecs[:, 0] / math.sqrt(eig[0]),
-                                w2=w.basis.T @ vecs[:, 1] / math.sqrt(eig[1]))
-        t_cyl = fam.parameter_of(cyl)
+        t_cyl = strip_family(c1, c2, f0).parameter_of(cyl)
 
         res_cyl = L.blend_channel(c1, c2, f0, t0=t_cyl, samples_per_circle=8)
         centers, radii = [], []

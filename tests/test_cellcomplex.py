@@ -1,7 +1,7 @@
 import pytest
 
 from liechannel.cellcomplex import (
-    QuadComplex, make_grid, validate, swapped_labels, face_edge_labels,
+    QuadComplex, make_grid, validate, swapped_labels, face_edge_labels, edge_key,
     plus_lines, minus_lines, plus_ribbons, minus_ribbons, PLUS, MINUS,
 )
 
@@ -110,3 +110,83 @@ def test_validate_flags_odd_interior_vertex():
     fan = QuadComplex(n_vertices=7, edges=tuple(edges), faces=faces)
     diag = validate(fan)
     assert 0 in diag.odd_interior_vertices
+
+
+def _direct_coordinates(c, label):
+    """Ribbon bounds and edges, aligned line pairs and crossings of one label,
+    computed per call the way the certificate code did before they were
+    cached on the complex."""
+    opp = MINUS if label == PLUS else PLUS
+    lines = c.coordinates(label).lines
+    other = c.coordinates(opp).lines
+
+    def line_edges(line):
+        out = [(line[t], line[t + 1]) for t in range(len(line) - 1)]
+        if len(line) > 2 and c.has_edge(line[-1], line[0]):
+            out.append((line[-1], line[0]))
+        return out
+
+    edge_line = {edge_key(*e): li for li, line in enumerate(lines) for e in line_edges(line)}
+    ribbon_lines, ribbon_edges, pairs = [], [], []
+    for strip in c.coordinates(label).ribbons:
+        glued, bounds = [], set()
+        for fi in strip:
+            for a, b, lab in face_edge_labels(c.faces[fi]):
+                k = edge_key(a, b)
+                if lab == opp and k not in glued:
+                    glued.append(k)
+                if lab != opp:
+                    bounds.add(edge_line[k])
+        ribbon_lines.append(tuple(sorted(bounds)))
+        ribbon_edges.append(glued)
+        if len(bounds) != 2:
+            continue
+        line_a, line_b = (lines[li] for li in sorted(bounds))
+        aligned = []
+        for v in line_a:
+            mate = [w for w in line_b if c.has_edge(v, w) and c.label(v, w) == opp]
+            if len(mate) == 1:
+                aligned.append(mate[0])
+        pairs.append((line_a, aligned if len(aligned) == len(line_a) else line_b))
+    on_other = [set(line) for line in other]
+    crossings = []
+    for line in lines:
+        order = list(dict.fromkeys(oi for v in line for oi, on in enumerate(on_other) if v in on))
+        crossings.append({oi: [v for v in line if v in on_other[oi]] for oi in order})
+    return {"line_edges": [[edge_key(*e) for e in line_edges(line)] for line in lines],
+            "ribbon_lines": ribbon_lines, "ribbon_edges": ribbon_edges,
+            "line_pairs": pairs, "crossings": crossings}
+
+
+# two '+'-lines 0-1-2 and 3-4-5 whose vertex ids run in opposite directions
+# along the '-' edges 0-5, 1-4, 2-3, so one pair needs reordering
+REVERSED_ROWS = QuadComplex(
+    n_vertices=6, faces=((0, 5, 4, 1), (1, 4, 3, 2)),
+    edges=((0, 1, PLUS), (1, 2, PLUS), (3, 4, PLUS), (4, 5, PLUS),
+           (0, 5, MINUS), (1, 4, MINUS), (2, 3, MINUS)))
+
+
+@pytest.mark.parametrize("c", [
+    make_grid(2, 2), make_grid(3, 3), make_grid(5, 4), make_grid(5, 4, wrap_plus=True),
+    swapped_labels(make_grid(4, 3, wrap_plus=True)), swapped_labels(make_grid(6, 2)),
+    REVERSED_ROWS,
+], ids=["2x2", "3x3", "5x4", "5x4-wrapped", "swapped-wrapped", "swapped-6x2", "reversed-rows"])
+def test_coordinates_match_direct_construction(c):
+    for label in (PLUS, MINUS):
+        coords = c.coordinates(label)
+        for name, value in _direct_coordinates(c, label).items():
+            assert getattr(coords, name) == value, (label, name)
+
+
+def test_reversed_rows_are_aligned():
+    assert validate(REVERSED_ROWS).ok
+    assert REVERSED_ROWS.coordinates(PLUS).line_pairs == [([0, 1, 2], [5, 4, 3])]
+
+
+def test_coordinates_built_once_and_shared():
+    c = make_grid(4, 3, wrap_plus=True)
+    assert c.coordinates(PLUS) is c.coordinates(PLUS)
+    assert plus_lines(c) is c.coordinates(PLUS).lines
+    assert minus_ribbons(c) is c.coordinates(MINUS).ribbons
+    with pytest.raises(ValueError):
+        c.coordinates("x")

@@ -1,0 +1,122 @@
+"""The CLI keeps its exit-code contract on any net file: every command
+returns 0, 1 or 2 and no exception escapes `cli.main`."""
+
+import contextlib
+import copy
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from liechannel.cli import main
+
+KINDS = ["revolution", "cylinder", "cone", "dupin-torus", "example1", "example2", "example3"]
+
+
+def run(*argv: str) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(list(argv))
+
+
+def net_commands(net: Path, tmp: Path):
+    for d in ("+", "-", "both"):
+        yield ["verify", "--in", str(net), "--direction", d,
+               "--report", str(tmp / "report.json")]
+    yield ["classify", "--in", str(net)]
+    yield ["curvature", "--in", str(net), "--report", str(tmp / "curvature.json")]
+    yield ["export", "--in", str(net), "--obj", str(tmp / "net.obj"), "--circles"]
+
+
+def assert_contract(net: Path, tmp: Path) -> None:
+    for argv in net_commands(net, tmp):
+        assert run(*argv) in (0, 1, 2), argv
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(KINDS), n=st.integers(2, 6), m=st.integers(2, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_generated_nets(kind, n, m, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        net = tmp / "net.json"
+        code = run("generate", kind, "--n", str(n), "--m", str(m), "--seed", str(seed),
+                   "--out", str(net))
+        assert code in (0, 2)
+        if code == 0:
+            assert_contract(net, tmp)
+
+
+def _vertices(points):
+    return [{"point": p, "normal": [0.0, 0.0, 1.0]} for p in points]
+
+
+_SQUARE = [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
+
+
+def _explicit(n, edges, faces, points):
+    return {"format": "liechannel-net", "version": 1,
+            "complex": {"n_vertices": n, "edges": edges, "faces": faces},
+            "vertices": _vertices(points)}
+
+
+# complexes that used to end in a traceback
+MALFORMED = [
+    _explicit(0, [], [], []),
+    _explicit(2, [[0, 1, "+"]], [], _SQUARE[:2]),
+    _explicit(4, [[0, 1, "x"], [1, 2, "+"], [2, 3, "-"], [3, 0, "+"]], [[0, 1, 2, 3]], _SQUARE),
+    _explicit(4, [[0, 1, "+"], [1, 2, "-"], [2, 3, "+"], [3, 0, "-"]], [[0, 1, 2, 3]], _SQUARE),
+]
+# a valid planar face, as a base for mutations
+VALID = _explicit(4, [[0, 1, "-"], [1, 2, "+"], [2, 3, "-"], [3, 0, "+"]],
+                  [[0, 1, 2, 3]], _SQUARE)
+GRID = {"format": "liechannel-net", "version": 1,
+        "complex": {"n_plus": 2, "n_minus": 2, "wrap_plus": False},
+        "vertices": _vertices(_SQUARE)}
+
+values = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 10**6), st.floats(allow_nan=True),
+    st.text(max_size=3), st.lists(st.integers(-1, 4), max_size=4),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, sub in items:
+        yield from _paths(sub, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    out = copy.deepcopy(doc)
+    target = out
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return out
+
+
+@st.composite
+def documents(draw):
+    base = draw(st.sampled_from(MALFORMED + [VALID, GRID]))
+    for _ in range(draw(st.integers(0, 2))):
+        path = draw(st.sampled_from(list(_paths(base))))
+        base = _replaced(base, path, draw(values))
+    text = json.dumps(base)
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=documents())
+def test_malformed_documents(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        net = tmp / "net.json"
+        net.write_text(text, encoding="utf-8")
+        assert_contract(net, tmp)

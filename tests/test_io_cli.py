@@ -9,13 +9,9 @@ import liechannel as L
 from liechannel import io_json
 from liechannel.cli import main
 from liechannel.liecore import subspace_distance
-from liechannel.builder import (
-    random_sphere_curve, sphere_curve_from_certificate, _extend_element,
-)
-from liechannel.legendre import FaceCyclideFamily, curvature_sphere
-from liechannel.liecore import orthocomplement, oriented_representative, span
+from liechannel.builder import random_sphere_curve, sphere_curve_from_certificate
 
-from geo_helpers import revolution_net
+from geo_helpers import revolution_net, strip_family
 
 
 class TestNetFiles:
@@ -237,19 +233,8 @@ class TestCli:
         p0, n0 = vdocs[7]["point"], vdocs[7]["normal"]
         f0 = L.contact_from_point_normal(p0, np.asarray(n0) / np.linalg.norm(n0))
         # face-cyclide parameter of the source ribbon's cyclide
-        f11, s1 = _extend_element(f0, L.lift_point(c1.points[1]))
-        f20, _ = _extend_element(f0, L.lift_point(c2.points[0]))
-        f21, s2 = _extend_element(f20, L.lift_point(c2.points[1]))
-        u = span([oriented_representative(curvature_sphere(f0, f20)),
-                  oriented_representative(curvature_sphere(f11, f21))])
-        v = span([s1, s2])
-        w = orthocomplement(span(list(u.basis) + list(v.basis)))
-        eig, vecs = np.linalg.eigh(w.restricted_gram())
-        fam = FaceCyclideFamily(u=u, v=v,
-                                w1=w.basis.T @ vecs[:, 0] / math.sqrt(eig[0]),
-                                w2=w.basis.T @ vecs[:, 1] / math.sqrt(eig[1]))
         ribbon = built.certificate.ribbon_lines.index((0, 1))
-        t0 = fam.parameter_of(built.certificate.cyclides[ribbon])
+        t0 = strip_family(c1, c2, f0).parameter_of(built.certificate.cyclides[ribbon])
         capsys.readouterr()
         assert main(["blend", "--c1", str(p1), "--c2", str(p2),
                      "--contact-point", *map(repr, p0), "--contact-normal", *map(repr, n0),
@@ -288,6 +273,56 @@ class TestHostileNetFiles:
         assert main(["verify", "--in", str(path)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: vertex {vertex}: non-finite coordinate\n"
+
+
+def _explicit_net(n, edges, faces):
+    square = [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
+    return {"format": "liechannel-net", "version": 1,
+            "complex": {"n_vertices": n, "edges": edges, "faces": faces},
+            "vertices": [{"point": p, "normal": [0.0, 0.0, 1.0]} for p in square[:n]]}
+
+
+class TestMalformedComplexes:
+    """Explicit complexes without faces, with unknown labels or with faces
+    against the label convention are refused when the net is loaded."""
+
+    @pytest.mark.parametrize("doc, message", [
+        (_explicit_net(0, [], []), "no faces"),
+        (_explicit_net(2, [[0, 1, "+"]], []), "no faces"),
+        (_explicit_net(4, [[0, 1, "x"], [1, 2, "+"], [2, 3, "-"], [3, 0, "+"]], [[0, 1, 2, 3]]),
+         "edge label 'x' is not '+' or '-'"),
+        (_explicit_net(4, [[0, 1, "+"], [1, 2, "-"], [2, 3, "+"], [3, 0, "-"]], [[0, 1, 2, 3]]),
+         "faces with inconsistent edge labels: [0]"),
+    ])
+    def test_refused_with_exit_2(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        for command in (["verify", "--in", str(path)], ["classify", "--in", str(path)],
+                        ["curvature", "--in", str(path)],
+                        ["export", "--in", str(path), "--obj", str(tmp_path / "n.obj"),
+                         "--circles"]):
+            capsys.readouterr()
+            assert main(command) == 2
+            assert capsys.readouterr().err == f"error: bad complex spec: {message}\n"
+
+    def test_well_labelled_face_loads(self, tmp_path):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(_explicit_net(
+            4, [[0, 1, "-"], [1, 2, "+"], [2, 3, "-"], [3, 0, "+"]], [[0, 1, 2, 3]])))
+        assert io_json.load_net(path).complex.faces == ((0, 1, 2, 3),)
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    net = tmp_path / "torus.json"
+    assert main(["generate", "dupin-torus", "--m", "4", "--n", "4", "--out", str(net)]) == 0
+    missing = tmp_path / "no-such-dir"
+    for command in (["generate", "dupin-torus", "--out", str(missing / "t.json")],
+                    ["verify", "--in", str(net), "--report", str(missing / "r.json")],
+                    ["curvature", "--in", str(net), "--report", str(missing / "c.json")],
+                    ["export", "--in", str(net), "--obj", str(missing / "t.obj")]):
+        capsys.readouterr()
+        assert main(command) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
 
 
 class TestUnderdeterminedRibbons:

@@ -1,0 +1,84 @@
+"""`verify_report` builds one certificate per direction and walks the lines
+and ribbons of each label once, and its bytes equal those of the report
+assembled from independent library calls (`report_oracle`)."""
+
+import json
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import liechannel as L
+from liechannel import cellcomplex, channel, io_json
+from liechannel.builder import channel_from_sphere_curve, random_sphere_curve
+from liechannel.cli import random_generator_net
+
+from report_oracle import oracle_verify_report
+
+DIRECTIONS = {"+": ["+"], "-": ["-"], "both": ["+", "-"]}
+
+# name -> factory of a fresh net
+NETS = {f"torus{n}": (lambda n=n: L.make_dupin_torus(2.0 + 0.05 * n, 0.9, n, n))
+        for n in range(3, 17)}
+NETS.update({
+    "revolution": lambda: random_generator_net("revolution", 3, 6, 8),
+    "cylinder": lambda: random_generator_net("cylinder", 4, 5, 6),
+    "cone": lambda: random_generator_net("cone", 5, 5, 7),
+    "example1": lambda: L.make_reflection_example(1, seed=0),
+    "example2": lambda: L.make_reflection_example(2, seed=0),
+    "example3": lambda: L.make_reflection_example(3, seed=0),
+    "built": lambda: channel_from_sphere_curve(
+        random_sphere_curve(np.random.default_rng(3), 8), 10).net,
+    # '-' ribbons of one face each: the '-' direction is underdetermined
+    "revolution_n2_m3": lambda: random_generator_net("revolution", 0, 2, 3),
+})
+
+
+@pytest.mark.parametrize("name", sorted(NETS))
+def test_report_equals_independent_calls(name):
+    make = NETS[name]
+    net = make()
+    for label, directions in DIRECTIONS.items():
+        got = json.dumps(io_json.verify_report(net, directions))
+        assert got == json.dumps(oracle_verify_report(make(), directions)), label
+    # a second report on the same net reuses its cached lines and ribbons
+    assert json.dumps(io_json.verify_report(net)) == got
+
+
+def test_underdetermined_direction_keeps_dupin_verdict():
+    rep = io_json.verify_report(NETS["revolution_n2_m3"]())
+    assert rep["directions"]["-"]["failed_check"] == "underdetermined"
+    assert rep["dupin_cyclide"] is True
+
+
+@pytest.fixture
+def counters(monkeypatch):
+    calls = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[(key, args[1])] += 1
+            return fn(*args)
+        return wrapper
+
+    verify = counted("verify_channel", channel.verify_channel)
+    monkeypatch.setattr(channel, "verify_channel", verify)
+    monkeypatch.setattr(io_json, "verify_channel", verify)
+    monkeypatch.setattr(cellcomplex, "_label_lines",
+                        counted("lines", cellcomplex._label_lines))
+    monkeypatch.setattr(cellcomplex, "_label_ribbons",
+                        counted("ribbons", cellcomplex._label_ribbons))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["torus8", "built", "example2", "revolution_n2_m3"])
+@pytest.mark.parametrize("directions", sorted(DIRECTIONS))
+def test_one_certificate_and_one_walk_per_direction(counters, name, directions):
+    net = NETS[name]()
+    counters.clear()
+    io_json.verify_report(net, DIRECTIONS[directions])
+    assert counters[("verify_channel", "+")] == 1
+    assert counters[("verify_channel", "-")] == 1
+    for label in "+-":
+        assert counters[("lines", label)] <= 1
+        assert counters[("ribbons", label)] <= 1
