@@ -31,7 +31,7 @@ from .legendre import (
 )
 from .channel import (
     ChannelCertificate, ChannelFailure, DiscreteCurve3D,
-    verify_channel, full_certificate, certificate_residuals,
+    verify_channel, full_certificate, first_full_certificate, certificate_residuals,
     generating_circles, face_spheres, quer_spheres, face_quer_spheres,
     is_dupin_cyclide, cross_ratio, cross_ratio_constancy,
     is_ribaucour_pair, is_multi_circular, is_multi_circular_net,

@@ -477,8 +477,8 @@ def blend_channel(c1: DiscreteCurve3D, c2: DiscreteCurve3D, f0: ContactElement,
         raise LieGeometryError("not a Ribaucour pair: adjacent corresponding "
                                "points are not concircular")
     n = len(c1)
-    x1 = [lc.lift_point(p) for p in c1.points]
-    x2 = [lc.lift_point(p) for p in c2.points]
+    x1 = lc.lift_points(c1.points)
+    x2 = lc.lift_points(c2.points)
     if not f0.contains(x1[0]):
         raise LieGeometryError("initial contact element does not contain the "
                                "first point of c1")

@@ -362,6 +362,30 @@ def full_certificate(net: LegendreNet, direction: str = PLUS):
     return complete_certificate(verify_channel(net, direction), net)
 
 
+def underdetermined(direction: str, exc: LieGeometryError) -> ChannelFailure:
+    """Failure of a certificate that verify_channel returns but that cannot be
+    completed: a ribbon of one face (or of one sphere pencil) leaves a
+    1-parameter family of cyclides, and the member verify_channel picks need
+    not agree with the neighbouring ribbons on their shared line."""
+    return ChannelFailure(direction=direction, check="underdetermined", location=None,
+                          message=str(exc), envelopes=True)
+
+
+def first_full_certificate(net: LegendreNet):
+    """full_certificate of the first direction, '+' before '-', whose
+    certificate completes; otherwise the failure of '-', where a certificate
+    that cannot be completed fails as `underdetermined`."""
+    for direction in (PLUS, MINUS):
+        res = verify_channel(net, direction)
+        try:
+            complete_certificate(res, net)
+        except LieGeometryError as exc:
+            res = underdetermined(direction, exc)
+        if res.ok:
+            return res
+    return res
+
+
 # ---------------------------------------------------------------------------
 # Dupin cyclide test
 
@@ -549,17 +573,10 @@ def is_multi_circular(net: LegendreNet, direction: str, tol: Optional[float] = N
     `liecore.points_concircular` with cutoff `tol`.
     """
     t = TOL.membership if tol is None else tol
-    lifts: Dict[int, LieVec] = {}
-
-    def lifted(vertices) -> np.ndarray:
-        new = [v for v in dict.fromkeys(vertices) if v not in lifts]
-        for v, p in zip(new, net.vertex_points(new)):
-            lifts[v] = normalized(lc.lift_point(p))
-        return np.array([lifts[v] for v in vertices]).reshape(-1, 6)
-
+    lifts = lc.unit_point_lifts(net.vertex_points())
     for la, lb in net.complex.coordinates(direction).line_pairs:
         m = min(len(la), len(lb))
-        if not _quads_circular(lifted(la[:m]), lifted(lb[:m]), t):
+        if not _quads_circular(lifts[la[:m]], lifts[lb[:m]], t):
             return False
     return True
 
@@ -644,7 +661,7 @@ def is_multi_circular_net(net: LegendreNet, tol: Optional[float] = None) -> bool
     for pi, crossing in enumerate(crossings):
         for mi, vertices in crossing.items():
             grid[pi, mi] = vertices[-1]
-    lifts = np.array([normalized(lc.lift_point(p)) for p in net.vertex_points()]).reshape(-1, 6)
+    lifts = lc.unit_point_lifts(net.vertex_points())
     for p1 in range(len(grid)):
         for p2 in range(p1 + 1, len(grid)):
             both = (grid[p1] >= 0) & (grid[p2] >= 0)

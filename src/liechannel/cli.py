@@ -17,7 +17,7 @@ from .liecore import LieGeometryError
 from .cellcomplex import PLUS, MINUS
 from .legendre import contact_from_point_normal
 from . import builder, io_json
-from .channel import full_certificate
+from .channel import first_full_certificate
 from .curvature import vessiot_classify
 
 
@@ -113,11 +113,10 @@ def cmd_verify(args) -> int:
 def cmd_classify(args) -> int:
     net = io_json.load_net(args.infile)
     try:
-        for d in (PLUS, MINUS):
-            cert = full_certificate(net, d)
-            if cert.ok:
-                print(vessiot_classify(cert).kind)
-                return 0
+        cert = first_full_certificate(net)
+        if cert.ok:
+            print(vessiot_classify(cert).kind)
+            return 0
     except LieGeometryError as exc:
         return _fail(str(exc), 1)
     print("not a channel surface", file=sys.stderr)
@@ -247,6 +246,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (io_json.FormatError, OSError) as exc:  # malformed input, unwritable output
         return _fail(str(exc))
+    except OverflowError:  # finite input whose float arithmetic overflows
+        return _fail("input values out of numerical range")
 
 
 if __name__ == "__main__":

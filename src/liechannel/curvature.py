@@ -253,14 +253,6 @@ class IsothermicReport:
         return any(self.applicable.values())
 
 
-def _patch_spherical(points: np.ndarray, tol: float) -> bool:
-    # point lifts have no e6 component, so rank <= 5 always; cospherical
-    # patches drop to rank <= 4
-    lifts = np.array([normalized(lc.lift_point(p)) for p in points])
-    sv = np.linalg.svd(lifts, compute_uv=False)
-    return sv[4] / sv[0] <= tol
-
-
 def is_isothermic_5point(points: np.ndarray, c: QuadComplex) -> IsothermicReport:
     """5-point sphere test at every interior degree-4 vertex.
 
@@ -268,43 +260,39 @@ def is_isothermic_5point(points: np.ndarray, c: QuadComplex) -> IsothermicReport
     neighbours on a sphere avoiding at least one edge neighbour; vertices
     whose 9-point patch is cospherical are reported not applicable.
     """
-    pts = np.asarray(points, dtype=float)
+    lifts = lc.unit_point_lifts(points)
     applicable: Dict[int, bool] = {}
     passed: Dict[int, bool] = {}
     diag_circ: Dict[int, bool] = {}
     for star in interior_vertex_stars(c):
         v = star.vertex
-        if _patch_spherical(pts[star.patch], TOL.cosphericity):
-            applicable[v] = False
-            passed[v] = False
-            diag_circ[v] = lc.points_concircular(pts[star.diagonal_neighbors])
+        # point lifts have no e6 component, so rank <= 5 always; cospherical
+        # patches drop to rank <= 4
+        sv = np.linalg.svd(lifts[star.patch], compute_uv=False)
+        applicable[v] = not sv[4] / sv[0] <= TOL.cosphericity
+        passed[v] = False
+        dsv = np.linalg.svd(lifts[star.diagonal_neighbors], compute_uv=False)
+        diag_circ[v] = int(np.sum(dsv > TOL.rank * dsv[0])) <= 3  # points_concircular
+        if not applicable[v]:
             continue
-        applicable[v] = True
-        five = [pts[v]] + [pts[d] for d in star.diagonal_neighbors]
-        sp = span([normalized(lc.lift_point(p)) for p in five])
-        ok = False
+        sp = span(lifts[[v] + star.diagonal_neighbors])
         if sp.dim <= 4:
             comp = orthocomplement(sp)  # contains the point sphere complex
             c1, c2 = comp.basis[0], comp.basis[1]
             sphere = c2[5] * c1 - c1[5] * c2  # the Moebius direction of comp
             if np.linalg.norm(sphere) > TOL.membership:
-                off = [abs(inner(normalized(lc.lift_point(pts[e])), normalized(sphere)))
-                       for e in star.edge_neighbors]
+                off = [abs(inner(lifts[e], normalized(sphere))) for e in star.edge_neighbors]
                 # a patch that passed the nowhere-spherical gate keeps its
                 # edge neighbours off the 5-point sphere by at least the
                 # order of the gate cutoff
-                ok = max(off) > 0.1 * TOL.cosphericity
-        passed[v] = ok
-        diag_circ[v] = lc.points_concircular(pts[star.diagonal_neighbors])
+                passed[v] = max(off) > 0.1 * TOL.cosphericity
     return IsothermicReport(applicable=applicable, passed=passed,
                             diagonal_circular=diag_circ)
 
 
 def diagonal_concircular(points: np.ndarray, c: QuadComplex) -> Dict[int, bool]:
     """Concircularity of the four diagonal neighbours per interior vertex."""
-    pts = np.asarray(points, dtype=float)
-    return {star.vertex: lc.points_concircular(pts[star.diagonal_neighbors])
-            for star in interior_vertex_stars(c)}
+    return is_isothermic_5point(points, c).diagonal_circular
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,9 @@ from .legendre import (
     is_legendre, net_from_bases, plane_lifts, point_normal_generators, point_spheres,
 )
 from .channel import (
-    ChannelFailure, DiscreteCurve3D, verify_channel, complete_certificate, full_certificate,
-    certificate_residuals, cross_ratio_constancy, is_multi_circular, is_multi_circular_net,
-    dupin_verdict, sample_circle, circle_euclidean,
+    DiscreteCurve3D, verify_channel, complete_certificate, first_full_certificate,
+    underdetermined, certificate_residuals, cross_ratio_constancy, is_multi_circular,
+    is_multi_circular_net, dupin_verdict, sample_circle, circle_euclidean,
 )
 from .builder import SphereCurve
 from .curvature import curvature_report, kappa_line_spread, is_isothermic_5point
@@ -200,13 +200,35 @@ def _sphere_entry(v: np.ndarray) -> dict:
     raise LieGeometryError(f"cannot serialize sphere vector of kind {d.kind}")
 
 
+def _numbers(value, shape: tuple, message: str) -> np.ndarray:
+    """JSON numbers of the given shape (-1: any length) as floats; anything
+    else raises ValueError(message), non-finite numbers ValueError too."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # ragged lists
+        raise ValueError(message) from None
+    if a.dtype.kind not in "iuf" or a.ndim != len(shape) or \
+            any(want not in (-1, got) for want, got in zip(shape, a.shape)):
+        raise ValueError(message)
+    if not np.isfinite(a).all():
+        raise ValueError("non-finite coordinate")
+    return a.astype(float)
+
+
 def _sphere_vector(doc: dict, where: str) -> np.ndarray:
     try:
-        if "normal" in doc:
-            return lc.moebius_plane(np.asarray(doc["normal"], dtype=float),
-                                    float(doc["offset"]))
-        return lc.moebius_sphere(np.asarray(doc["center"], dtype=float),
-                                 float(doc["radius"]))
+        if not isinstance(doc, dict):
+            raise ValueError("expected a JSON object")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if "normal" in doc:
+                v = lc.moebius_plane(_numbers(doc["normal"], (3,), "normal must be 3 numbers"),
+                                     float(_numbers(doc["offset"], (), "offset must be a number")))
+            else:
+                v = lc.moebius_sphere(_numbers(doc["center"], (3,), "center must be 3 numbers"),
+                                      float(_numbers(doc["radius"], (), "radius must be a number")))
+        if not np.isfinite(v).all():  # finite data whose lift overflows
+            raise ValueError("non-finite coordinate")
+        return v
     except (KeyError, TypeError, ValueError, LieGeometryError) as exc:
         raise FormatError(f"{where}: {exc}") from exc
 
@@ -225,10 +247,12 @@ def load_sphere_curve(path: Union[str, Path]) -> SphereCurve:
     data = _load(path)
     if data.get("format") != "liechannel-sphere-curve":
         raise FormatError("not a liechannel-sphere-curve document")
-    vs = [_sphere_vector(d, f"vertex sphere {k}")
-          for k, d in enumerate(data.get("vertex_spheres", []))]
-    es = [_sphere_vector(d, f"edge sphere {k}")
-          for k, d in enumerate(data.get("edge_spheres", []))]
+    docs = {key: data.get(key, []) for key in ("vertex_spheres", "edge_spheres")}
+    for key, entries in docs.items():
+        if not isinstance(entries, list):
+            raise FormatError(f"{key} must be a list")
+    vs = [_sphere_vector(d, f"vertex sphere {k}") for k, d in enumerate(docs["vertex_spheres"])]
+    es = [_sphere_vector(d, f"edge sphere {k}") for k, d in enumerate(docs["edge_spheres"])]
     if len(vs) < 2:
         raise FormatError("sphere curve needs at least two vertex spheres")
     try:
@@ -248,8 +272,11 @@ def load_curve(path: Union[str, Path]) -> DiscreteCurve3D:
     if data.get("format") != "liechannel-curve":
         raise FormatError("not a liechannel-curve document")
     try:
-        return DiscreteCurve3D(points=np.asarray(data["points"], dtype=float),
-                               closed=bool(data.get("closed", False)))
+        points = _numbers(data["points"], (-1, 3), "points must be a list of 3-number lists")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(lc.lift_points(points)).all():  # finite points whose lift overflows
+                raise ValueError("non-finite coordinate")
+        return DiscreteCurve3D(points=points, closed=bool(data.get("closed", False)))
     except (KeyError, ValueError) as exc:
         raise FormatError(str(exc)) from exc
 
@@ -323,12 +350,7 @@ def verify_report(net: LegendreNet, directions: Sequence[str] = (PLUS, MINUS)) -
                 complete_certificate(cert, net)
                 residuals = certificate_residuals(cert, net)
             except LieGeometryError as exc:
-                # the certificate cannot be completed: a ribbon of one face
-                # (or of one sphere pencil) leaves a 1-parameter family of
-                # cyclides, and the member verify_channel picks need not
-                # agree with the neighbouring ribbons on their shared line
-                res = ChannelFailure(direction=d, check="underdetermined", location=None,
-                                     message=str(exc), envelopes=True)
+                res = underdetermined(d, exc)
         if res.ok:
             entry.update({
                 "channel": True, "envelopes": True,
@@ -412,9 +434,7 @@ def export_obj(net: LegendreNet, path: Union[str, Path], circles: bool = False,
         i, j, k, l = (v + 1 for v in face)
         lines.append(f"f {i} {j} {k} {l}")
     if circles:
-        cert = full_certificate(net, PLUS)
-        if not cert.ok:
-            cert = full_certificate(net, MINUS)
+        cert = first_full_certificate(net)
         if not cert.ok:
             raise LieGeometryError("cannot export circles: net is not a channel surface")
         base = net.complex.n_vertices

@@ -129,9 +129,7 @@ def point_normal_generators(points: np.ndarray, normals: np.ndarray
     n = np.asarray(normals, dtype=float)
     gens = np.zeros((len(x), 2, 6))
     with np.errstate(over="ignore", invalid="ignore"):
-        gens[:, 0, :3] = x
-        gens[:, 0, 3] = 1.0
-        gens[:, 0, 4] = 0.5 * lc.dots(x, x)
+        gens[:, 0] = lc.lift_points(x)
         gens[:, 1, :3] = n
         gens[:, 1, 4] = lc.dots(n, x)
         gens[:, 1, 5] = 1.0
@@ -253,18 +251,26 @@ class LegendreNet:
         return self.vertex_points([v])[0]
 
     def vertex_points(self, vertices: Optional[Sequence[int]] = None) -> np.ndarray:
-        """Euclidean positions of the vertex point spheres (all by default)."""
-        vs = range(self.complex.n_vertices) if vertices is None else vertices
-        spheres, ok = point_spheres(self.bases[list(vs)])
-        out = []
-        for v, s, has_point in zip(vs, spheres, ok):
-            if not has_point:
-                raise LieGeometryError(NO_POINT_SPHERE)
-            d = lc.unlift(s)
-            if d.kind != "point":
-                raise LieGeometryError(f"vertex {v} has no finite Euclidean position")
-            out.append(d.center)
-        return np.array(out)
+        """Positions (n, 3) of the vertex point spheres (all by default), read by unlift."""
+        vs = list(range(self.complex.n_vertices) if vertices is None else vertices)
+        s, ok = point_spheres(self.bases[vs])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            n = s / np.sqrt(lc.dots(s, s))[:, None]
+            nn = np.sqrt(lc.dots(n, n))
+            # is_null, with (n, n) summed in the order of liecore.inner
+            nq = (n[:, 0] * n[:, 0] + n[:, 1] * n[:, 1] + n[:, 2] * n[:, 2]
+                  - n[:, 3] * n[:, 4] - n[:, 4] * n[:, 3] - n[:, 5] * n[:, 5])
+            null = np.abs(nq) <= TOL.null * nn * nn
+            w = n / n[:, 3:4]
+            centers = w[:, :3].copy()
+            point = (np.abs(n[:, 3]) > TOL.null) & \
+                (np.abs(w[:, 5]) <= TOL.null * (1.0 + np.sqrt(lc.dots(centers, centers))))
+        failure = lc.first_failure([(~ok, NO_POINT_SPHERE), (~null, lc.NOT_A_LIE_SPHERE), (~point, "")])
+        if failure is not None:
+            k, message = failure
+            error = lc.NotALieSphereError if message == lc.NOT_A_LIE_SPHERE else LieGeometryError
+            raise error(message or f"vertex {vs[k]} has no finite Euclidean position")
+        return centers
 
 
 def net_from_bases(c: QuadComplex, bases: np.ndarray) -> LegendreNet:

@@ -64,6 +64,7 @@ E6 = np.array([0, 0, 0, 0, 0, 1.0])
 
 POINT_COMPLEX = E6   # p: lifts orthogonal to it are point spheres
 SPACE_FORM = EINF    # q: Euclidean space form
+NOT_A_LIE_SPHERE = "not a Lie sphere: (v,v) != 0"  # unlift off the Lie quadric
 
 
 class LieGeometryError(ValueError):
@@ -156,9 +157,22 @@ def lift_plane(normal: Sequence[float], offset: float) -> LieVec:
     return np.array([n[0], n[1], n[2], 0.0, float(offset), 1.0])
 
 
-def lift_point(x: Sequence[float]) -> LieVec:
+def lift_points(x: np.ndarray) -> np.ndarray:
+    """Point lifts (n, 6) of a stack (n, 3) of Euclidean points."""
     p = np.asarray(x, dtype=float)
-    return np.array([p[0], p[1], p[2], 1.0, 0.5 * (p @ p), 0.0])
+    if p.ndim != 2 or p.shape[1] != 3:
+        raise ValueError(f"expected an (n, 3) stack of points, got shape {p.shape}")
+    return np.column_stack([p, np.ones(len(p)), 0.5 * dots(p, p), np.zeros(len(p))])
+
+
+def lift_point(x: Sequence[float]) -> LieVec:
+    return lift_points([x])[0]
+
+
+def unit_point_lifts(x: np.ndarray) -> np.ndarray:
+    """lift_points(x), each row `normalized` (u0 = 1, so none vanishes)."""
+    lifts = lift_points(x)
+    return lifts / np.sqrt(dots(lifts, lifts))[:, None]
 
 
 @dataclass(frozen=True)
@@ -177,7 +191,7 @@ def unlift(v: LieVec, tol: Optional[float] = None) -> SphereDescriptor:
     t = TOL.null if tol is None else tol
     n = normalized(v)
     if not is_null(n, t):
-        raise NotALieSphereError("not a Lie sphere: (v,v) != 0")
+        raise NotALieSphereError(NOT_A_LIE_SPHERE)
     u0 = n[3]
     if abs(u0) <= t:
         spatial = n[:3]
@@ -363,8 +377,7 @@ def unlift_moebius(v: LieVec, tol: Optional[float] = None) -> SphereDescriptor:
 def moebius_point_rank(points: Sequence[Sequence[float]], tol: Optional[float] = None) -> int:
     """Rank of the normalized Moebius lifts of Euclidean points."""
     t = TOL.rank if tol is None else tol
-    lifts = np.array([normalized(lift_point(p)) for p in points])
-    sv = np.linalg.svd(lifts, compute_uv=False)
+    sv = np.linalg.svd(unit_point_lifts(points), compute_uv=False)
     return int(np.sum(sv > t * sv[0]))
 
 

@@ -1,18 +1,20 @@
 """Scalar reference for the batched R^{4,2} kernel.
 
-One contact element, one edge sphere, one edge curvature and one face at a
-time, written as the kernel computed them before it worked on stacks: two
-SVDs per span, three per edge meet, 6x6 operators per face. The batched
-kernel must reproduce these values bit for bit and raise the same errors.
+One contact element, one edge sphere, one edge curvature, one face and one
+vertex position at a time, written as the kernel computed them before it
+worked on stacks: two SVDs per span, three per edge meet, 6x6 operators per
+face, one `unlift` per vertex. The batched kernel must reproduce these
+values bit for bit and raise the same errors.
 """
 
 import math
 
 import numpy as np
 
+from liechannel import legendre
 from liechannel.cellcomplex import edge_key
 from liechannel.config import TOL
-from liechannel.liecore import GRAM, LieGeometryError
+from liechannel.liecore import GRAM, LieGeometryError, unlift
 
 
 def canonical_sign(v):
@@ -43,6 +45,27 @@ def contact_element(basis):
 def lift_point(x):
     p = np.asarray(x, dtype=float)
     return np.array([p[0], p[1], p[2], 1.0, 0.5 * (p @ p), 0.0])
+
+
+def unit_point_lift(x):
+    """normalized(lift_point(x)), as the rank tests lifted each point."""
+    v = lift_point(x)
+    return v / float(np.linalg.norm(v))
+
+
+def vertex_points(net, vertices=None):
+    """Positions of the vertex point spheres, one `unlift` per vertex."""
+    vs = range(net.complex.n_vertices) if vertices is None else vertices
+    spheres, ok = legendre.point_spheres(net.bases[list(vs)])
+    out = []
+    for v, s, has_point in zip(vs, spheres, ok):
+        if not has_point:
+            raise LieGeometryError("contact element orthogonal to the point sphere complex")
+        d = unlift(s)
+        if d.kind != "point":
+            raise LieGeometryError(f"vertex {v} has no finite Euclidean position")
+        out.append(d.center)
+    return np.array(out)
 
 
 def lift_plane(n, offset):

@@ -1,9 +1,10 @@
 """The batched R^{4,2} kernel equals the scalar oracle bit for bit.
 
-Contact element bases, edge curvature spheres, failed-edge lists and
-curvature reports are compared with `kernel_oracle` on every generator
-kind, on tori from 3^2 to 16^2 and on the reflection examples; error cases
-must raise the oracle's message for the same vertex, edge or face.
+Contact element bases, edge curvature spheres, failed-edge lists,
+curvature reports, vertex positions and point lifts are compared with
+`kernel_oracle` on every generator kind, on tori from 3^2 to 16^2 and on the
+reflection examples; error cases must raise the oracle's message for the
+same vertex, edge or face.
 """
 
 import json
@@ -216,3 +217,105 @@ def test_interior_vertex_stars_use_the_vertex_face_index():
     twice = QuadComplex(n_vertices=2, edges=((0, 1, "-"),), faces=((0, 1, 0, 1),))
     assert twice.vertex_faces(0) == [0]
     assert len(L.curvature.interior_vertex_stars(c)) == 5 * 2
+
+
+# ---------------------------------------------------------------------------
+# vertex positions and point lifts
+
+
+def reading(fn, *args):
+    """(value, None), or (None, (exception class, message)) if fn raises."""
+    try:
+        return fn(*args), None
+    except L.LieGeometryError as exc:
+        return None, (type(exc), str(exc))
+
+
+def assert_positions_match_oracle(net, vertices=None):
+    got, got_error = reading(net.vertex_points, vertices)
+    want, want_error = reading(oracle.vertex_points, net, vertices)
+    assert got_error == want_error
+    if want_error is None:
+        assert same_bits(got, want.reshape(-1, 3))
+        assert same_bits(L.liecore.unit_point_lifts(got),
+                         np.array([oracle.unit_point_lift(p) for p in want]).reshape(-1, 6))
+        assert same_bits(L.liecore.lift_points(got),
+                         np.array([oracle.lift_point(p) for p in want]).reshape(-1, 6))
+        assert all(same_bits(L.lift_point(p), oracle.lift_point(p)) for p in want)
+
+
+def assert_vertex_lists_match_oracle(net, data):
+    assert_positions_match_oracle(net)
+    n = net.complex.n_vertices
+    # partial lists: any order, repeats and the empty list included
+    assert_positions_match_oracle(net, data.draw(st.lists(st.integers(0, n - 1), max_size=n)))
+
+
+@given(kind=st.sampled_from(["revolution", "cylinder", "cone"]),
+       seed=st.integers(0, 10_000), n=st.integers(2, 7), m=st.integers(3, 7), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_generator_positions_match_oracle(kind, seed, n, m, data):
+    assert_vertex_lists_match_oracle(random_generator_net(kind, seed, n, m), data)
+
+
+@given(m=st.integers(3, 16), n=st.integers(3, 16),
+       big=st.floats(1.5, 3.0), ratio=st.floats(0.2, 0.7), data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_torus_positions_match_oracle(m, n, big, ratio, data):
+    assert_vertex_lists_match_oracle(builder.make_dupin_torus(big, big * ratio, m, n), data)
+
+
+@given(kind=st.sampled_from([1, 2, 3]), seed=st.integers(0, 10_000), data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_reflection_example_positions_match_oracle(kind, seed, data):
+    assert_vertex_lists_match_oracle(builder.make_reflection_example(kind, seed=seed), data)
+
+
+def _raw_element(a, b):
+    """Contact element of the basis (a, b), without the constructor's checks."""
+    return L.legendre._elements(np.array([[a, b]], dtype=float))[0]
+
+
+BAD_VERTICES = {
+    7: _raw_element(L.E0, L.EINF),          # no point sphere in the pencil
+    12: _raw_element(L.E1, L.E6),           # point sphere E1 is not null
+    20: contact_from_vectors(*AT_INFINITY),  # point sphere at infinity
+    25: _raw_element(L.lift_point((1e6, 0.0, 0.0)),  # u0 below unlift's cutoff
+                     L.lift_plane((0.0, 0.0, 1.0), 0.0)),
+}
+
+
+@pytest.mark.parametrize("vertices", [
+    None, [0, 1, 2], [], [12, 7], [7, 12], [3, 20, 12], [25, 20], [25, 12, 7], [29, 25, 25],
+])
+def test_position_errors_match_oracle(vertices):
+    net = torus_with(lambda t: BAD_VERTICES)
+    assert_positions_match_oracle(net, vertices)
+    if vertices and set(vertices) & set(BAD_VERTICES):
+        assert reading(net.vertex_points, vertices)[1] is not None
+
+
+def test_sphere_off_the_point_complex_matches_oracle():
+    # a pencil's point sphere has u6 = 0 exactly, so unlift's radius cutoff
+    # is exercised by handing both readings a proper sphere (radius 0.5)
+    net = L.make_dupin_torus(2.0, 1.0, 6, 5)
+    spheres, ok = L.legendre.point_spheres(net.bases)
+    spheres[4] = L.lift_sphere((1.0, 2.0, 0.0), 0.5)
+
+    def crafted(bases):
+        return spheres[:len(bases)], ok[:len(bases)]
+
+    with mock.patch.object(L.legendre, "point_spheres", crafted):
+        assert reading(net.vertex_points, None)[1] == (
+            L.LieGeometryError, "vertex 4 has no finite Euclidean position")
+        assert_positions_match_oracle(net)
+
+
+def test_error_classes():
+    net = torus_with(lambda t: BAD_VERTICES)
+    with pytest.raises(L.NotALieSphereError, match=r"not a Lie sphere"):
+        net.vertex_points([12])
+    with pytest.raises(L.LieGeometryError, match="orthogonal to the point sphere complex"):
+        net.vertex_point(7)
+    with pytest.raises(L.LieGeometryError, match="vertex 20 has no finite Euclidean position"):
+        net.vertex_points([20, 25])

@@ -1,5 +1,5 @@
-"""The CLI keeps its exit-code contract on any net file: every command
-returns 0, 1 or 2 and no exception escapes `cli.main`."""
+"""The CLI keeps its exit-code contract on any net, sphere-curve or curve
+file: every command returns 0, 1 or 2 and no exception escapes `cli.main`."""
 
 import contextlib
 import copy
@@ -8,8 +8,11 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from liechannel import io_json
+from liechannel.builder import random_sphere_curve
 from liechannel.cli import main
 
 KINDS = ["revolution", "cylinder", "cone", "dupin-torus", "example1", "example2", "example3"]
@@ -120,3 +123,66 @@ def test_malformed_documents(text):
         net = tmp / "net.json"
         net.write_text(text, encoding="utf-8")
         assert_contract(net, tmp)
+
+
+# ---------------------------------------------------------------------------
+# build and blend inputs
+
+
+def _sphere_curve_base() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spheres.json"
+        io_json.save_sphere_curve(random_sphere_curve(np.random.default_rng(7), 5), path)
+        return json.loads(path.read_text(encoding="utf-8"))
+
+
+SPHERE_CURVE = _sphere_curve_base()
+CURVES = [{"format": "liechannel-curve", "version": 1, "closed": False,
+           "points": [[x, 0.0, 0.5 * k] for k in range(5)]} for x in (0.0, 1.5)]
+BLEND_ARGS = ["--contact-point", "0", "0", "0", "--contact-normal", "-1", "0", "0",
+              "--samples", "6"]
+
+# wrong types, wrong shapes and non-finite numbers in place of any field
+field_values = st.one_of(
+    values, st.floats(allow_nan=True, allow_infinity=True),
+    st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=4),
+    st.lists(st.lists(st.floats(-5, 5), max_size=4), max_size=4))
+
+
+@st.composite
+def fuzzed(draw, base):
+    """Up to two fields replaced, at a depth drawn first so that the few
+    top-level fields are hit as often as the many coordinates; one text in
+    four truncated."""
+    for _ in range(draw(st.integers(0, 2))):
+        paths = list(_paths(base))
+        depth = draw(st.sampled_from(sorted({len(p) for p in paths})))
+        path = draw(st.sampled_from([p for p in paths if len(p) == depth]))
+        base = _replaced(base, path, draw(field_values))
+    text = json.dumps(base)
+    if draw(st.integers(0, 3)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(max_examples=250, deadline=None)
+@given(text=fuzzed(SPHERE_CURVE))
+def test_malformed_sphere_curves(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "spheres.json").write_text(text, encoding="utf-8")
+        assert run("build", "--spheres", str(tmp / "spheres.json"), "--samples", "6",
+                   "--out", str(tmp / "net.json")) in (0, 1, 2)
+
+
+@settings(max_examples=250, deadline=None)
+@given(which=st.integers(0, 1), text=st.data())
+def test_malformed_curves(which, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        paths = [tmp / "c1.json", tmp / "c2.json"]
+        for k, path in enumerate(paths):
+            doc = text.draw(fuzzed(CURVES[k])) if k == which else json.dumps(CURVES[k])
+            path.write_text(doc, encoding="utf-8")
+        assert run("blend", "--c1", str(paths[0]), "--c2", str(paths[1]), *BLEND_ARGS,
+                   "--out", str(tmp / "net.json")) in (0, 1, 2)

@@ -7,7 +7,7 @@ import pytest
 
 import liechannel as L
 from liechannel import io_json
-from liechannel.cli import main
+from liechannel.cli import main, random_generator_net
 from liechannel.liecore import subspace_distance
 from liechannel.builder import random_sphere_curve, sphere_curve_from_certificate
 
@@ -341,3 +341,91 @@ class TestUnderdeterminedRibbons:
             assert entry["channel"] is False
             assert entry["failed_check"] == "underdetermined"
             assert "generating circles of line 0 disagree" in entry["message"]
+
+    @pytest.fixture
+    def swapped_net(self, tmp_path):
+        # the same net with labels swapped: its '+' ribbons are single faces
+        # whose certificate cannot be completed, its '-' certificate completes
+        net = random_generator_net("revolution", 0, 2, 3)
+        path = tmp_path / "swapped.json"
+        io_json.save_net(L.LegendreNet(complex=L.swapped_labels(net.complex),
+                                       elements=net.elements), path)
+        return path
+
+    def test_classify_falls_back_to_the_completed_direction(self, swapped_net, capsys):
+        capsys.readouterr()
+        assert main(["classify", "--in", str(swapped_net)]) == 1
+        assert capsys.readouterr().err == \
+            "error: insufficient data: need at least 3 face-spheres\n"
+
+    def test_export_circles_of_the_completed_direction(self, swapped_net, tmp_path, capsys):
+        obj = tmp_path / "swapped.obj"
+        assert main(["export", "--in", str(swapped_net), "--obj", str(obj), "--circles"]) == 0
+        assert obj.read_text().count("\no circle_") == 2
+        assert capsys.readouterr().err == ""
+
+    def test_first_full_certificate(self, swapped_net):
+        cert = L.first_full_certificate(io_json.load_net(swapped_net))
+        assert cert.ok and cert.direction == "-" and len(cert.circles) == 2
+        res = L.first_full_certificate(L.make_reflection_example(2, seed=0))
+        assert not res.ok and res.direction == "-"
+
+
+def _sphere_curve_doc(tmp_path):
+    path = tmp_path / "spheres.json"
+    io_json.save_sphere_curve(random_sphere_curve(np.random.default_rng(7), 5), path)
+    return json.loads(path.read_text())
+
+
+def _curve_doc():
+    return {"format": "liechannel-curve", "version": 1, "closed": False,
+            "points": [[0.0, 0.0, 0.5 * k] for k in range(5)]}
+
+
+class TestHostileBuildAndBlendFiles:
+    """Malformed sphere-curve and curve files exit 2 with a message."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(vertex_spheres=5), "vertex_spheres must be a list"),
+        (lambda d: d.update(edge_spheres={"a": 1}), "edge_spheres must be a list"),
+        (lambda d: d["vertex_spheres"][1].update(center=[1]), "center must be 3 numbers"),
+        (lambda d: d["vertex_spheres"][1].update(center=[[1]]), "center must be 3 numbers"),
+        (lambda d: d["edge_spheres"][0].update(center=["1", 0, 0]), "center must be 3 numbers"),
+        (lambda d: d["vertex_spheres"].__setitem__(0, 3), "expected a JSON object"),
+        (lambda d: d["vertex_spheres"][2].update(radius=float("nan")), "non-finite coordinate"),
+        (lambda d: d["vertex_spheres"][2].update(radius=True), "radius must be a number"),
+        (lambda d: d["edge_spheres"][1].update(center=[0, float("inf"), 0]),
+         "non-finite coordinate"),
+        (lambda d: d["edge_spheres"][1].update(center=[1e200, 0, 0]), "non-finite coordinate"),
+        # finite lifts whose products in the curve check overflow
+        (lambda d: d["vertex_spheres"][0].update(center=[3.4e77, 0, 0]),
+         "input values out of numerical range"),
+    ])
+    def test_sphere_curve_refused(self, tmp_path, capsys, edit, message):
+        doc = _sphere_curve_doc(tmp_path)
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["build", "--spheres", str(path), "--out", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("points, message", [
+        ({"a": 1}, "points must be a list of 3-number lists"),
+        ([[0, 0], [1, 0]], "points must be a list of 3-number lists"),
+        ([[0, 0, 0], [1, 0]], "points must be a list of 3-number lists"),
+        ([[0, 0, float("nan")], [1, 0, 0]], "non-finite coordinate"),
+        ([[0, 0, 0], [1, 0, float("-inf")]], "non-finite coordinate"),
+        ([[0, 0, 0], [1e200, 0, 0]], "non-finite coordinate"),
+    ])
+    def test_curve_refused(self, tmp_path, capsys, points, message):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps(_curve_doc()))
+        bad.write_text(json.dumps(dict(_curve_doc(), points=points)))
+        for c1, c2 in ((bad, good), (good, bad)):
+            capsys.readouterr()
+            assert main(["blend", "--c1", str(c1), "--c2", str(c2),
+                         "--contact-point", "0", "0", "0", "--contact-normal", "-1", "0", "0",
+                         "--out", str(tmp_path / "o.json")]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"

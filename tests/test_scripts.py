@@ -1,5 +1,6 @@
-"""The demo scripts run to completion and print their key results."""
+"""The scripts run to completion and print their key results."""
 
+import hashlib
 import re
 import runpy
 from pathlib import Path
@@ -26,3 +27,21 @@ def test_demo_pipeline(capsys):
     assert steps == ["generate", "verify", "classify", "curvature", "export"]
     assert re.findall(r"-> exit (\d+)", out) == ["0"] * len(steps)
     assert "dupin cyclide: True" in out
+
+
+def test_output_digest(capsys):
+    lines = run_script("output_digest.py", capsys).splitlines()
+    assert all(re.fullmatch(r"\S.* ([0-9a-f]{64}|missing)", line) for line in lines)
+    digests = dict(line.rsplit(" ", 1) for line in lines)
+    assert len(digests) == len(lines)           # every output named once
+    exits = {name[:-len(" exit")]: d for name, d in digests.items() if name.endswith(" exit")}
+    # generate on 8 settings, 7 commands on each net and the swapped one,
+    # build and blend on 4 sphere curves
+    assert len(exits) == 8 + 9 * 7 + 4 + 4
+    code = {hashlib.sha256(str(c).encode()).hexdigest(): c for c in (0, 1, 2)}
+    assert {name: code.get(d) for name, d in exits.items() if name.startswith("swapped")} == {
+        "swapped verify +": 1, "swapped verify -": 0, "swapped verify both": 0,
+        "swapped classify": 1, "swapped curvature": 0, "swapped export": 0,
+        "swapped export --circles": 0}
+    assert all(code.get(d) == 0 for name, d in exits.items()
+               if name.split()[1] in ("generate", "build", "blend"))

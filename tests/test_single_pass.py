@@ -82,3 +82,35 @@ def test_one_certificate_and_one_walk_per_direction(counters, name, directions):
     for label in "+-":
         assert counters[("lines", label)] <= 1
         assert counters[("ribbons", label)] <= 1
+
+
+@pytest.mark.parametrize("name", ["torus8", "built", "example2", "revolution"])
+def test_positions_and_lifts_are_batched(monkeypatch, name):
+    """One report lifts points only through `lift_points` and reads vertex
+    positions without a per-vertex `unlift`."""
+    net = NETS[name]()
+    calls = Counter()
+    reading = []
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key, bool(reading)] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def vertex_points(self, *args):
+        reading.append(True)
+        try:
+            return positions(self, *args)
+        finally:
+            reading.pop()
+
+    positions = L.LegendreNet.vertex_points
+    monkeypatch.setattr(L.LegendreNet, "vertex_points", vertex_points)
+    monkeypatch.setattr(L.liecore, "lift_point", counted("lift_point", L.liecore.lift_point))
+    monkeypatch.setattr(L.liecore, "lift_points", counted("lift_points", L.liecore.lift_points))
+    monkeypatch.setattr(L.liecore, "unlift", counted("unlift", L.liecore.unlift))
+    io_json.verify_report(net)
+    assert calls["lift_point", False] == calls["lift_point", True] == 0
+    assert calls["unlift", True] == 0
+    assert calls["lift_points", False] > 0
