@@ -15,8 +15,9 @@ Inputs: `generate` on eight generator settings, and the revolution net with
 n = 2, m = 3 with its labels swapped, each followed by verify ('+', '-',
 'both'), classify, curvature and export with and without --circles; `build`
 on four fixed sphere curves and `blend` through two columns of each built
-net. Commands run in a temporary directory with relative paths, so the
-digests do not depend on where the script runs.
+net; two more builds and blends whose blends fail inside the propagation of
+the generating circles. Commands run in a temporary directory with relative
+paths, so the digests do not depend on where the script runs.
 """
 
 import contextlib
@@ -53,6 +54,11 @@ CURVE_SEEDS = (0, 1, 2, 3)
 CURVE_SPHERES = 8
 SAMPLES = 8
 BLEND_COLUMNS = (0, 1)
+# 12-sphere curves built with 16 samples whose blend through columns 7 and 8,
+# at the t0 that should rebuild the first ribbon's cyclide, fails in the
+# propagation: "point does not lie on the cyclide" (seed 3) and "circle of
+# the next sphere degenerates (dim 2)" (seed 9, a 2-dimensional D-)
+PROPAGATION_FAILURES = {3: 1.4656630439821414, 9: 1.4808292377837171}
 
 
 def sha(data: bytes) -> str:
@@ -106,31 +112,37 @@ def digest_all() -> None:
     net_commands("swapped", "swapped.net.json")
 
     for k in CURVE_SEEDS:
-        name = f"curve{k}"
-        spheres = f"{name}.spheres.json"
-        io_json.save_sphere_curve(
-            random_sphere_curve(np.random.default_rng(k), CURVE_SPHERES), spheres)
-        print(f"{name} input {sha(Path(spheres).read_bytes())}")
-        net = f"{name}.built.json"
-        run(f"{name} build", ["build", "--spheres", spheres, "--samples", str(SAMPLES),
-                              "--out", net], [net])
-        if not Path(net).exists():
-            continue
-        vertices = json.loads(Path(net).read_text(encoding="utf-8"))["vertices"]
-        points = [v["point"] for v in vertices]
-        curves = []
-        for col in BLEND_COLUMNS:
-            curve = f"{name}.col{col}.json"
-            Path(curve).write_text(json.dumps({"format": "liechannel-curve", "version": 1,
-                                               "points": points[col::SAMPLES]}),
-                                   encoding="utf-8")
-            curves.append(curve)
-        p0, n0 = vertices[BLEND_COLUMNS[0]]["point"], vertices[BLEND_COLUMNS[0]]["normal"]
-        out = f"{name}.blend.json"
-        run(f"{name} blend", ["blend", "--c1", curves[0], "--c2", curves[1],
-                              "--contact-point", *map(repr, p0),
-                              "--contact-normal", *map(repr, n0),
-                              "--samples", str(SAMPLES), "--out", out], [out])
+        curve_commands(f"curve{k}", k, CURVE_SPHERES, SAMPLES, BLEND_COLUMNS)
+    for k, t0 in PROPAGATION_FAILURES.items():
+        curve_commands(f"curve{k}-12x16", k, 12, 16, (7, 8), ["--t0", repr(t0)])
+
+
+def curve_commands(name: str, seed: int, spheres: int, samples: int, columns, blend_args=()):
+    """`build` on a random sphere curve, then `blend` through two columns of
+    the built net from the contact element of the first column's vertex 0."""
+    path = f"{name}.spheres.json"
+    io_json.save_sphere_curve(random_sphere_curve(np.random.default_rng(seed), spheres), path)
+    print(f"{name} input {sha(Path(path).read_bytes())}")
+    net = f"{name}.built.json"
+    run(f"{name} build", ["build", "--spheres", path, "--samples", str(samples),
+                          "--out", net], [net])
+    if not Path(net).exists():
+        return
+    vertices = json.loads(Path(net).read_text(encoding="utf-8"))["vertices"]
+    points = [v["point"] for v in vertices]
+    curves = []
+    for col in columns:
+        curve = f"{name}.col{col}.json"
+        Path(curve).write_text(json.dumps({"format": "liechannel-curve", "version": 1,
+                                           "points": points[col::samples]}),
+                               encoding="utf-8")
+        curves.append(curve)
+    p0, n0 = vertices[columns[0]]["point"], vertices[columns[0]]["normal"]
+    out = f"{name}.blend.json"
+    run(f"{name} blend", ["blend", "--c1", curves[0], "--c2", curves[1],
+                          "--contact-point", *map(repr, p0),
+                          "--contact-normal", *map(repr, n0), *blend_args,
+                          "--samples", str(samples), "--out", out], [out])
 
 
 if __name__ == "__main__":

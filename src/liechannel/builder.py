@@ -40,7 +40,7 @@ import numpy as np
 from .config import TOL
 from . import liecore as lc
 from .liecore import (
-    LieVec, LieGeometryError, Subspace, POINT_COMPLEX, E6, inner,
+    LieVec, LieGeometryError, Subspace, POINT_COMPLEX, E6, inner, inner_rows,
     normalized, canonical_sign, span, signature, orthocomplement,
     subspace_distance, project_onto, oriented_representative, moebius_part,
 )
@@ -100,6 +100,14 @@ class SphereCurveDiagnostics:
 
 
 def validate_sphere_curve(sc: SphereCurve) -> SphereCurveDiagnostics:
+    """Conditions (i) and (ii) of a regular sphere curve, with residuals.
+    Raises LieGeometryError on data whose squared inner products overflow."""
+    spheres = np.concatenate([sc.vertex_spheres, sc.edge_spheres])
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms2 = lc.dots(spheres, spheres)
+        # |(s, t)|^2 <= |s|^2 |t|^2, so every squared product below is finite
+        if not np.isfinite(norms2 * norms2).all():
+            raise LieGeometryError("sphere curve: input values out of numerical range")
     msgs: List[str] = []
     unit = 0.0
     for name, arr in (("vertex", sc.vertex_spheres), ("edge", sc.edge_spheres)):
@@ -185,6 +193,8 @@ def random_sphere_curve(rng: np.random.Generator, n: int,
 # ---------------------------------------------------------------------------
 # cyclide construction and point propagation
 
+OFF_CYCLIDE = "point does not lie on the cyclide"
+
 
 def blend_cyclide(circle_space: Subspace, a_hat: LieVec, b_hat: LieVec) -> DupinCyclide:
     """Unique Dupin cyclide touching the circle, with oriented curvature
@@ -225,36 +235,55 @@ def correspondence_candidates(circle_i: Subspace, circle_j: Subspace,
     return out
 
 
-def propagate_point(x: LieVec, cy: DupinCyclide, next_sphere_hat: LieVec
-                    ) -> Tuple[LieVec, float]:
-    """Follow the cyclide curvature line through x to the circle enveloping
-    the next sphere. Returns the new point sphere and the relative
-    discriminant of the propagation quadratic (0 for exact tangency)."""
-    xm = project_onto(x, cy.dminus)
-    xp = x - xm
-    scale = lc.aux_norm(x) ** 2
-    if max(abs(inner(xm, xm)), abs(inner(xp, xp))) > 1e-6 * scale:
-        raise LieGeometryError("point does not lie on the cyclide")
+def propagate_point(x: np.ndarray, cy: DupinCyclide, next_sphere_hat: LieVec):
+    """Follow the cyclide curvature lines through the point spheres x, the
+    (m, 6) samples of one circle or a single (6,) vector, to the circle
+    enveloping the next sphere.
+
+    Returns the new point spheres and the relative discriminants of their
+    propagation quadratics (0 for exact tangency), stacked as x; a vector
+    gives a (vector, float) pair. The next circle's space is computed once
+    per call. A failing sample raises the error that a pass over the
+    samples in order, each through all checks, would meet first; every
+    threshold test fails on NaN.
+    """
+    single = np.ndim(x) == 1
+    xs = np.atleast_2d(np.asarray(x, dtype=float))
+    xm = project_onto(xs, cy.dminus)
+    xp = xs - xm
+    # np.float_power rounds as Python's float ** 2 does, `** 2` does not
+    tol = 1e-6 * np.float_power(np.sqrt(lc.dots(xs, xs)), 2)
+    off = ~((np.abs(inner_rows(xm, xm)) <= tol) & (np.abs(inner_rows(xp, xp)) <= tol))
+    if off[0]:
+        raise LieGeometryError(OFF_CYCLIDE)
     c_next = touching_circle_space(next_sphere_hat, cy.dminus)
     if c_next.dim != 3:
         raise LieGeometryError(f"circle of the next sphere degenerates (dim {c_next.dim})")
 
     # quadratic: null vectors of {Y in C_next : (Y, X-) = 0}
-    cond = np.array([inner(bv, xm) for bv in c_next.basis])
-    if np.linalg.norm(cond) <= 1e-12 * lc.aux_norm(xm):
-        raise LieGeometryError("propagation condition degenerates")
-    _, _, vt = np.linalg.svd(cond[None, :])
-    plane = c_next.basis.T @ vt[1:].T  # (6,2)
-    g2 = plane.T @ lc.GRAM @ plane
-    eig, vecs = np.linalg.eigh(g2)
-    order = np.argsort(np.abs(eig))
-    disc = float(abs(eig[order[0]]) / max(abs(eig[order[1]]), 1e-300))
-    y_quad = plane @ vecs[:, order[0]]
+    cond = inner_rows(c_next.basis, xm[:, None])  # (m, 3)
+    degenerate = ~(np.sqrt(lc.dots(cond, cond)) > 1e-12 * np.sqrt(lc.dots(xm, xm)))
+    cond[off | degenerate] = 1.0  # these samples fail already; keep NaN out of LAPACK
+    _, _, vt = np.linalg.svd(cond[:, None, :])
+    plane = c_next.basis.T @ vt[:, 1:].transpose(0, 2, 1)  # (m, 6, 2)
+    eig, vecs = np.linalg.eigh(plane.transpose(0, 2, 1) @ lc.GRAM @ plane)
+    k = np.arange(len(xs))
+    root = (np.abs(eig[:, 1]) < np.abs(eig[:, 0])).astype(int)  # smaller |eigenvalue|
+    disc = np.abs(eig[k, root]) / np.maximum(np.abs(eig[k, 1 - root]), 1e-300)
+    y_quad = (plane @ vecs[k, :, root][..., None])[..., 0]
 
-    y = xm + inner(xm, POINT_COMPLEX) * oriented_representative(next_sphere_hat)
-    if lc.projective_distance(y, y_quad) > 1e-5:
-        raise LieGeometryError("propagation roots disagree with the tangency direction")
-    return normalized(y), disc
+    y = xm + inner_rows(xm, POINT_COMPLEX)[:, None] * oriented_representative(next_sphere_hat)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero y fails the roots test
+        y_unit = y / np.sqrt(lc.dots(y, y))[:, None]
+        distance = 1.0 - np.abs(lc.dots(y_unit, y_quad / np.sqrt(lc.dots(y_quad, y_quad))[:, None]))
+    failure = lc.first_failure([
+        (off, OFF_CYCLIDE),
+        (degenerate, "propagation condition degenerates"),
+        (~(distance <= 1e-5), "propagation roots disagree with the tangency direction"),
+    ])
+    if failure is not None:
+        raise LieGeometryError(failure[1])
+    return (y_unit[0], float(disc[0])) if single else (y_unit, disc)
 
 
 # ---------------------------------------------------------------------------
@@ -317,31 +346,27 @@ def _assemble_channel_net(circle_spaces: List[Subspace], hats: List[LieVec],
                           closed_curve: bool) -> BuildResult:
     """Propagate a sampled first circle through a cyclide chain and build
     the net; rows follow the curve, columns wrap around the circles."""
-    m = len(row0)
-    rows = [list(row0)]
+    rows = [np.array(row0, dtype=float)]
     disc_max = 0.0
     for t, cy in enumerate(cyclides):
-        nxt_hat = hats[(t + 1) % len(hats)]
-        new_row = []
-        for x in rows[t]:
-            y, disc = propagate_point(x, cy, nxt_hat)
-            disc_max = max(disc_max, disc)
-            new_row.append(y)
-        rows.append(new_row)
+        row, disc = propagate_point(rows[t], cy, hats[(t + 1) % len(hats)])
+        disc_max = max(disc_max, float(np.max(disc)))
+        rows.append(row)
 
     monodromy = None
     if closed_curve:
         # final propagated row revisits the first circle
-        defect = 0.0
-        for a in range(m):
-            defect = max(defect, lc.projective_distance(rows[-1][a], rows[0][a]))
-        monodromy = defect
+        last, first = rows[-1], rows[0]
+        cosines = lc.dots(last / np.sqrt(lc.dots(last, last))[:, None],
+                          first / np.sqrt(lc.dots(first, first))[:, None])
+        monodromy = max(0.0, float(np.max(1.0 - np.abs(cosines))))
         rows = rows[:-1] if len(rows) > len(circle_spaces) else rows
 
-    n_rows = len(rows)
-    grid = make_grid(m, n_rows, wrap_plus=True)
-    net = net_from_bases(grid, contact_bases(np.array(
-        [[x, hats[b % len(hats)]] for b in range(n_rows) for x in rows[b]], dtype=float)))
+    points = np.array(rows)  # (rows, m, 6)
+    lines = np.array([hats[b % len(hats)] for b in range(len(rows))])
+    gens = np.stack([points, np.broadcast_to(lines[:, None], points.shape)], axis=2)
+    grid = make_grid(points.shape[1], len(rows), wrap_plus=True)
+    net = net_from_bases(grid, contact_bases(gens.reshape(-1, 2, 6)))
     cert = full_certificate(net, PLUS)
     if not cert.ok:
         raise LieGeometryError(f"constructed net fails verification: {cert.message}")

@@ -137,7 +137,7 @@ def verify_channel(net: LegendreNet, direction: str = PLUS):
                     envelopes=False)
         # stable representative: dominant singular direction of the stack
         stack = np.array([np.sign(np.dot(normalized(s), rep)) * normalized(s) for s in spheres])
-        _, _, vt = np.linalg.svd(stack)
+        _, _, vt = np.linalg.svd(stack, full_matrices=len(stack) <= 6)  # as in `span`
         line_spheres.append(canonical_sign(vt[0]))
 
     # (b) the opposite-label spheres of each ribbon span a (2,1)-plane
@@ -243,7 +243,7 @@ def generating_circles(cert: ChannelCertificate, net: LegendreNet) -> List[Dupin
         if len(spaces) == 2:
             d = subspace_distance(spaces[0], spaces[1])
             agreement = max(agreement, d)
-            if d > TOL.agreement:
+            if not d <= TOL.agreement:
                 raise LieGeometryError(
                     f"generating circles of line {li} disagree between ribbons "
                     f"(residual {d:.3e})")
@@ -253,7 +253,7 @@ def generating_circles(cert: ChannelCertificate, net: LegendreNet) -> List[Dupin
             if not has_point[v]:
                 raise LieGeometryError(NO_POINT_SPHERE)
             r = cspace.residual(point_sphere[v])
-            if r > TOL.agreement:
+            if not r <= TOL.agreement:
                 raise LieGeometryError(
                     f"vertex {v} does not lie on the generating circle of line {li} "
                     f"(residual {r:.3e})")

@@ -243,7 +243,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # numpy warnings are not CLI output
+            return args.func(args)
     except (io_json.FormatError, OSError) as exc:  # malformed input, unwritable output
         return _fail(str(exc))
     except OverflowError:  # finite input whose float arithmetic overflows

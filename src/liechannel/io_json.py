@@ -134,9 +134,12 @@ def complex_from_dict(doc: dict) -> QuadComplex:
 
 
 def _coordinates(value, shape: tuple, name: str) -> np.ndarray:
-    a = np.asarray(value, dtype=float)
-    if a.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+    """JSON numbers of the given shape, as `_numbers` takes them (strings and
+    lists of booleans are refused); non-finite ones are left to
+    `contact_bases`."""
+    a = np.asarray(value)
+    if a.shape != shape or a.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be {' x '.join(map(str, shape))} numbers")
     return a
 
 

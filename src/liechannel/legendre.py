@@ -257,10 +257,7 @@ class LegendreNet:
         with np.errstate(divide="ignore", invalid="ignore"):
             n = s / np.sqrt(lc.dots(s, s))[:, None]
             nn = np.sqrt(lc.dots(n, n))
-            # is_null, with (n, n) summed in the order of liecore.inner
-            nq = (n[:, 0] * n[:, 0] + n[:, 1] * n[:, 1] + n[:, 2] * n[:, 2]
-                  - n[:, 3] * n[:, 4] - n[:, 4] * n[:, 3] - n[:, 5] * n[:, 5])
-            null = np.abs(nq) <= TOL.null * nn * nn
+            null = np.abs(lc.inner_rows(n, n)) <= TOL.null * nn * nn  # is_null
             w = n / n[:, 3:4]
             centers = w[:, :3].copy()
             point = (np.abs(n[:, 3]) > TOL.null) & \

@@ -85,6 +85,14 @@ def inner(a: LieVec, b: LieVec) -> float:
                  - a[3] * b[4] - a[4] * b[3] - a[5] * b[5])
 
 
+def inner_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`inner` of the rows of two stacks (..., 6), broadcast against each
+    other, summed column by column in the order of `inner` (so bit for bit
+    equal to it)."""
+    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+            - a[..., 3] * b[..., 4] - a[..., 4] * b[..., 3] - a[..., 5] * b[..., 5])
+
+
 def inner_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Pairwise Gram products of two stacks of vectors, shape (m, n)."""
     return rows @ GRAM @ cols.T
@@ -267,7 +275,9 @@ def span(vectors: Sequence[LieVec], tol: Optional[float] = None) -> Subspace:
     m = np.atleast_2d(np.asarray(vectors, dtype=float))
     if m.size == 0:
         raise LieGeometryError("span of zero vectors")
-    _, sv, vt = np.linalg.svd(m)
+    # a full U of a tall stack is k x k and thrown away; at most 6 rows keep
+    # the full factorisation, whose row signs the reports were written with
+    _, sv, vt = np.linalg.svd(m, full_matrices=m.shape[0] <= 6)
     if sv[0] == 0.0:
         raise LieGeometryError("span of zero vectors")
     rank = int(np.sum(sv > t * sv[0]))
@@ -291,16 +301,18 @@ def orthocomplement(s: Subspace) -> Subspace:
     return Subspace(basis=vt[s.dim:].copy())
 
 
-def project_onto(v: LieVec, s: Subspace, tol: Optional[float] = None) -> LieVec:
-    """Gram-orthogonal projection; requires a nondegenerate restricted form."""
+def project_onto(v: np.ndarray, s: Subspace, tol: Optional[float] = None) -> np.ndarray:
+    """Gram-orthogonal projection of a vector or of each row of a stack
+    (..., 6); requires a nondegenerate restricted form. Each row is solved
+    on its own, so a row projects bit for bit as the vector alone does."""
     t = TOL.signature if tol is None else tol
     g = s.restricted_gram()
     eig = np.abs(np.linalg.eigvalsh(g))
     if np.min(eig) <= t * max(1e-300, float(np.max(eig))):
         raise DegenerateGramError("degenerate Gram form")
-    rhs = s.basis @ GRAM @ v
+    rhs = s.basis @ GRAM @ np.asarray(v, dtype=float)[..., None]
     coeff = np.linalg.solve(g, rhs)
-    return s.basis.T @ coeff
+    return (s.basis.T @ coeff)[..., 0]
 
 
 def subspace_distance(a: Subspace, b: Subspace) -> float:

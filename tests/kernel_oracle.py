@@ -1,10 +1,11 @@
 """Scalar reference for the batched R^{4,2} kernel.
 
-One contact element, one edge sphere, one edge curvature, one face and one
-vertex position at a time, written as the kernel computed them before it
-worked on stacks: two SVDs per span, three per edge meet, 6x6 operators per
-face, one `unlift` per vertex. The batched kernel must reproduce these
-values bit for bit and raise the same errors.
+One contact element, one edge sphere, one edge curvature, one face, one
+vertex position and one propagated circle sample at a time, written as the
+kernel computed them before it worked on stacks: two SVDs per span, three
+per edge meet, 6x6 operators per face, one `unlift` per vertex, one next
+circle per sample. The batched kernel must reproduce these values bit for
+bit and raise the same errors.
 """
 
 import math
@@ -13,8 +14,12 @@ import numpy as np
 
 from liechannel import legendre
 from liechannel.cellcomplex import edge_key
+from liechannel.channel import touching_circle_space
 from liechannel.config import TOL
-from liechannel.liecore import GRAM, LieGeometryError, unlift
+from liechannel.liecore import (
+    GRAM, POINT_COMPLEX, DegenerateGramError, LieGeometryError, aux_norm, inner, normalized,
+    oriented_representative, projective_distance, unlift,
+)
 
 
 def canonical_sign(v):
@@ -207,3 +212,44 @@ def curvature_report(bases, c):
         scale = max(abs(lhs), abs(rhs), abs(kij * kkl), abs(kjk * kli), 1e-12)
         ident.append(abs(lhs - rhs) / scale)
     return gauss, mean, res, kappa, k_res, ident
+
+
+def project_onto(v, s):
+    """Gram-orthogonal projection of one vector."""
+    g = s.restricted_gram()
+    eig = np.abs(np.linalg.eigvalsh(g))
+    if np.min(eig) <= TOL.signature * max(1e-300, float(np.max(eig))):
+        raise DegenerateGramError("degenerate Gram form")
+    return s.basis.T @ np.linalg.solve(g, s.basis @ GRAM @ v)
+
+
+def propagate_point(x, cy, next_sphere_hat):
+    """One circle sample along the cyclide to the next circle, (y, disc);
+    each threshold test fails on NaN."""
+    xm = project_onto(x, cy.dminus)
+    xp = x - xm
+    tol = 1e-6 * aux_norm(x) ** 2
+    if not (abs(inner(xm, xm)) <= tol and abs(inner(xp, xp)) <= tol):
+        raise LieGeometryError("point does not lie on the cyclide")
+    c_next = touching_circle_space(next_sphere_hat, cy.dminus)
+    if c_next.dim != 3:
+        raise LieGeometryError(f"circle of the next sphere degenerates (dim {c_next.dim})")
+    cond = np.array([inner(bv, xm) for bv in c_next.basis])
+    if not np.linalg.norm(cond) > 1e-12 * aux_norm(xm):
+        raise LieGeometryError("propagation condition degenerates")
+    _, _, vt = np.linalg.svd(cond[None, :])
+    plane = c_next.basis.T @ vt[1:].T
+    eig, vecs = np.linalg.eigh(plane.T @ GRAM @ plane)
+    order = np.argsort(np.abs(eig))
+    disc = float(abs(eig[order[0]]) / max(abs(eig[order[1]]), 1e-300))
+    y_quad = plane @ vecs[:, order[0]]
+    y = xm + inner(xm, POINT_COMPLEX) * oriented_representative(next_sphere_hat)
+    if not projective_distance(y, y_quad) <= 1e-5:
+        raise LieGeometryError("propagation roots disagree with the tangency direction")
+    return normalized(y), disc
+
+
+def propagate_row(xs, cy, next_sphere_hat):
+    """`propagate_point` of each sample in order: stacked (ys, discs)."""
+    out = [propagate_point(x, cy, next_sphere_hat) for x in xs]
+    return np.array([y for y, _ in out]), np.array([d for _, d in out])

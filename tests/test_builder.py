@@ -59,6 +59,21 @@ class TestSphereCurveValidation:
         assert not diag.ok
         assert any("dependent" in m or "pencil" in m for m in diag.messages)
 
+    # coordinates near 6e154, whose squares overflow, and near 5e149, whose
+    # squared norm squared does (the bound on every squared inner product)
+    @pytest.mark.parametrize("center", [3.4e77, 1e75])
+    def test_overflowing_squares_raise_a_geometry_error(self, rev_build, center):
+        _net, cert = rev_build
+        sc = sphere_curve_from_certificate(cert)
+        bad = sc.vertex_spheres.copy()
+        bad[0] = L.moebius_sphere((center, 0.0, 0.0), 1.0)
+        sc_bad = L.SphereCurve(vertex_spheres=bad, edge_spheres=sc.edge_spheres,
+                               closed=sc.closed)
+        for call in (L.validate_sphere_curve,
+                     lambda c: L.channel_from_sphere_curve(c, samples_per_circle=6)):
+            with pytest.raises(L.LieGeometryError, match="out of numerical range"):
+                call(sc_bad)
+
 
 class TestChannelFromSphereCurve:
     def test_roundtrip_matches_certificate(self, rev_build):

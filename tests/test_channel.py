@@ -1,10 +1,13 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import liechannel as L
 from liechannel.liecore import subspace_distance, unlift_moebius
+from liechannel import channel
 from liechannel.channel import certificate_residuals, sphere_pencil
 
 from geo_helpers import revolution_net, cylinder_net
@@ -44,6 +47,21 @@ class TestVerifyChannel:
         assert not res.ok
         assert res.check == "ribbon_span"
         assert res.envelopes
+
+    def test_memory_is_linear_in_line_length(self):
+        # '+' lines of 1500 vertices: a full SVD of each line's sphere stack
+        # allocates a 1500 x 1500 U (18 MB)
+        profile = np.array([[1.0, 0.0, 0.0], [1.3, 0.6, 0.0]])
+        normals = L.propagate_profile_normals(profile, np.array([1.0, 0.0, 0.0]))
+        net = L.make_cylinder(profile, normals, 0.1 * np.arange(1500))
+        tracemalloc.start()
+        try:
+            cert = L.verify_channel(net, "+")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.ok
+        assert peak < 12_000_000
 
     def test_example1_passes(self):
         net = L.make_reflection_example(1, seed=2)
@@ -93,6 +111,19 @@ class TestGeneratingCircles:
         cert.line_spheres[0] = L.lift_point((1, 2, 3))
         with pytest.raises(L.LieGeometryError, match="point sphere"):
             L.generating_circles(cert, net)
+
+    def test_nan_agreement_residual_fails_closed(self, torus):
+        cert = L.verify_channel(torus, "+")
+        with mock.patch.object(channel, "subspace_distance", lambda a, b: math.nan):
+            with pytest.raises(L.LieGeometryError, match="disagree between ribbons"):
+                L.generating_circles(cert, torus)
+
+    def test_nan_membership_residual_fails_closed(self, torus):
+        cert = L.verify_channel(torus, "+")
+        with mock.patch.object(L.Subspace, "residual", lambda self, v: math.nan), \
+                mock.patch.object(channel, "subspace_distance", lambda a, b: 0.0):
+            with pytest.raises(L.LieGeometryError, match="does not lie on the generating circle"):
+                L.generating_circles(cert, torus)
 
 
 class TestFaceSpheres:

@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from liechannel import io_json
-from liechannel.builder import random_sphere_curve
+from liechannel.builder import make_dupin_torus, random_sphere_curve
 from liechannel.cli import main
 
 KINDS = ["revolution", "cylinder", "cone", "dupin-torus", "example1", "example2", "example3"]
@@ -123,6 +123,37 @@ def test_malformed_documents(text):
         net = tmp / "net.json"
         net.write_text(text, encoding="utf-8")
         assert_contract(net, tmp)
+
+
+TORUS = {form: io_json.net_to_dict(make_dupin_torus(2.0, 1.0, 4, 4), form=form)
+         for form in ("euclidean", "hexaspherical")}
+
+
+def _retyped(value, how: str, k: int):
+    """A coordinate list with its numbers as JSON strings or booleans, or
+    with only the k-th (flattened) number as a string."""
+    flat = np.ravel(value).tolist()
+    if how == "one string":
+        flat[k % len(flat)] = str(flat[k % len(flat)])
+    else:
+        flat = [str(x) if how == "all strings" else x > 0 for x in flat]
+    return np.reshape(np.array(flat, dtype=object), np.shape(value)).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(form=st.sampled_from(sorted(TORUS)), vertex=st.integers(0, 15),
+       field=st.integers(0, 1), how=st.sampled_from(["all strings", "one string", "all booleans"]),
+       k=st.integers(0, 11))
+def test_non_numeric_coordinates(form, vertex, field, how, k):
+    doc = copy.deepcopy(TORUS[form])
+    entry = doc["vertices"][vertex]
+    key = sorted(entry)[field % len(entry)]
+    entry[key] = _retyped(entry[key], how, k)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "net.json").write_text(json.dumps(doc), encoding="utf-8")
+        for argv in net_commands(tmp / "net.json", tmp):
+            assert run(*argv) == 2, argv
 
 
 # ---------------------------------------------------------------------------

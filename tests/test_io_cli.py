@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -274,6 +275,23 @@ class TestHostileNetFiles:
         err = capsys.readouterr().err
         assert err == f"error: vertex {vertex}: non-finite coordinate\n"
 
+    @pytest.mark.parametrize("form, key, value, message", [
+        ("euclidean", "point", ["1.5", "0.0", "0.25"], "point must be 3 numbers"),
+        ("euclidean", "normal", [True, False, False], "normal must be 3 numbers"),
+        ("euclidean", "point", [1.5, 0.0, "0.25"], "point must be 3 numbers"),
+        ("hexaspherical", "contact", [["1"] * 6, [0.0] * 6], "contact must be 2 x 6 numbers"),
+        ("hexaspherical", "contact", [[True] * 6, [False] * 6], "contact must be 2 x 6 numbers"),
+    ])
+    def test_non_numeric_coordinates_exit_2(self, tmp_path, capsys, form, key, value, message):
+        # JSON strings and booleans used to load as numbers, and verify exited 0
+        doc = io_json.net_to_dict(L.make_dupin_torus(2.0, 1.0, 4, 4), form=form)
+        doc["vertices"][0][key] = value
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--in", str(path), "--direction", "+"]) == 2
+        assert capsys.readouterr().err == f"error: vertex 0: {message}\n"
+
 
 def _explicit_net(n, edges, faces):
     square = [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
@@ -410,6 +428,32 @@ class TestHostileBuildAndBlendFiles:
         assert main(["build", "--spheres", str(path), "--out", str(tmp_path / "o.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    def test_overflowing_sphere_curve_prints_no_warning(self, tmp_path, capsys):
+        doc = _sphere_curve_doc(tmp_path)
+        doc["vertex_spheres"][0].update(center=[3.4e77, 0, 0])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would escape main
+            assert main(["build", "--spheres", str(path), "--out", str(tmp_path / "o.json")]) == 2
+        assert capsys.readouterr().err == \
+            "error: sphere curve: input values out of numerical range\n"
+
+    def test_numpy_warnings_stay_off_stderr(self, tmp_path, capsys, monkeypatch):
+        def overflowing(*_args):
+            np.float64(1e300) * np.float64(1e300)
+            raise L.LieGeometryError("refused")
+
+        monkeypatch.setattr(L.builder, "channel_from_sphere_curve", overflowing)
+        path = tmp_path / "spheres.json"
+        path.write_text(json.dumps(_sphere_curve_doc(tmp_path)))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["build", "--spheres", str(path), "--out", str(tmp_path / "o.json")]) == 2
+        assert capsys.readouterr().err == "error: refused\n"
 
     @pytest.mark.parametrize("points, message", [
         ({"a": 1}, "points must be a list of 3-number lists"),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import liechannel as L
 from liechannel.liecore import (
-    is_null, moebius_part, oriented_representative, unlift_moebius,
+    inner_rows, is_null, moebius_part, oriented_representative, unlift_moebius,
     subspace_distance,
 )
 
@@ -177,6 +178,30 @@ class TestSubspaces:
     def test_span_of_zero_fails(self):
         with pytest.raises(L.LieGeometryError):
             L.span([np.zeros(6)])
+
+    def test_projection_of_a_stack_is_rowwise(self):
+        rng = np.random.default_rng(4)
+        s = L.span([L.lift_sphere((1, 0, 0), 0.5), L.lift_sphere((0, 1, 0), -0.5), L.E3])
+        stack = rng.normal(size=(7, 6))
+        rows = np.array([L.project_onto(v, s) for v in stack])
+        assert np.array_equal(L.project_onto(stack, s).view(np.uint64), rows.view(np.uint64))
+
+    def test_inner_rows_equals_inner(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.normal(size=(9, 6)), rng.normal(size=(9, 6))
+        assert inner_rows(a, b).tolist() == [L.inner(x, y) for x, y in zip(a, b)]
+
+    def test_span_memory_is_linear_in_rows(self):
+        # a full SVD of a (4096, 6) stack allocates a 4096 x 4096 U (134 MB)
+        stack = np.random.default_rng(6).normal(size=(4096, 6))
+        tracemalloc.start()
+        try:
+            basis = L.span(stack).basis
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert basis.shape == (6, 6)
+        assert peak < 1_000_000
 
 
 class TestMoebiusHelpers:
