@@ -36,8 +36,7 @@ from . import liecore as lc
 from .liecore import (
     LieVec, LieGeometryError, Subspace, POINT_COMPLEX, inner, normalized,
     canonical_sign, span, signature, orthocomplement, subspace_distance,
-    points_concircular, gram_reflection, unit_moebius_sphere,
-    oriented_representative,
+    gram_reflection, unit_moebius_sphere, oriented_representative,
 )
 from .cellcomplex import PLUS, MINUS
 from .legendre import (
@@ -429,35 +428,52 @@ def dupin_verdict(net: LegendreNet, res_p, res_m):
 
 
 def cross_ratio(points: Sequence[Sequence[float]], tol: Optional[float] = None) -> float:
-    """Real cross-ratio of four concircular points.
+    """Real cross-ratio of four concircular points (`cross_ratios` of one)."""
+    return float(cross_ratios(np.asarray(points, dtype=float)[None], tol)[0])
 
-    The circle's plane is identified with the complex numbers through an
-    orthonormal in-plane frame; the value ((z1-z2)(z3-z4))/((z2-z3)(z4-z1))
-    is frame-independent and real for concircular input.
+
+def cross_ratios(points: np.ndarray, tol: Optional[float] = None) -> np.ndarray:
+    """Real cross-ratios (Q,) of a stack (Q, 4, 3) of concircular quadruples.
+
+    A circle's plane is identified with the complex numbers through an
+    orthonormal in-plane frame; ((z1-z2)(z3-z4))/((z2-z3)(z4-z1)) is then
+    frame-independent and real. The first quadruple that fails raises its
+    error: coincident points, Moebius rank above 3 at cutoff sqrt(tol), or a
+    value that is not real, checked in that order.
     """
     t = TOL.agreement if tol is None else tol
     ps = np.asarray(points, dtype=float)
-    if ps.shape != (4, 3):
+    if ps.ndim != 3 or ps.shape[1:] != (4, 3):
         raise ValueError("cross_ratio expects four 3-points")
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if np.linalg.norm(ps[i] - ps[j]) == 0.0:
-                raise LieGeometryError("cross_ratio: coincident points")
-    if not points_concircular(ps, math.sqrt(t)):
-        raise LieGeometryError("cross_ratio: points are not concircular")
-    centered = ps - ps.mean(axis=0)
-    _, _, vt = np.linalg.svd(centered)
-    u, v = vt[0], vt[1]
-    z = centered @ u + 1j * (centered @ v)
-    cr = (z[0] - z[1]) * (z[2] - z[3]) / ((z[1] - z[2]) * (z[3] - z[0]))
-    if abs(cr.imag) > 1e-6 * max(1.0, abs(cr)):
-        raise LieGeometryError(f"cross_ratio not real ({cr}); points not concircular")
-    return float(cr.real)
+    d = ps[:, [0, 0, 0, 1, 1, 2]] - ps[:, [1, 2, 3, 2, 3, 3]]
+    coincident = np.any(lc.dots(d, d) == 0.0, axis=1)
+    concircular = lc.moebius_point_rank(ps, math.sqrt(t)) <= 3
+    centered = ps - ps.mean(axis=1, keepdims=True)
+    vt = np.linalg.svd(centered)[2]
+    z = (centered @ vt[:, 0, :, None] + 1j * (centered @ vt[:, 1, :, None]))[..., 0]
+    a, b = z[:, :2] - z[:, 1:3], z[:, 2:] - z[:, [3, 0]]  # (z1-z2, z2-z3), (z3-z4, z4-z1)
+    # products in real parts, rounded as numpy rounds complex scalars (its
+    # array product fuses multiply-adds; its array quotient does not differ)
+    num, den = np.stack([a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real],
+                        axis=-1).view(complex)[..., 0].T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cr = num / den
+        unreal = np.abs(cr.imag) > 1e-6 * np.fmax(1.0, np.hypot(cr.real, cr.imag))
+    bad = np.flatnonzero(coincident | ~concircular | unreal)
+    if bad.size:
+        q = bad[0]
+        raise LieGeometryError(
+            "cross_ratio: coincident points" if coincident[q] else
+            "cross_ratio: points are not concircular" if not concircular[q] else
+            f"cross_ratio not real ({cr[q]}); points not concircular")
+    return cr.real
 
 
 def cross_ratio_constancy(cert: ChannelCertificate, net: LegendreNet) -> float:
     """Max relative spread of cross-ratios over consecutive quadruples of
-    non-circular lines, evaluated on every generating circle."""
+    non-circular lines, evaluated on every generating circle: one
+    `cross_ratios` stack, quadruple by quadruple, of every circle that
+    meets the quadruple's lines once each."""
     crossings = net.complex.coordinates(cert.direction).crossings
     # order the crossing lines consistently along one circle
     order = list(crossings[0]) if crossings else []
@@ -465,30 +481,24 @@ def cross_ratio_constancy(cert: ChannelCertificate, net: LegendreNet) -> float:
         raise LieGeometryError("need at least four non-circular lines for cross-ratios")
     first = cert.lines[0]
     on_lines = [v for line in cert.lines for v in line]
-    pts = dict(zip(on_lines, net.vertex_points(on_lines)))
-
+    pts = np.full((net.complex.n_vertices, 3), np.nan)
+    pts[on_lines] = net.vertex_points(on_lines)
     wrap = len(first) > 2 and net.complex.has_edge(first[-1], first[0])
     n = len(order)
-    quad_count = n if wrap else n - 3
-    worst = 0.0
-    for q in range(quad_count):
-        ids = [order[(q + k) % n] for k in range(4)]
-        values = []
-        for crossing in crossings:
-            quad = []
-            for oi in ids:
-                hit = crossing.get(oi, [])
-                if len(hit) != 1:
-                    break
-                quad.append(pts[hit[0]])
-            if len(quad) == 4:
-                values.append(cross_ratio(quad))
-        if len(values) < 2:
-            continue
-        arr = np.array(values)
-        spread = float((arr.max() - arr.min()) / max(np.abs(arr).max(), 1e-30))
-        worst = max(worst, spread)
-    return worst
+    # the one vertex of each circle on each line of `order`, -1 where none
+    hits = np.array([[hit[0] if len(hit) == 1 else -1
+                      for hit in (crossing.get(oi, ()) for oi in order)]
+                     for crossing in crossings])
+    ids = (np.arange(n if wrap else n - 3)[:, None] + np.arange(4)) % n
+    quads = hits[:, ids].transpose(1, 0, 2)  # (quadruple, circle, 4)
+    met = np.all(quads >= 0, axis=2)
+    values = np.full(met.shape, np.nan)
+    values[met] = cross_ratios(pts[quads[met]])
+    hi = np.where(met, values, -np.inf).max(axis=1)
+    lo = np.where(met, values, np.inf).min(axis=1)
+    spread = (hi - lo) / np.maximum(np.where(met, np.abs(values), -np.inf).max(axis=1), 1e-30)
+    # the running maximum of the spreads, which a NaN spread never raises
+    return float(np.fmax.reduce(spread[met.sum(axis=1) >= 2], initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -500,12 +510,8 @@ def is_ribaucour_pair(a: DiscreteCurve3D, b: DiscreteCurve3D,
     """Adjacent pairs of corresponding points are concircular."""
     if len(a) != len(b):
         raise ValueError("Ribaucour pair needs curves of equal length")
-    t = TOL.membership if tol is None else tol
-    for k in range(len(a) - 1):
-        quad = [a.points[k], a.points[k + 1], b.points[k + 1], b.points[k]]
-        if not points_concircular(quad, t):
-            return False
-    return True
+    quads = np.stack([a.points[:-1], a.points[1:], b.points[1:], b.points[:-1]], axis=1)
+    return bool(np.all(lc.moebius_point_rank(quads, TOL.membership if tol is None else tol) <= 3))
 
 
 # Rounding allowance of the concurrent-lines accept, relative to the unit
@@ -550,16 +556,14 @@ def _quads_circular(x: np.ndarray, y: np.ndarray, t: float) -> bool:
     circular exactly when the lines <x_a, y_a> of projective space meet
     pairwise, i.e. (classical lemma) are all concurrent or all coplanar.
     The concurrent case is accepted in O(n) by `_planes_concurrent`; any
-    other input is decided by the per-quadrilateral rank test of
-    `liecore.points_concircular` (same lifts, SVD and cutoff sv > t*sv[0]),
-    batched over the C(n, 2) quadrilaterals.
+    other input is decided by the rank test of `liecore.points_concircular`
+    (`liecore.unit_lift_rank` with cutoff t) of the C(n, 2) quadrilaterals.
     """
     n = x.shape[0]
     if n < 2 or _planes_concurrent(x, y, t):
         return True
     s, u = np.triu_indices(n, 1)
-    sv = np.linalg.svd(np.stack([x[s], x[u], y[u], y[s]], axis=1), compute_uv=False)
-    return bool(np.all(np.sum(sv > t * sv[:, :1], axis=1) <= 3))
+    return bool(np.all(lc.unit_lift_rank(np.stack([x[s], x[u], y[u], y[s]], axis=1), t) <= 3))
 
 
 def is_multi_circular(net: LegendreNet, direction: str, tol: Optional[float] = None) -> bool:

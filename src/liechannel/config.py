@@ -21,10 +21,7 @@ class Tolerances:
     constancy: float = 1e-9        # projective constancy of curvature spheres
     membership: float = 1e-8       # vector-in-subspace residual
     agreement: float = 1e-8        # left/right circle agreement, residual checks
-    discriminant: float = 1e-7     # tangency (double root) of point propagation
-    cr_spread: float = 1e-8        # cross-ratio relative spread
     identity: float = 1e-7         # face curvature identity residual
-    kappa_spread: float = 1e-9     # principal curvature spread along circular lines
     cosphericity: float = 1e-6     # nowhere-spherical cutoff (9-point patches)
 
     def scaled(self, factor: float) -> "Tolerances":

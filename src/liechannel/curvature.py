@@ -32,10 +32,7 @@ import numpy as np
 
 from .config import TOL
 from . import liecore as lc
-from .liecore import (
-    LieVec, LieGeometryError, Subspace, GRAM, inner, span, signature,
-    orthocomplement, normalized,
-)
+from .liecore import LieVec, LieGeometryError, Subspace, GRAM, span, signature
 from .cellcomplex import QuadComplex, PLUS, MINUS, edge_key, face_edges, face_edge_labels
 from .legendre import (
     NO_PLANE_LIFT, NO_POINT_SPHERE, LegendreNet, plane_lifts, point_spheres,
@@ -220,22 +217,11 @@ def interior_vertex_stars(c: QuadComplex) -> List[VertexStar]:
     """Degree-4 interior vertices with their edge and diagonal neighbours."""
     out = []
     for v in range(c.n_vertices):
-        edges = c.vertex_edges(v)
-        if len(edges) != 4:
-            continue
-        faces = c.vertex_faces(v)
-        if len(faces) != 4:
-            continue
-        diagonals = []
-        patch = {v}
-        for fi in faces:
-            face = c.faces[fi]
-            pos = face.index(v)
-            diagonals.append(face[(pos + 2) % 4])
-            patch.update(face)
-        nbrs = [a if b == v else b for a, b in edges]
-        out.append(VertexStar(vertex=v, edge_neighbors=nbrs,
-                              diagonal_neighbors=diagonals, patch=sorted(patch)))
+        edges, faces = c.vertex_edges(v), [c.faces[fi] for fi in c.vertex_faces(v)]
+        if len(edges) == 4 and len(faces) == 4:
+            out.append(VertexStar(vertex=v, edge_neighbors=[a if b == v else b for a, b in edges],
+                                  diagonal_neighbors=[f[(f.index(v) + 2) % 4] for f in faces],
+                                  patch=sorted({w for f in faces for w in f})))
     return out
 
 
@@ -258,36 +244,36 @@ def is_isothermic_5point(points: np.ndarray, c: QuadComplex) -> IsothermicReport
 
     A vertex passes when it is cospherical with its four diagonal
     neighbours on a sphere avoiding at least one edge neighbour; vertices
-    whose 9-point patch is cospherical are reported not applicable.
+    whose 9-point patch is cospherical are reported not applicable. Each
+    step is one stacked call over all stars (per patch size or span rank).
     """
-    lifts = lc.unit_point_lifts(points)
-    applicable: Dict[int, bool] = {}
-    passed: Dict[int, bool] = {}
-    diag_circ: Dict[int, bool] = {}
-    for star in interior_vertex_stars(c):
-        v = star.vertex
+    pts = np.asarray(points, dtype=float)
+    lifts = lc.unit_point_lifts(pts)
+    stars = interior_vertex_stars(c)
+    five = np.array([[s.vertex] + s.diagonal_neighbors for s in stars], dtype=int).reshape(-1, 5)
+    applicable, passed = np.zeros((2, len(stars)), dtype=bool)
+    for size in {len(s.patch) for s in stars}:
+        group = [k for k, s in enumerate(stars) if len(s.patch) == size]
         # point lifts have no e6 component, so rank <= 5 always; cospherical
         # patches drop to rank <= 4
-        sv = np.linalg.svd(lifts[star.patch], compute_uv=False)
-        applicable[v] = not sv[4] / sv[0] <= TOL.cosphericity
-        passed[v] = False
-        dsv = np.linalg.svd(lifts[star.diagonal_neighbors], compute_uv=False)
-        diag_circ[v] = int(np.sum(dsv > TOL.rank * dsv[0])) <= 3  # points_concircular
-        if not applicable[v]:
-            continue
-        sp = span(lifts[[v] + star.diagonal_neighbors])
-        if sp.dim <= 4:
-            comp = orthocomplement(sp)  # contains the point sphere complex
-            c1, c2 = comp.basis[0], comp.basis[1]
-            sphere = c2[5] * c1 - c1[5] * c2  # the Moebius direction of comp
-            if np.linalg.norm(sphere) > TOL.membership:
-                off = [abs(inner(lifts[e], normalized(sphere))) for e in star.edge_neighbors]
-                # a patch that passed the nowhere-spherical gate keeps its
-                # edge neighbours off the 5-point sphere by at least the
-                # order of the gate cutoff
-                passed[v] = max(off) > 0.1 * TOL.cosphericity
-    return IsothermicReport(applicable=applicable, passed=passed,
-                            diagonal_circular=diag_circ)
+        sv = np.linalg.svd(lifts[[stars[k].patch for k in group]], compute_uv=False)
+        applicable[group] = ~(sv[:, 4] / sv[:, 0] <= TOL.cosphericity)
+    _, sv, vt = np.linalg.svd(lifts[five[applicable]])  # `span` of vertex and diagonals
+    rank = np.sum(sv > TOL.rank * sv[:, :1], axis=1)
+    for r in np.unique(rank[rank <= 4]):
+        # `orthocomplement` (it holds the point sphere complex), its Moebius direction
+        comp = np.linalg.svd(vt[rank == r, :r] @ GRAM)[2][:, r:]
+        sphere = comp[:, 1, 5:] * comp[:, 0] - comp[:, 0, 5:] * comp[:, 1]
+        norm = np.sqrt(lc.dots(sphere, sphere))
+        group = np.flatnonzero(applicable)[rank == r]
+        off = np.abs(lc.inner_rows(lifts[[stars[k].edge_neighbors for k in group]],
+                                   (sphere / np.maximum(norm, TOL.membership)[:, None])[:, None]))
+        # a patch that passed the nowhere-spherical gate keeps its edge neighbours
+        # off the 5-point sphere by at least the order of the gate cutoff
+        passed[group] = (norm > TOL.membership) & (off.max(axis=1) > 0.1 * TOL.cosphericity)
+    diagonal_circular = lc.moebius_point_rank(pts[five[:, 1:]]) <= 3
+    return IsothermicReport(*(dict(zip(five[:, 0].tolist(), verdicts.tolist()))
+                              for verdicts in (applicable, passed, diagonal_circular)))
 
 
 def diagonal_concircular(points: np.ndarray, c: QuadComplex) -> Dict[int, bool]:

@@ -8,6 +8,8 @@ digits), so save/load is lossless.
 from __future__ import annotations
 
 import json
+import math
+from collections import Counter
 from pathlib import Path
 from typing import List, Sequence, Union
 
@@ -15,7 +17,7 @@ import numpy as np
 
 from . import liecore as lc
 from .liecore import LieGeometryError, unlift, unlift_moebius
-from .cellcomplex import QuadComplex, make_grid, validate, PLUS, MINUS
+from .cellcomplex import QuadComplex, edge_key, make_grid, validate, PLUS, MINUS
 from .legendre import (
     NO_PLANE_LIFT, NO_POINT_SPHERE, ContactElementError, LegendreNet, contact_bases,
     is_legendre, net_from_bases, plane_lifts, point_normal_generators, point_spheres,
@@ -106,7 +108,8 @@ def _vertex_count(doc: dict) -> int:
 def complex_from_dict(doc: dict) -> QuadComplex:
     """Complex of a spec. A grid is valid by construction; an explicit
     complex must have faces, '+'/'-' edge labels, faces that follow the
-    label convention, and at most two edges of one label per vertex."""
+    label convention, each edge listed once, and at most two edges of one
+    label per vertex."""
     n = _vertex_count(doc)
     if "n_plus" in doc:
         try:
@@ -126,21 +129,15 @@ def complex_from_dict(doc: dict) -> QuadComplex:
             raise ValueError(f"edge label {labels[0]!r} is not '+' or '-'")
         if bad_faces:
             raise ValueError(f"faces with inconsistent edge labels: {bad_faces[:5]}")
+        counts = Counter(edge_key(i, j) for i, j, _lab in edges)
+        twice = [k for k, count in counts.items() if count > 1]
+        if twice:
+            raise ValueError(f"edge {list(twice[0])} listed more than once")
         for label in (PLUS, MINUS):
             c.coordinates(label)  # lines need at most two edges of a label per vertex
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad complex spec: {exc}") from exc
     return c
-
-
-def _coordinates(value, shape: tuple, name: str) -> np.ndarray:
-    """JSON numbers of the given shape, as `_numbers` takes them (strings and
-    lists of booleans are refused); non-finite ones are left to
-    `contact_bases`."""
-    a = np.asarray(value)
-    if a.shape != shape or a.dtype.kind not in "iuf":
-        raise ValueError(f"{name} must be {' x '.join(map(str, shape))} numbers")
-    return a
 
 
 def net_from_dict(data: dict) -> LegendreNet:
@@ -163,10 +160,10 @@ def net_from_dict(data: dict) -> LegendreNet:
     for v, doc in enumerate(vdocs):
         try:
             if "contact" in doc:
-                gens[v] = _coordinates(doc["contact"], (2, 6), "contact")
+                gens[v] = _numbers(doc["contact"], (2, 6), "contact must be 2 x 6 numbers")
             else:
-                points[v] = _coordinates(doc["point"], (3,), "point")
-                normals[v] = _coordinates(doc["normal"], (3,), "normal")
+                points[v] = _numbers(doc["point"], (3,), "point must be 3 numbers")
+                normals[v] = _numbers(doc["normal"], (3,), "normal must be 3 numbers")
                 euclidean[v] = True
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"vertex {v}: {exc}") from exc
@@ -204,18 +201,21 @@ def _sphere_entry(v: np.ndarray) -> dict:
 
 
 def _numbers(value, shape: tuple, message: str) -> np.ndarray:
-    """JSON numbers of the given shape (-1: any length) as floats; anything
-    else raises ValueError(message), non-finite numbers ValueError too."""
+    """JSON numbers of the given shape (-1: any length; at most 2 axes) as
+    floats. Anything else, a boolean among numbers too, raises
+    ValueError(message); non-finite numbers raise ValueError as well."""
     try:
         a = np.asarray(value)
     except ValueError:  # ragged lists
         raise ValueError(message) from None
-    if a.dtype.kind not in "iuf" or a.ndim != len(shape) or \
-            any(want not in (-1, got) for want, got in zip(shape, a.shape)):
+    # the numbers one by one, as numpy reads a boolean among numbers as 0 or 1
+    flat = [value] if a.ndim == 0 else [x for row in value for x in row] if a.ndim == 2 else value
+    if a.dtype.kind not in "iuf" or a.ndim != len(shape) or bool in map(type, flat) or (
+            a.shape != shape and any(want not in (-1, got) for want, got in zip(shape, a.shape))):
         raise ValueError(message)
-    if not np.isfinite(a).all():
+    if not all(map(math.isfinite, flat)):
         raise ValueError("non-finite coordinate")
-    return a.astype(float)
+    return a.astype(float, copy=False)
 
 
 def _sphere_vector(doc: dict, where: str) -> np.ndarray:

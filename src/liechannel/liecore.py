@@ -386,11 +386,21 @@ def unlift_moebius(v: LieVec, tol: Optional[float] = None) -> SphereDescriptor:
     return unlift(u + E6, tol)
 
 
-def moebius_point_rank(points: Sequence[Sequence[float]], tol: Optional[float] = None) -> int:
-    """Rank of the normalized Moebius lifts of Euclidean points."""
-    t = TOL.rank if tol is None else tol
-    sv = np.linalg.svd(unit_point_lifts(points), compute_uv=False)
-    return int(np.sum(sv > t * sv[0]))
+def unit_lift_rank(lifts: np.ndarray, tol: Optional[float] = None) -> np.ndarray:
+    """Ranks (...) of a stack (..., k, 6) of unit lifts, one batched SVD:
+    the count of singular values above tol times the largest."""
+    sv = np.linalg.svd(lifts, compute_uv=False)
+    return np.sum(sv > (TOL.rank if tol is None else tol) * sv[..., :1], axis=-1)
+
+
+def moebius_point_rank(points: Sequence[Sequence[float]],
+                       tol: Optional[float] = None) -> int | np.ndarray:
+    """`unit_lift_rank` of the point lifts of a set (k, 3) of Euclidean
+    points, an int, or of each set of a stack (..., k, 3), an int array
+    (...); every point is lifted once."""
+    p = np.asarray(points, dtype=float)
+    rank = unit_lift_rank(unit_point_lifts(p.reshape(-1, 3)).reshape(p.shape[:-1] + (6,)), tol)
+    return int(rank) if p.ndim == 2 else rank
 
 
 def points_concircular(points: Sequence[Sequence[float]], tol: Optional[float] = None) -> bool:

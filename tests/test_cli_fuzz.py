@@ -64,8 +64,20 @@ def _explicit(n, edges, faces, points):
             "vertices": _vertices(points)}
 
 
+def _doubled_face():
+    """Face 0 of a 6^2 torus with each edge listed twice and the face four
+    times: `verify` ended in an IndexError from the isothermic test."""
+    torus = make_dupin_torus(2.0, 1.0, 6, 6)
+    vertices = io_json.net_to_dict(torus)["vertices"]
+    edges = [[0, 1, "-"], [1, 2, "+"], [2, 3, "-"], [3, 0, "+"]]
+    return {"format": "liechannel-net", "version": 1,
+            "complex": {"n_vertices": 4, "edges": edges * 2, "faces": [[0, 1, 2, 3]] * 4},
+            "vertices": [vertices[v] for v in torus.complex.faces[0]]}
+
+
 # complexes that used to end in a traceback
 MALFORMED = [
+    _doubled_face(),
     _explicit(0, [], [], []),
     _explicit(2, [[0, 1, "+"]], [], _SQUARE[:2]),
     _explicit(4, [[0, 1, "x"], [1, 2, "+"], [2, 3, "-"], [3, 0, "+"]], [[0, 1, 2, 3]], _SQUARE),
@@ -131,10 +143,12 @@ TORUS = {form: io_json.net_to_dict(make_dupin_torus(2.0, 1.0, 4, 4), form=form)
 
 def _retyped(value, how: str, k: int):
     """A coordinate list with its numbers as JSON strings or booleans, or
-    with only the k-th (flattened) number as a string."""
+    with only the k-th (flattened) number as a string or a boolean."""
     flat = np.ravel(value).tolist()
     if how == "one string":
         flat[k % len(flat)] = str(flat[k % len(flat)])
+    elif how == "one boolean":
+        flat[k % len(flat)] = flat[k % len(flat)] > 0
     else:
         flat = [str(x) if how == "all strings" else x > 0 for x in flat]
     return np.reshape(np.array(flat, dtype=object), np.shape(value)).tolist()
@@ -142,7 +156,8 @@ def _retyped(value, how: str, k: int):
 
 @settings(max_examples=40, deadline=None)
 @given(form=st.sampled_from(sorted(TORUS)), vertex=st.integers(0, 15),
-       field=st.integers(0, 1), how=st.sampled_from(["all strings", "one string", "all booleans"]),
+       field=st.integers(0, 1),
+       how=st.sampled_from(["all strings", "one string", "all booleans", "one boolean"]),
        k=st.integers(0, 11))
 def test_non_numeric_coordinates(form, vertex, field, how, k):
     doc = copy.deepcopy(TORUS[form])

@@ -275,12 +275,28 @@ class TestHostileNetFiles:
         err = capsys.readouterr().err
         assert err == f"error: vertex {vertex}: non-finite coordinate\n"
 
+    def test_first_bad_vertex_is_reported(self, tmp_path, capsys):
+        # one reader for every number: a non-finite vertex before a
+        # mistyped one is the one reported
+        doc = io_json.net_to_dict(revolution_net(seed=1, n_profile=4, m=5))
+        doc["vertices"][2]["point"] = [float("nan"), 0.0, 1.0]
+        doc["vertices"][5]["normal"] = [1.0, "0", 0.0]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--in", str(path)]) == 2
+        assert capsys.readouterr().err == "error: vertex 2: non-finite coordinate\n"
+
     @pytest.mark.parametrize("form, key, value, message", [
         ("euclidean", "point", ["1.5", "0.0", "0.25"], "point must be 3 numbers"),
         ("euclidean", "normal", [True, False, False], "normal must be 3 numbers"),
         ("euclidean", "point", [1.5, 0.0, "0.25"], "point must be 3 numbers"),
         ("hexaspherical", "contact", [["1"] * 6, [0.0] * 6], "contact must be 2 x 6 numbers"),
         ("hexaspherical", "contact", [[True] * 6, [False] * 6], "contact must be 2 x 6 numbers"),
+        # numpy reads a boolean among numbers as 0 or 1
+        ("euclidean", "normal", [0.9999999999999994, False, False], "normal must be 3 numbers"),
+        ("hexaspherical", "contact", [[0.5] * 6, [0.0] * 5 + [True]],
+         "contact must be 2 x 6 numbers"),
     ])
     def test_non_numeric_coordinates_exit_2(self, tmp_path, capsys, form, key, value, message):
         # JSON strings and booleans used to load as numbers, and verify exited 0
@@ -311,6 +327,10 @@ class TestMalformedComplexes:
          "edge label 'x' is not '+' or '-'"),
         (_explicit_net(4, [[0, 1, "+"], [1, 2, "-"], [2, 3, "+"], [3, 0, "-"]], [[0, 1, 2, 3]]),
          "faces with inconsistent edge labels: [0]"),
+        (_explicit_net(4, [[0, 1, "-"], [1, 2, "+"], [2, 3, "-"], [3, 0, "+"], [1, 0, "-"]],
+                       [[0, 1, 2, 3]]), "edge [0, 1] listed more than once"),
+        (_explicit_net(4, [[0, 1, "-"], [1, 2, "+"], [2, 3, "-"], [3, 0, "+"]] * 2,
+                       [[0, 1, 2, 3]] * 4), "edge [0, 1] listed more than once"),
     ])
     def test_refused_with_exit_2(self, tmp_path, capsys, doc, message):
         path = tmp_path / "net.json"
@@ -322,6 +342,14 @@ class TestMalformedComplexes:
             capsys.readouterr()
             assert main(command) == 2
             assert capsys.readouterr().err == f"error: bad complex spec: {message}\n"
+
+    def test_repeated_faces_with_single_edges_load_and_verify(self, tmp_path, capsys):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(_explicit_net(
+            4, [[0, 1, "-"], [1, 2, "+"], [2, 3, "-"], [3, 0, "+"]], [[0, 1, 2, 3]] * 4)))
+        assert io_json.load_net(path).complex.faces == ((0, 1, 2, 3),) * 4
+        assert main(["verify", "--in", str(path), "--direction", "both"]) in (0, 1)
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_well_labelled_face_loads(self, tmp_path):
         path = tmp_path / "net.json"
@@ -412,9 +440,15 @@ class TestHostileBuildAndBlendFiles:
         (lambda d: d["vertex_spheres"].__setitem__(0, 3), "expected a JSON object"),
         (lambda d: d["vertex_spheres"][2].update(radius=float("nan")), "non-finite coordinate"),
         (lambda d: d["vertex_spheres"][2].update(radius=True), "radius must be a number"),
+        # numpy reads a boolean among numbers as 0 or 1
+        (lambda d: d["vertex_spheres"][1].update(center=[0.5, False, 0.0]),
+         "center must be 3 numbers"),
+        (lambda d: d["edge_spheres"][0].update(center=[1, True, 0]), "center must be 3 numbers"),
         (lambda d: d["edge_spheres"][1].update(center=[0, float("inf"), 0]),
          "non-finite coordinate"),
         (lambda d: d["edge_spheres"][1].update(center=[1e200, 0, 0]), "non-finite coordinate"),
+        (lambda d: d["edge_spheres"].__setitem__(0, {"normal": [float("inf"), 0, 0], "offset": 0}),
+         "non-finite coordinate"),
         # finite lifts whose products in the curve check overflow
         (lambda d: d["vertex_spheres"][0].update(center=[3.4e77, 0, 0]),
          "input values out of numerical range"),
@@ -462,6 +496,8 @@ class TestHostileBuildAndBlendFiles:
         ([[0, 0, float("nan")], [1, 0, 0]], "non-finite coordinate"),
         ([[0, 0, 0], [1, 0, float("-inf")]], "non-finite coordinate"),
         ([[0, 0, 0], [1e200, 0, 0]], "non-finite coordinate"),
+        ([[0.0, 0.0, 0.0], [1.0, False, 0.0]], "points must be a list of 3-number lists"),
+        ([[0, 0, True], [1, 0, 0]], "points must be a list of 3-number lists"),
     ])
     def test_curve_refused(self, tmp_path, capsys, points, message):
         good, bad = tmp_path / "good.json", tmp_path / "bad.json"
