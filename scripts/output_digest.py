@@ -14,11 +14,12 @@ listings shows every report, net file, OBJ or message a change alters:
 Inputs: `generate` on eight generator settings, and the revolution net with
 n = 2, m = 3 with its labels swapped, each followed by verify ('+', '-',
 'both'), classify, curvature and export with and without --circles; `build`
-on four fixed sphere curves, `verify --direction both` on each built net (a
-generic channel surface, so its reports hold the cross-ratio spread of
-circles that are not Dupin) and `blend` through two columns of it; two more
-builds, verifies and blends whose blends fail inside the propagation of the
-generating circles. Commands run in a temporary directory with relative
+on four fixed sphere curves, then `verify --direction both`, classify and
+export --circles on each built net (a generic channel surface, so these
+outputs hold the certificate, cross-ratio spread and circles of a channel
+surface that is not Dupin) and `blend` through two columns of it; two more
+builds with the same commands, whose blends fail inside the propagation of
+the generating circles. Commands run in a temporary directory with relative
 paths, so the digests do not depend on where the script runs.
 """
 
@@ -120,9 +121,9 @@ def digest_all() -> None:
 
 
 def curve_commands(name: str, seed: int, spheres: int, samples: int, columns, blend_args=()):
-    """`build` on a random sphere curve, `verify --direction both` on the
-    built net, then `blend` through two columns of the built net from the
-    contact element of the first column's vertex 0."""
+    """`build` on a random sphere curve, `verify --direction both`, classify
+    and export --circles on the built net, then `blend` through two columns
+    of the built net from the contact element of the first column's vertex 0."""
     path = f"{name}.spheres.json"
     io_json.save_sphere_curve(random_sphere_curve(np.random.default_rng(seed), spheres), path)
     print(f"{name} input {sha(Path(path).read_bytes())}")
@@ -134,6 +135,9 @@ def curve_commands(name: str, seed: int, spheres: int, samples: int, columns, bl
     report = f"{name}.built.verify-both.json"
     run(f"{name} verify both", ["verify", "--in", net, "--direction", "both",
                                 "--report", report], [report])
+    run(f"{name} classify", ["classify", "--in", net])
+    obj = f"{name}.built.circles.obj"
+    run(f"{name} export --circles", ["export", "--in", net, "--obj", obj, "--circles"], [obj])
     vertices = json.loads(Path(net).read_text(encoding="utf-8"))["vertices"]
     points = [v["point"] for v in vertices]
     curves = []

@@ -31,8 +31,8 @@ from .legendre import (
 )
 from .channel import (
     ChannelCertificate, ChannelFailure, DiscreteCurve3D,
-    verify_channel, full_certificate, first_full_certificate, certificate_residuals,
-    generating_circles, face_spheres, quer_spheres, face_quer_spheres,
+    verify_channel, complete_certificate, full_certificate, first_full_certificate,
+    certificate_residuals,
     is_dupin_cyclide, cross_ratio, cross_ratio_constancy,
     is_ribaucour_pair, is_multi_circular, is_multi_circular_net,
     touching_circle_space, sample_circle, circle_point, circle_euclidean,

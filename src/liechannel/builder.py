@@ -406,8 +406,6 @@ def sphere_curve_from_certificate(cert: ChannelCertificate) -> SphereCurve:
     Vertex spheres keep the orientation of the enveloped family; edge
     spheres are the face-spheres of the ribbons between consecutive lines.
     """
-    if cert.face_spheres is None:
-        raise LieGeometryError("certificate must carry face-spheres")
     n_lines = len(cert.lines)
     # order lines along the ribbon adjacency
     if not cert.ribbon_lines:
@@ -439,8 +437,7 @@ def sphere_curve_from_certificate(cert: ChannelCertificate) -> SphereCurve:
     for li in order:
         hat = oriented_representative(cert.line_spheres[li])
         vs.append(moebius_part(hat))
-    es = [cert.face_spheres[ri] for ri in ribbons_seq]
-    return SphereCurve(vertex_spheres=np.array(vs), edge_spheres=np.array(es),
+    return SphereCurve(vertex_spheres=np.array(vs), edge_spheres=cert.face_spheres[ribbons_seq],
                        closed=closed)
 
 

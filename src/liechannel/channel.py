@@ -26,7 +26,7 @@ certificate the rest of the structure follows:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,10 +38,10 @@ from .liecore import (
     canonical_sign, span, signature, orthocomplement, subspace_distance,
     gram_reflection, unit_moebius_sphere, oriented_representative,
 )
-from .cellcomplex import PLUS, MINUS
+from .cellcomplex import PLUS, MINUS, face_edge_labels
 from .legendre import (
     NO_POINT_SPHERE, LegendreNet, DupinCyclide, is_legendre, face_cyclide_family,
-    face_spheres_of, point_spheres, DegenerateFaceError,
+    point_spheres, DegenerateFaceError,
 )
 
 
@@ -69,27 +69,41 @@ class DiscreteCurve3D:
 
 @dataclass
 class ChannelCertificate:
-    """Per-line and per-ribbon data of a verified channel surface.
+    """Per-line and per-ribbon data of a verified channel surface, as stacks.
 
     lines, ribbons, ribbon_lines and line_ribbons are the complex's shared
-    `Coordinates` of the direction and must not be mutated.
+    `Coordinates` of the direction and must not be mutated. The stacks after
+    constancy_residual are set by `complete_certificate`.
     """
 
     direction: str
     lines: List[List[int]]                 # dir-coordinate lines (vertex paths)
     ribbons: List[List[int]]               # dir-ribbons (face index strips)
     ribbon_lines: List[Tuple[int, int]]    # bounding line ids per ribbon
-    line_spheres: List[LieVec]             # constant enveloped sphere per line
-    cyclides: List[DupinCyclide]           # Lie cyclide per ribbon
+    line_ribbons: Dict[int, List[int]]     # two-line ribbons of each line
+    line_spheres: np.ndarray               # (L, 6) constant enveloped sphere per line
+    dplus: np.ndarray                      # (R, 3, 6) Lie cyclide per ribbon,
+    dminus: np.ndarray                     # (R, 3, 6)   as two basis stacks
     constancy_residual: float
-    line_ribbons: Dict[int, List[int]] = field(default_factory=dict)
-    circles: Optional[List[DupinCyclide]] = None        # per line
+    circle_spaces: Optional[np.ndarray] = None      # (L, 3, 6) point spheres of each circle
     circle_agreement: Optional[float] = None
-    face_spheres: Optional[List[LieVec]] = None         # per ribbon, Moebius unit
-    quer_spheres: Optional[List[LieVec]] = None         # per line, Moebius unit
-    face_quer_spheres: Optional[List[LieVec]] = None    # per ribbon, Moebius unit
+    face_spheres: Optional[np.ndarray] = None       # (R, 6) Moebius unit
+    quer_spheres: Optional[np.ndarray] = None       # (L, 6) Moebius unit
+    face_quer_spheres: Optional[np.ndarray] = None  # (R, 6) Moebius unit
 
     ok = True
+
+    @property
+    def cyclides(self) -> List[DupinCyclide]:
+        """Lie cyclide per ribbon."""
+        return [DupinCyclide(dplus=Subspace(p), dminus=Subspace(m))
+                for p, m in zip(self.dplus, self.dminus)]
+
+    @property
+    def circles(self) -> List[DupinCyclide]:
+        """Generating circle per line, as a cyclide whose dplus holds the points."""
+        return [DupinCyclide(dplus=Subspace(c), dminus=orthocomplement(Subspace(c)))
+                for c in self.circle_spaces]
 
 
 @dataclass
@@ -120,7 +134,7 @@ def verify_channel(net: LegendreNet, direction: str = PLUS):
     coords = net.complex.coordinates(direction)
 
     # (a) projective constancy of the dir-labelled curvature spheres per line
-    line_spheres: List[LieVec] = []
+    line_spheres = np.empty((len(coords.lines), 6))
     worst = 0.0
     for li, line in enumerate(coords.lines):
         spheres = [net.edge_sphere(i, j) for i, j in coords.line_edges[li]]
@@ -128,7 +142,7 @@ def verify_channel(net: LegendreNet, direction: str = PLUS):
         for s in spheres[1:]:
             d = lc.projective_distance(rep, s)
             worst = max(worst, d)
-            if d > TOL.constancy:
+            if not d <= TOL.constancy:
                 return ChannelFailure(
                     direction=direction, check="constancy",
                     location=f"line {li} (vertices {line[:4]}...)",
@@ -137,17 +151,18 @@ def verify_channel(net: LegendreNet, direction: str = PLUS):
         # stable representative: dominant singular direction of the stack
         stack = np.array([np.sign(np.dot(normalized(s), rep)) * normalized(s) for s in spheres])
         _, _, vt = np.linalg.svd(stack, full_matrices=len(stack) <= 6)  # as in `span`
-        line_spheres.append(canonical_sign(vt[0]))
+        line_spheres[li] = canonical_sign(vt[0])
 
     # (b) the opposite-label spheres of each ribbon span a (2,1)-plane
-    cyclides: List[DupinCyclide] = []
+    def ribbon_span(message: str) -> ChannelFailure:
+        return ChannelFailure(direction=direction, check="ribbon_span",
+                              location=f"ribbon {ri}", message=message, envelopes=True)
+
+    dplus, dminus = np.empty((2, len(coords.ribbons), 3, 6))
     for ri, strip in enumerate(coords.ribbons):
         bounds = coords.ribbon_lines[ri]
         if len(bounds) != 2:
-            return ChannelFailure(direction=direction, check="ribbon_span",
-                                  location=f"ribbon {ri}",
-                                  message=f"ribbon bounded by {len(bounds)} lines",
-                                  envelopes=True)
+            return ribbon_span(f"ribbon bounded by {len(bounds)} lines")
         sp = span([net.edge_sphere(i, j) for i, j in coords.ribbon_edges[ri]])
         if sp.dim == 2 and signature(sp).triple == (1, 1, 0):
             # underdetermined ribbon (single face, or all spheres in one
@@ -155,52 +170,48 @@ def verify_channel(net: LegendreNet, direction: str = PLUS):
             try:
                 cy = face_cyclide_family(net, net.complex.faces[strip[0]])(0.0)
             except DegenerateFaceError as exc:
-                return ChannelFailure(direction=direction, check="ribbon_span",
-                                      location=f"ribbon {ri}", message=str(exc),
-                                      envelopes=True)
+                return ribbon_span(str(exc))
+            if cy.dplus.dim != 3 or cy.dminus.dim != 3:
+                return ribbon_span(f"degenerate face: family member of dims "
+                                   f"{cy.dplus.dim}, {cy.dminus.dim}")
             if direction == MINUS:
                 cy = cy.swapped()
         elif sp.dim == 3 and signature(sp).triple == (2, 1, 0):
             cy = DupinCyclide(dplus=orthocomplement(sp), dminus=sp)
         else:
-            return ChannelFailure(
-                direction=direction, check="ribbon_span",
-                location=f"ribbon {ri}",
-                message=(f"opposite curvature spheres span dim {sp.dim} of signature "
-                         f"{signature(sp).triple}, expected a (2,1)-plane"),
-                envelopes=True)
-        cyclides.append(cy)
+            return ribbon_span(f"opposite curvature spheres span dim {sp.dim} of signature "
+                               f"{signature(sp).triple}, expected a (2,1)-plane")
+        dplus[ri], dminus[ri] = cy.dplus.basis, cy.dminus.basis
 
     return ChannelCertificate(
         direction=direction, lines=coords.lines, ribbons=coords.ribbons,
-        ribbon_lines=coords.ribbon_lines, line_spheres=line_spheres,
-        cyclides=cyclides, constancy_residual=worst, line_ribbons=coords.line_ribbons)
+        ribbon_lines=coords.ribbon_lines, line_ribbons=coords.line_ribbons,
+        line_spheres=line_spheres, dplus=dplus, dminus=dminus, constancy_residual=worst)
+
+
+def _flatten(groups: List[List[int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """The items of all groups (lines or ribbons) in order, and the group of each."""
+    return (np.array([i for group in groups for i in group], dtype=int),
+            np.repeat(np.arange(len(groups)), [len(group) for group in groups]))
 
 
 def certificate_residuals(cert: ChannelCertificate, net: LegendreNet) -> Dict[str, float]:
-    """Assertable invariants of a certificate (all should be ~ 0)."""
-    out = {}
-    # constant sphere of each line lies in every contact element on the line
-    env = 0.0
-    for li, line in enumerate(cert.lines):
-        s = cert.line_spheres[li]
-        for v in line:
-            f = net.element(v)
-            for gen in f.basis:
-                env = max(env, abs(inner(s, gen)) / (lc.aux_norm(s) * lc.aux_norm(gen)))
-    out["enveloping"] = env
-    # the Lie cyclide is a face-cyclide of every face of its ribbon
-    fc = 0.0
-    for ri, strip in enumerate(cert.ribbons):
-        cy = cert.cyclides[ri] if cert.direction == PLUS else cert.cyclides[ri].swapped()
-        for fi in strip:
-            plusv, minusv = face_spheres_of(net, net.complex.faces[fi])
-            for s in plusv:
-                fc = max(fc, cy.dplus.residual(s))
-            for s in minusv:
-                fc = max(fc, cy.dminus.residual(s))
-    out["face_cyclide"] = fc
-    return out
+    """Assertable invariants of a certificate (all should be ~ 0): the
+    constant sphere of each line against every contact element on the line,
+    and the curvature spheres of every face against its ribbon's cyclide."""
+    vertices, line = _flatten(cert.lines)
+    s, gens = cert.line_spheres[line, None], net.bases[vertices]
+    env = np.abs(lc.inner_rows(s, gens)) / (np.sqrt(lc.dots(s, s)) * np.sqrt(lc.dots(gens, gens)))
+    # face spheres in `face_edge_labels` order: '-', '+', '-', '+'
+    faces, ribbon = _flatten(cert.ribbons)
+    spheres = np.array([net.edge_sphere(a, b) for fi in faces
+                        for a, b, _ in face_edge_labels(net.complex.faces[fi])]).reshape(-1, 4, 6)
+    plus, minus = (cert.dplus, cert.dminus) if cert.direction == PLUS else (cert.dminus, cert.dplus)
+    fc = [lc.residuals(plus[ribbon, None], spheres[:, 1::2]),
+          lc.residuals(minus[ribbon, None], spheres[:, ::2])]
+    # running maxima, which a NaN residual never raises
+    return {"enveloping": float(np.fmax.reduce(env, axis=None, initial=0.0)),
+            "face_cyclide": float(np.fmax.reduce(np.concatenate(fc), axis=None, initial=0.0))}
 
 
 # ---------------------------------------------------------------------------
@@ -219,66 +230,60 @@ def touching_circle_space(sphere: LieVec, dminus: Subspace) -> Subspace:
     return span(imgs)
 
 
-def generating_circles(cert: ChannelCertificate, net: LegendreNet) -> List[DupinCyclide]:
-    """Generating circle per line, as a cyclide whose dplus holds the points.
+def _circle_spaces(cert: ChannelCertificate, net: LegendreNet) -> Tuple[np.ndarray, float]:
+    """Point-sphere 3-space (L, 3, 6) of the generating circle of each line.
 
     When a line bounds two ribbons the circle is computed from both Lie
-    cyclides and the two results must agree; the certificate keeps the
-    agreement residual.
+    cyclides and the two results must agree; the worst agreement residual
+    is returned too. Every vertex of a line must lie on its circle. Errors
+    are those of a loop over the lines that checks each line's circle and
+    then its vertices.
     """
-    circles: List[Optional[DupinCyclide]] = [None] * len(cert.lines)
-    agreement = 0.0
-    point_sphere, has_point = point_spheres(net.bases)
-    for li, line in enumerate(cert.lines):
-        s = cert.line_spheres[li]
+    spaces = np.empty((len(cert.lines), 3, 6))
+    agreement, error, done = 0.0, None, len(cert.lines)
+    for li, s in enumerate(cert.line_spheres):
         if abs(inner(s, POINT_COMPLEX)) <= TOL.membership * lc.aux_norm(s):
-            raise LieGeometryError(
-                f"curvature sphere of line {li} is a point sphere - no admissible projection")
-        spaces = []
-        for ri in cert.line_ribbons.get(li, []):
-            spaces.append(touching_circle_space(s, cert.cyclides[ri].dminus))
-        if not spaces:
-            raise LieGeometryError(f"line {li} belongs to no ribbon")
-        if len(spaces) == 2:
-            d = subspace_distance(spaces[0], spaces[1])
+            error = f"curvature sphere of line {li} is a point sphere - no admissible projection"
+        elif li not in cert.line_ribbons:
+            error = f"line {li} belongs to no ribbon"
+        else:
+            touching = [touching_circle_space(s, Subspace(cert.dminus[ri]))
+                        for ri in cert.line_ribbons[li]]
+            d = subspace_distance(*touching) if len(touching) == 2 else 0.0
             agreement = max(agreement, d)
             if not d <= TOL.agreement:
-                raise LieGeometryError(
-                    f"generating circles of line {li} disagree between ribbons "
-                    f"(residual {d:.3e})")
-        cspace = spaces[0]
-        # every vertex point sphere of the line lies on the circle
-        for v in line:
-            if not has_point[v]:
-                raise LieGeometryError(NO_POINT_SPHERE)
-            r = cspace.residual(point_sphere[v])
-            if not r <= TOL.agreement:
-                raise LieGeometryError(
-                    f"vertex {v} does not lie on the generating circle of line {li} "
-                    f"(residual {r:.3e})")
-        circles[li] = DupinCyclide(dplus=cspace, dminus=orthocomplement(cspace))
-    cert.circles = circles
-    cert.circle_agreement = agreement
-    return circles
+                error = (f"generating circles of line {li} disagree between ribbons "
+                         f"(residual {d:.3e})")
+            elif touching[0].dim != 3:
+                error = f"generating circle of line {li} degenerates (dim {touching[0].dim})"
+        if error is not None:
+            done = li
+            break
+        spaces[li] = touching[0].basis
+    # every vertex point sphere of the lines checked so far lies on its circle
+    vertices, line = _flatten(cert.lines[:done])
+    point_sphere, has_point = point_spheres(net.bases[vertices])
+    r = lc.residuals(spaces[line], point_sphere)
+    failure = lc.first_failure([(~has_point, NO_POINT_SPHERE), (~(r <= TOL.agreement), "")])
+    if failure is not None:
+        k, message = failure
+        error = message or (f"vertex {vertices[k]} does not lie on the generating circle of "
+                            f"line {line[k]} (residual {r[k]:.3e})")
+    if error is not None:
+        raise LieGeometryError(error)
+    return spaces, agreement
 
 
-def face_spheres(cert: ChannelCertificate) -> List[LieVec]:
+def _face_spheres(circles: np.ndarray, ribbon_lines) -> np.ndarray:
     """Per ribbon: the unique Moebius sphere containing both bounding circles."""
-    if cert.circles is None:
-        raise LieGeometryError("compute generating_circles first")
-    out: List[LieVec] = []
-    for ri, (la, lb) in enumerate(cert.ribbon_lines):
-        ca = cert.circles[la].dplus
-        cb = cert.circles[lb].dplus
-        joint = span(list(ca.basis) + list(cb.basis) + [POINT_COMPLEX])
-        comp = orthocomplement(joint)
+    out = np.empty((len(ribbon_lines), 6))
+    for ri, (la, lb) in enumerate(ribbon_lines):
+        comp = orthocomplement(span(np.vstack([circles[la], circles[lb], POINT_COMPLEX])))
         if comp.dim != 1:
             raise LieGeometryError(
                 f"ribbon {ri}: bounding circles are not cospherical "
                 f"(complement dim {comp.dim}) - certificate corrupt")
-        sigma = unit_moebius_sphere(comp.basis[0])
-        out.append(canonical_sign(sigma))
-    cert.face_spheres = out
+        out[ri] = canonical_sign(unit_moebius_sphere(comp.basis[0]))
     return out
 
 
@@ -287,39 +292,29 @@ def sphere_pencil(circle_space: Subspace) -> Subspace:
     return orthocomplement(span(list(circle_space.basis) + [POINT_COMPLEX]))
 
 
-def quer_spheres(cert: ChannelCertificate) -> List[LieVec]:
+def _quer_spheres(circles: np.ndarray, line_spheres: np.ndarray) -> np.ndarray:
     """Per line: sphere through the circle orthogonal to the enveloped sphere."""
-    if cert.circles is None:
-        raise LieGeometryError("compute generating_circles first")
-    out: List[LieVec] = []
-    for li in range(len(cert.lines)):
-        pencil = sphere_pencil(cert.circles[li].dplus)
-        s = cert.line_spheres[li]
-        q1, q2 = pencil.basis
-        a, b = inner(q1, s), inner(q2, s)
-        v = b * q1 - a * q2
+    out = np.empty_like(line_spheres)
+    for li, s in enumerate(line_spheres):
+        q1, q2 = sphere_pencil(Subspace(circles[li])).basis
+        v = inner(q2, s) * q1 - inner(q1, s) * q2
         if np.linalg.norm(v) <= TOL.membership:
             raise LieGeometryError(f"line {li}: enveloped sphere orthogonal to the whole pencil")
-        out.append(canonical_sign(unit_moebius_sphere(v)))
-    cert.quer_spheres = out
+        out[li] = canonical_sign(unit_moebius_sphere(v))
     return out
 
 
-def face_quer_spheres(cert: ChannelCertificate) -> List[LieVec]:
+def _face_quer_spheres(circles: np.ndarray, face_spheres: np.ndarray, ribbon_lines) -> np.ndarray:
     """Per ribbon: real sphere whose reflection swaps the bounding circles.
 
     Orthogonal to the face-sphere by construction. Both algebraic
     candidates are tried; failure reports their residuals.
     """
-    if cert.face_spheres is None:
-        raise LieGeometryError("compute face_spheres first")
-    out: List[LieVec] = []
-    for ri, (la, lb) in enumerate(cert.ribbon_lines):
-        sigma = cert.face_spheres[ri]
-        ca = cert.circles[la].dplus
-        cb = cert.circles[lb].dplus
-        na = orthocomplement(span(list(ca.basis) + [sigma, POINT_COMPLEX]))
-        nb = orthocomplement(span(list(cb.basis) + [sigma, POINT_COMPLEX]))
+    out = np.empty_like(face_spheres)
+    for ri, (la, lb) in enumerate(ribbon_lines):
+        sigma = face_spheres[ri]
+        na = orthocomplement(span(np.vstack([circles[la], sigma, POINT_COMPLEX])))
+        nb = orthocomplement(span(np.vstack([circles[lb], sigma, POINT_COMPLEX])))
         if na.dim != 1 or nb.dim != 1:
             raise LieGeometryError(f"ribbon {ri}: degenerate circle normals")
         a = na.basis[0] / math.sqrt(abs(inner(na.basis[0], na.basis[0])))
@@ -328,31 +323,31 @@ def face_quer_spheres(cert: ChannelCertificate) -> List[LieVec]:
             b = -b
         candidates = []
         for m in (a - b, a + b):
-            mm = inner(m, m)
-            if mm <= TOL.membership:
+            if inner(m, m) <= TOL.membership:
                 candidates.append((math.inf, m))
                 continue
-            img = span([gram_reflection(m, v) for v in ca.basis])
-            candidates.append((subspace_distance(img, cb), m))
+            img = span([gram_reflection(m, v) for v in circles[la]])
+            candidates.append((subspace_distance(img, Subspace(circles[lb])), m))
         candidates.sort(key=lambda t: t[0])
-        res, m = candidates[0]
-        if res > TOL.agreement:
+        if not candidates[0][0] <= TOL.agreement:
             raise LieGeometryError(
                 f"ribbon {ri}: no swapping reflection found "
                 f"(candidate residuals {candidates[0][0]:.3e}, {candidates[1][0]:.3e})")
-        out.append(canonical_sign(unit_moebius_sphere(m)))
-    cert.face_quer_spheres = out
+        out[ri] = canonical_sign(unit_moebius_sphere(candidates[0][1]))
     return out
 
 
 def complete_certificate(res, net: LegendreNet):
-    """Add circles and all derived sphere families to a verify_channel
-    certificate, in place; a failure report is returned unchanged."""
+    """Add the generating circles and the face, quer and face-quer spheres
+    to a verify_channel certificate, in place; a failure report is returned
+    unchanged, and a certificate that fails to complete is left as it was."""
     if res.ok:
-        generating_circles(res, net)
-        face_spheres(res)
-        quer_spheres(res)
-        face_quer_spheres(res)
+        circles, agreement = _circle_spaces(res, net)
+        faces = _face_spheres(circles, res.ribbon_lines)
+        quer = _quer_spheres(circles, res.line_spheres)
+        face_quer = _face_quer_spheres(circles, faces, res.ribbon_lines)
+        res.circle_spaces, res.circle_agreement = circles, agreement
+        res.face_spheres, res.quer_spheres, res.face_quer_spheres = faces, quer, face_quer
     return res
 
 
@@ -408,18 +403,17 @@ def dupin_verdict(net: LegendreNet, res_p, res_m):
         if signature(sp).triple != (2, 1, 0):
             return False, None, "curvature spheres not confined to a (2,1)-plane"
         cy = DupinCyclide(dplus=sp, dminus=orthocomplement(sp))
-        if subspace_distance(cy.dminus, sm) > TOL.membership:
+        if not subspace_distance(cy.dminus, sm) <= TOL.membership:
             return False, None, "the two sphere families are not complementary"
     else:
         # tiny nets: complete the splitting through one face's family
-        cy = res_p.cyclides[0]
+        cy = DupinCyclide(dplus=Subspace(res_p.dplus[0]), dminus=Subspace(res_p.dminus[0]))
         if not all(cy.dplus.contains(s) for s in s_plus) or \
                 not all(cy.dminus.contains(s) for s in s_minus):
             return False, None, "curvature spheres not confined to a fixed splitting"
-    spread = max(
-        (subspace_distance(cy.dminus, other.dminus) for other in res_p.cyclides),
-        default=0.0,
-    )
+    # subspace_distance of cy.dminus to each ribbon's D-, all dimension 3
+    spread = np.max([lc.residuals(res_p.dminus[:, None], cy.dminus.basis),
+                     lc.residuals(cy.dminus.basis, res_p.dminus)], initial=0.0)
     return True, cy, f"lie cyclide spread {spread:.3e}"
 
 

@@ -299,7 +299,7 @@ def vessiot_classify(cert: ChannelCertificate) -> VessiotClass:
     through a point a definite 3-space (cone), planes orthogonal to a plane
     a degenerate (2,0,1)-space (cylinder).
     """
-    if cert.face_spheres is None or len(cert.face_spheres) < 3:
+    if len(cert.face_spheres) < 3:
         raise LieGeometryError("insufficient data: need at least 3 face-spheres")
     v = span(cert.face_spheres)
     sig = signature(v).triple

@@ -16,7 +16,7 @@ from typing import List, Sequence, Union
 import numpy as np
 
 from . import liecore as lc
-from .liecore import LieGeometryError, unlift, unlift_moebius
+from .liecore import LieGeometryError, Subspace, unlift, unlift_moebius
 from .cellcomplex import QuadComplex, edge_key, make_grid, validate, PLUS, MINUS
 from .legendre import (
     NO_PLANE_LIFT, NO_POINT_SPHERE, ContactElementError, LegendreNet, contact_bases,
@@ -309,9 +309,9 @@ def _lie_descriptor(v: np.ndarray) -> dict:
     return {"kind": "point_at_infinity"}
 
 
-def _circle_descriptor(circle) -> dict:
+def _circle_descriptor(space: np.ndarray) -> dict:
     try:
-        center, radius, normal = circle_euclidean(circle.dplus)
+        center, radius, normal = circle_euclidean(Subspace(space))
     except LieGeometryError:
         return {"kind": "line"}
     return {"kind": "circle", "center": list(center), "radius": radius,
@@ -326,7 +326,7 @@ def certificate_to_dict(cert) -> dict:
         "ribbons": [list(r) for r in cert.ribbons],
         "ribbon_lines": [list(rl) for rl in cert.ribbon_lines],
         "enveloped_spheres": [_lie_descriptor(s) for s in cert.line_spheres],
-        "circles": [_circle_descriptor(c) for c in cert.circles],
+        "circles": [_circle_descriptor(c) for c in cert.circle_spaces],
         "face_spheres": [_moebius_descriptor(s) for s in cert.face_spheres],
         "quer_spheres": [_moebius_descriptor(s) for s in cert.quer_spheres],
         "face_quer_spheres": [_moebius_descriptor(s) for s in cert.face_quer_spheres],
@@ -441,10 +441,10 @@ def export_obj(net: LegendreNet, path: Union[str, Path], circles: bool = False,
         if not cert.ok:
             raise LieGeometryError("cannot export circles: net is not a channel surface")
         base = net.complex.n_vertices
-        for li, circle in enumerate(cert.circles):
+        for li, space in enumerate(cert.circle_spaces):
             lines.append(f"o circle_{li}")
             pts = []
-            for s in sample_circle(circle.dplus, circle_samples):
+            for s in sample_circle(Subspace(space), circle_samples):
                 d = unlift(s)
                 if d.kind != "point":
                     pts = []

@@ -202,10 +202,10 @@ def unlift(v: LieVec, tol: Optional[float] = None) -> SphereDescriptor:
         raise NotALieSphereError(NOT_A_LIE_SPHERE)
     u0 = n[3]
     if abs(u0) <= t:
-        spatial = n[:3]
-        if np.linalg.norm(spatial) <= t and abs(n[5]) <= t:
+        # a null unit n with |u0| <= t has |spatial|^2 <= u6^2 + 3t, so a
+        # vanishing u6 leaves only the point at infinity
+        if abs(n[5]) <= t:
             return SphereDescriptor(kind="point_at_infinity")
-        # null with u0 = 0 forces |spatial| = |u6| != 0
         w = n / n[5]
         return SphereDescriptor(kind="plane", normal=w[:3].copy(), offset=float(w[4]))
     w = n / u0
@@ -251,22 +251,26 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def aux_project(self, v: LieVec) -> LieVec:
-        """Euclidean projection onto the subspace (for containment tests)."""
-        return self.basis.T @ (self.basis @ v)
-
     def contains(self, v: LieVec, tol: Optional[float] = None) -> bool:
         return self.residual(v) <= (TOL.membership if tol is None else tol)
 
     def residual(self, v: LieVec) -> float:
-        """Relative distance of v from the subspace."""
-        n = aux_norm(v)
-        if n == 0.0:
-            return 0.0
-        return float(np.linalg.norm(v - self.aux_project(v)) / n)
+        """Relative distance of v from the subspace (`residuals` of one)."""
+        return float(residuals(self.basis, np.asarray(v, dtype=float)))
 
     def restricted_gram(self) -> np.ndarray:
         return self.basis @ GRAM @ self.basis.T
+
+
+def residuals(bases: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Relative distances (...) of vectors (..., 6) from the subspaces of the
+    auxiliary-orthonormal bases (..., k, 6), broadcast against each other;
+    0 for a zero vector. Each is the one-vector value bit for bit."""
+    v = vectors[..., None]
+    d = (v - np.swapaxes(bases, -1, -2) @ (bases @ v))[..., 0]
+    n = np.sqrt(dots(vectors, vectors))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(n == 0.0, 0.0, np.sqrt(dots(d, d)) / n)
 
 
 def span(vectors: Sequence[LieVec], tol: Optional[float] = None) -> Subspace:

@@ -1,10 +1,10 @@
 """Scalar reference for the batched R^{4,2} kernel.
 
 One contact element, one edge sphere, one edge curvature, one face, one
-vertex position and one propagated circle sample at a time, written as the
-kernel computed them before it worked on stacks: two SVDs per span, three
-per edge meet, 6x6 operators per face, one `unlift` per vertex, one next
-circle per sample. The batched kernel must reproduce these values bit for
+vertex position, one subspace residual and one propagated circle sample at
+a time, written as the kernel computed them before it worked on stacks: two
+SVDs per span, three per edge meet, 6x6 operators per face, one `unlift`
+per vertex, one projection per residual, one next circle per sample. The batched kernel must reproduce these values bit for
 bit and raise the same errors.
 """
 
@@ -36,6 +36,14 @@ def span(vectors, tol=None):
     rank = int(np.sum(sv > t * sv[0]))
     _, _, vt = np.linalg.svd(m)
     return vt[:rank].copy()
+
+
+def subspace_residual(basis, v):
+    """Relative distance of v from the span of an aux-orthonormal basis."""
+    n = aux_norm(v)
+    if n == 0.0:
+        return 0.0
+    return float(np.linalg.norm(v - basis.T @ (basis @ v)) / n)
 
 
 def contact_element(basis):

@@ -10,6 +10,8 @@ from liechannel.liecore import subspace_distance, unlift_moebius
 from liechannel import channel
 from liechannel.channel import certificate_residuals, sphere_pencil
 
+from liechannel.cli import random_generator_net
+
 from geo_helpers import revolution_net, cylinder_net
 
 
@@ -63,6 +65,17 @@ class TestVerifyChannel:
         assert cert.ok
         assert peak < 12_000_000
 
+    def test_degenerate_family_member_fails(self):
+        # the '-' ribbons of this net are single faces, completed through
+        # a face-cyclide family member, which here spans only a 2-space
+        net = random_generator_net("revolution", 0, 2, 3)
+        assert L.verify_channel(net, "-").ok
+        member = L.DupinCyclide(dplus=L.Subspace(np.eye(6)[:2]), dminus=L.Subspace(np.eye(6)[2:5]))
+        with mock.patch.object(channel, "face_cyclide_family", lambda n, f: lambda t: member):
+            res = L.verify_channel(net, "-")
+        assert not res.ok and (res.check, res.location) == ("ribbon_span", "ribbon 0")
+        assert res.message == "degenerate face: family member of dims 2, 3"
+
     def test_example1_passes(self):
         net = L.make_reflection_example(1, seed=2)
         cert = L.verify_channel(net, "+")
@@ -110,20 +123,47 @@ class TestGeneratingCircles:
         cert = L.verify_channel(net, "+")
         cert.line_spheres[0] = L.lift_point((1, 2, 3))
         with pytest.raises(L.LieGeometryError, match="point sphere"):
-            L.generating_circles(cert, net)
+            L.complete_certificate(cert, net)
+        assert cert.circle_spaces is None  # a failed completion leaves the certificate
+
+    def test_degenerate_circle_space_fails(self, torus):
+        # the stack holds 3-dimensional circle spaces only
+        cert = L.verify_channel(torus, "+")
+        with mock.patch.object(channel, "touching_circle_space",
+                               lambda s, d: L.Subspace(np.eye(6)[:2])):
+            with pytest.raises(L.LieGeometryError,
+                               match=r"generating circle of line 0 degenerates \(dim 2\)"):
+                L.complete_certificate(cert, torus)
 
     def test_nan_agreement_residual_fails_closed(self, torus):
         cert = L.verify_channel(torus, "+")
         with mock.patch.object(channel, "subspace_distance", lambda a, b: math.nan):
             with pytest.raises(L.LieGeometryError, match="disagree between ribbons"):
-                L.generating_circles(cert, torus)
+                L.complete_certificate(cert, torus)
 
     def test_nan_membership_residual_fails_closed(self, torus):
         cert = L.verify_channel(torus, "+")
-        with mock.patch.object(L.Subspace, "residual", lambda self, v: math.nan), \
+        with mock.patch.object(channel.lc, "residuals",
+                               lambda bases, vectors: np.full(len(vectors), math.nan)), \
                 mock.patch.object(channel, "subspace_distance", lambda a, b: 0.0):
-            with pytest.raises(L.LieGeometryError, match="does not lie on the generating circle"):
-                L.generating_circles(cert, torus)
+            with pytest.raises(L.LieGeometryError,
+                               match="vertex 0 does not lie on the generating circle of line 0"):
+                L.complete_certificate(cert, torus)
+
+    def test_nan_constancy_residual_fails_closed(self, torus):
+        with mock.patch.object(channel.lc, "projective_distance", lambda a, b: math.nan):
+            res = L.verify_channel(torus, "+")
+        assert not res.ok and res.check == "constancy" and "residual nan" in res.message
+
+    def test_nan_swapping_residual_fails_closed(self):
+        # neither candidate reflection of a cone's ribbons is null, so both
+        # residuals are the injected NaN (a torus has one null candidate)
+        cert = L.full_certificate(random_generator_net("cone", 5, 5, 7), "+")
+        with mock.patch.object(channel, "subspace_distance", lambda a, b: math.nan):
+            with pytest.raises(L.LieGeometryError, match=r"ribbon 0: no swapping reflection "
+                                                         r"found \(candidate residuals nan, nan\)"):
+                channel._face_quer_spheres(cert.circle_spaces, cert.face_spheres,
+                                           cert.ribbon_lines)
 
 
 class TestFaceSpheres:
@@ -260,6 +300,11 @@ class TestDupin:
         assert L.is_legendre(net).ok
         ok, _, _ = L.is_dupin_cyclide(net)
         assert ok
+
+    def test_nan_complementarity_residual_fails_closed(self, torus):
+        with mock.patch.object(channel, "subspace_distance", lambda a, b: math.nan):
+            assert L.is_dupin_cyclide(torus) == (
+                False, None, "the two sphere families are not complementary")
 
 
 class TestCrossRatio:

@@ -11,6 +11,8 @@ from liechannel.liecore import (
     subspace_distance,
 )
 
+import kernel_oracle
+
 
 coord = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 radius = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False).filter(
@@ -109,6 +111,20 @@ class TestUnlift:
         assert d.kind == "plane"
         assert np.allclose(d.normal, (0.6, 0.8, 0)) and d.offset == pytest.approx(-1.25)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", [(1e5, 0, 0), (0, -3e5, 4e5), (1e6, 1e6, 1e6), (1e50, 0, 0)])
+    def test_far_point_is_point_at_infinity(self, x):
+        # |u0| and u6 vanish under the null cutoff while the spatial part
+        # does not: no division by u6 = 0, no plane of non-finite normal
+        assert L.unlift(L.lift_point(x)).kind == "point_at_infinity"
+
+    @pytest.mark.filterwarnings("error")
+    def test_near_point_and_steep_plane_unchanged(self):
+        d = L.unlift(L.lift_point((1e4, 0, 0)))
+        assert d.kind == "point" and d.center[0] == pytest.approx(1e4)
+        d = L.unlift(L.lift_plane((1.0, 0, 0), 1e5))
+        assert d.kind == "plane" and d.offset == pytest.approx(1e5)
+
 
 class TestOrientedContact:
     def test_examples(self):
@@ -190,6 +206,23 @@ class TestSubspaces:
         rng = np.random.default_rng(5)
         a, b = rng.normal(size=(9, 6)), rng.normal(size=(9, 6))
         assert inner_rows(a, b).tolist() == [L.inner(x, y) for x, y in zip(a, b)]
+
+    @given(dim=st.integers(0, 6), scale=st.sampled_from([1e-6, 1.0, 1e6]),
+           near=st.sampled_from([0.0, 1e-12, 1e-6, 1.0]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_residuals_equal_the_one_vector_oracle(self, dim, scale, near, seed):
+        rng = np.random.default_rng(seed)
+        bases = np.array([np.linalg.svd(rng.normal(size=(6, 6)))[2][:dim] for _ in range(5)])
+        # vectors near each subspace, far from it, and the zero vector
+        vectors = scale * (rng.normal(size=(5, 4, dim)) @ bases
+                           + near * rng.normal(size=(5, 4, 6)))
+        vectors[:, 0] = 0.0
+        want = np.array([[kernel_oracle.subspace_residual(b, v) for v in vs]
+                         for b, vs in zip(bases, vectors)])
+        got = L.liecore.residuals(bases[:, None], vectors)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert all(L.Subspace(bases[k]).residual(vectors[k, j]) == want[k, j]
+                   for k in range(5) for j in range(4))
 
     def test_span_memory_is_linear_in_rows(self):
         # a full SVD of a (4096, 6) stack allocates a 4096 x 4096 U (134 MB)

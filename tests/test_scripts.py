@@ -36,19 +36,20 @@ def test_output_digest(capsys):
     assert len(digests) == len(lines)           # every output named once
     exits = {name[:-len(" exit")]: d for name, d in digests.items() if name.endswith(" exit")}
     # generate on 8 settings, 7 commands on each net and the swapped one,
-    # build, verify and blend on 4 sphere curves and on 2 whose blends fail
-    assert len(exits) == 8 + 9 * 7 + 6 + 6 + 6
+    # build, verify, classify, export --circles and blend on 4 sphere curves
+    # and on 2 whose blends fail
+    assert len(exits) == 8 + 9 * 7 + 6 * 5
     code = {hashlib.sha256(str(c).encode()).hexdigest(): c for c in (0, 1, 2)}
     assert {name: code.get(d) for name, d in exits.items() if name.startswith("swapped")} == {
         "swapped verify +": 1, "swapped verify -": 0, "swapped verify both": 0,
         "swapped classify": 1, "swapped curvature": 0, "swapped export": 0,
         "swapped export --circles": 0}
-    failing = {name: code.get(d) for name, d in exits.items() if "-12x16" in name}
-    assert failing == {"curve3-12x16 build": 0, "curve3-12x16 verify both": 0,
-                       "curve3-12x16 blend": 2, "curve9-12x16 build": 0,
-                       "curve9-12x16 verify both": 0, "curve9-12x16 blend": 2}
-    # every built net verifies as a channel surface
-    built = [name for name in exits if name.startswith("curve") and name.endswith("verify both")]
-    assert len(built) == 6 and all(code.get(exits[name]) == 0 for name in built)
+    failing = {name: code.get(d) for name, d in exits.items()
+               if "-12x16" in name and name.endswith(" blend")}
+    assert failing == {"curve3-12x16 blend": 2, "curve9-12x16 blend": 2}
+    # every built net verifies as a channel surface, classifies and exports its circles
+    built = [name for name in exits if name.startswith("curve")
+             and name.split(" ", 1)[1] in ("verify both", "classify", "export --circles")]
+    assert len(built) == 18 and all(code.get(exits[name]) == 0 for name in built)
     assert all(code.get(d) == 0 for name, d in exits.items()
                if name.split()[1] in ("generate", "build", "blend") and name not in failing)
