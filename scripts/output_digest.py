@@ -18,8 +18,13 @@ on four fixed sphere curves, then `verify --direction both`, classify and
 export --circles on each built net (a generic channel surface, so these
 outputs hold the certificate, cross-ratio spread and circles of a channel
 surface that is not Dupin) and `blend` through two columns of it; two more
-builds with the same commands, whose blends fail inside the propagation of
-the generating circles. Commands run in a temporary directory with relative
+builds with the same commands, whose blends fail at a degenerate
+face-cyclide member. Last, `verify --direction both` on two nets that fail
+in the middle of the stacked checks: a Dupin torus patch with one corner
+moved (both directions fail constancy on their last line) and a torus patch
+beside a reflection example, as one net (the '+' direction fails its
+ribbon span, the '-' direction its constancy, each on the example's first
+line or ribbon). Commands run in a temporary directory with relative
 paths, so the digests do not depend on where the script runs.
 """
 
@@ -38,10 +43,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from liechannel import io_json  # noqa: E402
-from liechannel.builder import random_sphere_curve  # noqa: E402
-from liechannel.cellcomplex import swapped_labels  # noqa: E402
+from liechannel.builder import (  # noqa: E402
+    make_dupin_torus, make_reflection_example, random_sphere_curve,
+)
+from liechannel.cellcomplex import make_grid, swapped_labels  # noqa: E402
 from liechannel.cli import main, random_generator_net  # noqa: E402
-from liechannel.legendre import LegendreNet  # noqa: E402
+from liechannel.legendre import LegendreNet, contact_from_vectors, curvature_sphere  # noqa: E402
+from liechannel.liecore import inner  # noqa: E402
 
 GENERATE = {
     "revolution": ["revolution", "--n", "6", "--m", "8", "--seed", "3"],
@@ -58,10 +66,52 @@ CURVE_SPHERES = 8
 SAMPLES = 8
 BLEND_COLUMNS = (0, 1)
 # 12-sphere curves built with 16 samples whose blend through columns 7 and 8,
-# at the t0 that should rebuild the first ribbon's cyclide, fails in the
-# propagation: "point does not lie on the cyclide" (seed 3) and "circle of
-# the next sphere degenerates (dim 2)" (seed 9, a 2-dimensional D-)
+# at the t0 that should rebuild the first ribbon's cyclide, meets a
+# face-cyclide member with a 2-dimensional D- (at step 9 for seed 3 and at
+# step 5 for seed 9)
 PROPAGATION_FAILURES = {3: 1.4656630439821414, 9: 1.4808292377837171}
+
+
+def torus_patch(m: int, n: int) -> LegendreNet:
+    """The first m x n vertices of a 10 x 8 Dupin torus, on an open grid."""
+    torus = make_dupin_torus(2.5, 0.9, 10, 8)
+    elements = tuple(torus.element(b * 10 + a) for b in range(n) for a in range(m))
+    return LegendreNet(complex=make_grid(m, n), elements=elements)
+
+
+def moved_corner_patch() -> LegendreNet:
+    """A 6 x 5 torus patch whose last vertex, the end of '+' line 4 and of
+    '-' line 5, is moved: its contact element is spanned by a sphere of its
+    '+' neighbour's element, 1e-3 off the shared one, and the sphere of its
+    '-' neighbour's element in contact with that one, so the net stays
+    Legendre."""
+    net = torus_patch(6, 5)
+    corner, plus, minus = 29, net.element(28), net.element(23)
+    s = curvature_sphere(net.element(corner), plus)
+    u = plus.basis[np.argmin(np.abs(plus.basis @ s))]
+    s = s + 1e-3 * (u - (u @ s) * s)
+    a, b = minus.basis
+    t = inner(b, s) * a - inner(a, s) * b
+    elements = list(net.elements)
+    elements[corner] = contact_from_vectors(s, t)
+    return LegendreNet(complex=net.complex, elements=tuple(elements))
+
+
+def patch_beside_example() -> dict:
+    """A 5 x 4 torus patch and reflection example 2 (seed 2) as one net
+    file: the patch's lines and ribbons come first and pass."""
+    docs = [io_json.net_to_dict(torus_patch(5, 4)),
+            io_json.net_to_dict(make_reflection_example(2, seed=2))]
+    edges, faces, vertices, base = [], [], [], 0
+    for doc in docs:
+        c = io_json.complex_from_dict(doc["complex"])
+        edges += [[i + base, j + base, lab] for i, j, lab in c.edges]
+        faces += [[v + base for v in face] for face in c.faces]
+        vertices += doc["vertices"]
+        base += c.n_vertices
+    return {"format": "liechannel-net", "version": 1,
+            "complex": {"n_vertices": base, "edges": edges, "faces": faces},
+            "vertices": vertices}
 
 
 def sha(data: bytes) -> str:
@@ -118,6 +168,14 @@ def digest_all() -> None:
         curve_commands(f"curve{k}", k, CURVE_SPHERES, SAMPLES, BLEND_COLUMNS)
     for k, t0 in PROPAGATION_FAILURES.items():
         curve_commands(f"curve{k}-12x16", k, 12, 16, (7, 8), ["--t0", repr(t0)])
+
+    io_json.save_net(moved_corner_patch(), "moved-corner.net.json")
+    Path("beside.net.json").write_text(json.dumps(patch_beside_example()), encoding="utf-8")
+    for name in ("moved-corner", "beside"):
+        print(f"{name} input {sha(Path(f'{name}.net.json').read_bytes())}")
+        report = f"{name}.verify-both.json"
+        run(f"{name} verify both", ["verify", "--in", f"{name}.net.json", "--direction", "both",
+                                    "--report", report], [report])
 
 
 def curve_commands(name: str, seed: int, spheres: int, samples: int, columns, blend_args=()):

@@ -276,13 +276,11 @@ def propagate_point(x: np.ndarray, cy: DupinCyclide, next_sphere_hat: LieVec):
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero y fails the roots test
         y_unit = y / np.sqrt(lc.dots(y, y))[:, None]
         distance = 1.0 - np.abs(lc.dots(y_unit, y_quad / np.sqrt(lc.dots(y_quad, y_quad))[:, None]))
-    failure = lc.first_failure([
+    lc.raise_first([
         (off, OFF_CYCLIDE),
         (degenerate, "propagation condition degenerates"),
         (~(distance <= 1e-5), "propagation roots disagree with the tangency direction"),
     ])
-    if failure is not None:
-        raise LieGeometryError(failure[1])
     return (y_unit[0], float(disc[0])) if single else (y_unit, disc)
 
 
@@ -536,15 +534,16 @@ def blend_channel(c1: DiscreteCurve3D, c2: DiscreteCurve3D, f0: ContactElement,
                                                  [s1_edges[t], s2_edges[t]])
         except DegenerateFaceError as exc:
             raise LieGeometryError(f"degenerate strip face at step {t}") from exc
-        if t == 0:
-            cy = fam(t0)
-            circles.append(touching_circle_space(cross[0], cy.dminus))
-        else:
-            target = touching_circle_space(cross[t], cyclides[-1].dminus)
-            circles.append(target)
-            cy = fam(_family_parameter_solve(fam, cross[t], target))
+        if t > 0:
+            circles.append(touching_circle_space(cross[t], cyclides[-1].dminus))
+        param = _family_parameter_solve(fam, cross[t], circles[-1]) if t > 0 else t0
+        cy = fam(param)
+        if cy.dplus.dim != 3 or cy.dminus.dim != 3:
+            raise LieGeometryError(f"degenerate face-cyclide member at step {t} "
+                                   f"(t = {param!r}): dims {cy.dplus.dim}, {cy.dminus.dim}")
         cyclides.append(cy)
-    circles.append(touching_circle_space(cross[-1], cyclides[-1].dminus))
+    circles = [touching_circle_space(cross[0], cyclides[0].dminus), *circles,
+               touching_circle_space(cross[-1], cyclides[-1].dminus)]
 
     # sample the first circle, keeping the two prescribed points as vertices
     th1 = circle_chart_angle(circles[0], x1[0])

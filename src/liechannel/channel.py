@@ -34,9 +34,8 @@ import numpy as np
 from .config import TOL
 from . import liecore as lc
 from .liecore import (
-    LieVec, LieGeometryError, Subspace, POINT_COMPLEX, inner, normalized,
-    canonical_sign, span, signature, orthocomplement, subspace_distance,
-    gram_reflection, unit_moebius_sphere, oriented_representative,
+    LieVec, LieGeometryError, DegenerateGramError, Subspace, POINT_COMPLEX, inner,
+    canonical_sign, span, signature, orthocomplement, subspace_distance, oriented_representative,
 )
 from .cellcomplex import PLUS, MINUS, face_edge_labels
 from .legendre import (
@@ -117,82 +116,105 @@ class ChannelFailure:
     ok = False
 
 
+def _flatten(groups: List[List]) -> Tuple[np.ndarray, np.ndarray]:
+    """The items of all groups (lines or ribbons) in order, and the group of each."""
+    return (np.array([i for group in groups for i in group], dtype=int),
+            np.repeat(np.arange(len(groups)), [len(group) for group in groups]))
+
+
+def _by_length(groups: List[List]) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Per length n: the ids (k,) of the groups of that length and the
+    positions (k, n) of their items in `_flatten` order."""
+    counts = np.array([len(group) for group in groups], dtype=int)
+    return [(ids, (np.cumsum(counts) - counts)[ids, None] + np.arange(n))
+            for n in np.unique(counts) for ids in [np.flatnonzero(counts == n)]]
+
+
+def _sphere_groups(net: LegendreNet, groups) -> Tuple[np.ndarray, np.ndarray]:
+    """Edge spheres (E, 6) of edge groups in `_flatten` order, and the group of each."""
+    edges, group = _flatten(groups)
+    return np.array([net.edge_sphere(*e) for e in edges.tolist()]).reshape(-1, 6), group
+
+
 def verify_channel(net: LegendreNet, direction: str = PLUS):
     """Check the channel conditions; return a certificate or failure report.
 
     The certificate carries the constant sphere of every dir-line and the
     unique Lie cyclide of every dir-ribbon. Single-face ribbons leave a
     1-parameter choice of cyclide; the face-cyclide family member at
-    parameter 0 is taken.
+    parameter 0 is taken. Each check runs on all lines or ribbons at once,
+    grouped by length or rank, and fails as a loop over them would.
     """
     diag = is_legendre(net)
     if not diag.ok:
-        return ChannelFailure(direction=direction, check="legendre",
-                              location=f"edges {diag.failed_edges[:3]}",
-                              message="net is not a Legendre map", envelopes=False)
-
+        return ChannelFailure(direction, "legendre", f"edges {diag.failed_edges[:3]}",
+                              "net is not a Legendre map", False)
     coords = net.complex.coordinates(direction)
 
-    # (a) projective constancy of the dir-labelled curvature spheres per line
+    # (a) projective constancy of the dir-labelled curvature spheres per line:
+    # `projective_distance` of each edge sphere to the line's first one
+    spheres, line = _sphere_groups(net, coords.line_edges)
+    unit = spheres / np.sqrt(lc.dots(spheres, spheres))[:, None]
+    first = np.r_[True, line[1:] != line[:-1]][:len(line)]
+    rep, rest = unit[first], line[~first]
+    d = 1.0 - np.abs(lc.dots((rep / np.sqrt(lc.dots(rep, rep))[:, None])[rest], unit[~first]))
+    bad = np.flatnonzero(~(d <= TOL.constancy))
+    if bad.size:
+        li = int(rest[bad[0]])
+        return ChannelFailure(
+            direction, "constancy", f"line {li} (vertices {coords.lines[li][:4]}...)",
+            f"curvature sphere varies along the line (residual {d[bad[0]]:.3e})", False)
+    # stable representative: dominant singular direction of each line's stack
+    stack = np.sign(lc.dots(unit, rep[line]))[:, None] * unit
     line_spheres = np.empty((len(coords.lines), 6))
-    worst = 0.0
-    for li, line in enumerate(coords.lines):
-        spheres = [net.edge_sphere(i, j) for i, j in coords.line_edges[li]]
-        rep = normalized(spheres[0])
-        for s in spheres[1:]:
-            d = lc.projective_distance(rep, s)
-            worst = max(worst, d)
-            if not d <= TOL.constancy:
-                return ChannelFailure(
-                    direction=direction, check="constancy",
-                    location=f"line {li} (vertices {line[:4]}...)",
-                    message=f"curvature sphere varies along the line (residual {d:.3e})",
-                    envelopes=False)
-        # stable representative: dominant singular direction of the stack
-        stack = np.array([np.sign(np.dot(normalized(s), rep)) * normalized(s) for s in spheres])
-        _, _, vt = np.linalg.svd(stack, full_matrices=len(stack) <= 6)  # as in `span`
-        line_spheres[li] = canonical_sign(vt[0])
+    for ids, rows in _by_length(coords.line_edges):
+        vt = np.linalg.svd(stack[rows], full_matrices=rows.shape[1] <= 6)[2]  # as in `span`
+        line_spheres[ids] = canonical_sign(vt[:, 0])
 
     # (b) the opposite-label spheres of each ribbon span a (2,1)-plane
-    def ribbon_span(message: str) -> ChannelFailure:
-        return ChannelFailure(direction=direction, check="ribbon_span",
-                              location=f"ribbon {ri}", message=message, envelopes=True)
-
+    spheres = _sphere_groups(net, coords.ribbon_edges)[0]
+    dims, n_plus, n_minus = np.zeros((3, len(coords.ribbons)), dtype=int)
     dplus, dminus = np.empty((2, len(coords.ribbons), 3, 6))
-    for ri, strip in enumerate(coords.ribbons):
-        bounds = coords.ribbon_lines[ri]
-        if len(bounds) != 2:
-            return ribbon_span(f"ribbon bounded by {len(bounds)} lines")
-        sp = span([net.edge_sphere(i, j) for i, j in coords.ribbon_edges[ri]])
-        if sp.dim == 2 and signature(sp).triple == (1, 1, 0):
-            # underdetermined ribbon (single face, or all spheres in one
-            # pencil): complete through the first face's cyclide family
-            try:
-                cy = face_cyclide_family(net, net.complex.faces[strip[0]])(0.0)
-            except DegenerateFaceError as exc:
-                return ribbon_span(str(exc))
-            if cy.dplus.dim != 3 or cy.dminus.dim != 3:
-                return ribbon_span(f"degenerate face: family member of dims "
-                                   f"{cy.dplus.dim}, {cy.dminus.dim}")
-            if direction == MINUS:
-                cy = cy.swapped()
-        elif sp.dim == 3 and signature(sp).triple == (2, 1, 0):
-            cy = DupinCyclide(dplus=orthocomplement(sp), dminus=sp)
-        else:
-            return ribbon_span(f"opposite curvature spheres span dim {sp.dim} of signature "
-                               f"{signature(sp).triple}, expected a (2,1)-plane")
-        dplus[ri], dminus[ri] = cy.dplus.basis, cy.dminus.basis
+    for ids, rows in _by_length(coords.ribbon_edges):
+        vt, dims[ids] = lc.spans(spheres[rows])
+        for r in np.unique(dims[ids][dims[ids] > 0]):
+            group = dims[ids] == r
+            _, n_plus[ids[group]], n_minus[ids[group]] = lc.signatures(vt[group, :r])
+            dminus[ids[group]] = vt[group, :3]
+    plane = (dims == 3) & (n_plus == 2) & (n_minus == 1)
+    dplus[plane] = lc.orthocomplements(dminus[plane])
+    # underdetermined ribbon (single face, or all spheres in one pencil)
+    under = (dims == 2) & (n_plus == 1) & (n_minus == 1)
+    bounds = np.array([len(b) for b in coords.ribbon_lines], dtype=int)
+    stop = int(np.argmax(np.r_[(bounds != 2) | ~(plane | under), True]))
 
+    def ribbon_span(ri, message: str) -> ChannelFailure:
+        return ChannelFailure(direction, "ribbon_span", f"ribbon {ri}", message, True)
+
+    # the underdetermined ribbons before the first failure, one by one,
+    # through their first face's cyclide family
+    for ri in np.flatnonzero(under[:stop]).tolist():
+        try:
+            cy = face_cyclide_family(net, net.complex.faces[coords.ribbons[ri][0]])(0.0)
+        except DegenerateFaceError as exc:
+            return ribbon_span(ri, str(exc))
+        if cy.dplus.dim != 3 or cy.dminus.dim != 3:
+            return ribbon_span(ri, f"degenerate face: family member of dims "
+                                   f"{cy.dplus.dim}, {cy.dminus.dim}")
+        cy = cy.swapped() if direction == MINUS else cy
+        dplus[ri], dminus[ri] = cy.dplus.basis, cy.dminus.basis
+    if stop < len(bounds) and bounds[stop] != 2:
+        return ribbon_span(stop, f"ribbon bounded by {bounds[stop]} lines")
+    if stop < len(bounds):
+        triple = tuple(int(k) for k in (n_plus[stop], n_minus[stop],
+                                        dims[stop] - n_plus[stop] - n_minus[stop]))
+        return ribbon_span(stop, f"opposite curvature spheres span dim {dims[stop]} of "
+                                 f"signature {triple}, expected a (2,1)-plane")
     return ChannelCertificate(
         direction=direction, lines=coords.lines, ribbons=coords.ribbons,
         ribbon_lines=coords.ribbon_lines, line_ribbons=coords.line_ribbons,
-        line_spheres=line_spheres, dplus=dplus, dminus=dminus, constancy_residual=worst)
-
-
-def _flatten(groups: List[List[int]]) -> Tuple[np.ndarray, np.ndarray]:
-    """The items of all groups (lines or ribbons) in order, and the group of each."""
-    return (np.array([i for group in groups for i in group], dtype=int),
-            np.repeat(np.arange(len(groups)), [len(group) for group in groups]))
+        line_spheres=line_spheres, dplus=dplus, dminus=dminus,
+        constancy_residual=float(np.max(d, initial=0.0)))
 
 
 def certificate_residuals(cert: ChannelCertificate, net: LegendreNet) -> Dict[str, float]:
@@ -218,6 +240,15 @@ def certificate_residuals(cert: ChannelCertificate, net: LegendreNet) -> Dict[st
 # generating circles and the sphere families attached to them
 
 
+def touching_circle_spaces(spheres: np.ndarray, dminus: np.ndarray
+                           ) -> Tuple[np.ndarray, np.ndarray]:
+    """`touching_circle_space` of each sphere (P, 6) and D- basis (P, 3, 6),
+    as `spans` of the images: (P, 3, 6) rows and ranks (P,)."""
+    s = spheres / -lc.inner_rows(spheres, POINT_COMPLEX)[:, None]  # oriented_representative
+    vt, rank = lc.spans(dminus + lc.inner_rows(dminus, POINT_COMPLEX)[..., None] * s[:, None])
+    return vt[:, :3], rank
+
+
 def touching_circle_space(sphere: LieVec, dminus: Subspace) -> Subspace:
     """Point-sphere 3-space of the cyclide curvature line enveloping `sphere`.
 
@@ -226,8 +257,7 @@ def touching_circle_space(sphere: LieVec, dminus: Subspace) -> Subspace:
     dminus onto the circle's space.
     """
     s = oriented_representative(sphere)
-    imgs = [y + inner(y, POINT_COMPLEX) * s for y in dminus.basis]
-    return span(imgs)
+    return span(dminus.basis + lc.inner_rows(dminus.basis, POINT_COMPLEX)[:, None] * s)
 
 
 def _circle_spaces(cert: ChannelCertificate, net: LegendreNet) -> Tuple[np.ndarray, float]:
@@ -239,69 +269,81 @@ def _circle_spaces(cert: ChannelCertificate, net: LegendreNet) -> Tuple[np.ndarr
     are those of a loop over the lines that checks each line's circle and
     then its vertices.
     """
-    spaces = np.empty((len(cert.lines), 3, 6))
-    agreement, error, done = 0.0, None, len(cert.lines)
-    for li, s in enumerate(cert.line_spheres):
-        if abs(inner(s, POINT_COMPLEX)) <= TOL.membership * lc.aux_norm(s):
-            error = f"curvature sphere of line {li} is a point sphere - no admissible projection"
-        elif li not in cert.line_ribbons:
-            error = f"line {li} belongs to no ribbon"
-        else:
-            touching = [touching_circle_space(s, Subspace(cert.dminus[ri]))
-                        for ri in cert.line_ribbons[li]]
-            d = subspace_distance(*touching) if len(touching) == 2 else 0.0
-            agreement = max(agreement, d)
-            if not d <= TOL.agreement:
-                error = (f"generating circles of line {li} disagree between ribbons "
-                         f"(residual {d:.3e})")
-            elif touching[0].dim != 3:
-                error = f"generating circle of line {li} degenerates (dim {touching[0].dim})"
-        if error is not None:
-            done = li
-            break
-        spaces[li] = touching[0].basis
+    n_lines, s = len(cert.lines), cert.line_spheres
+    point = np.abs(lc.inner_rows(s, POINT_COMPLEX)) <= TOL.membership * np.sqrt(lc.dots(s, s))
+    # (line, ribbon) pairs by line
+    ribbon, line = _flatten([cert.line_ribbons.get(li, []) for li in range(n_lines)])
+    count = np.bincount(line, minlength=n_lines)
+    first = np.cumsum(count) - count  # pair of each line's first ribbon
+    live = ~point[line]  # a point sphere has no oriented representative
+    # one zero row past the pairs, for the lines that bound no ribbon
+    vt, rank = np.zeros((len(line) + 1, 3, 6)), np.zeros(len(line) + 1, dtype=int)
+    vt[:-1][live], rank[:-1][live] = touching_circle_spaces(s[line[live]],
+                                                            cert.dminus[ribbon[live]])
+    # the two circles of a line that bounds two ribbons must agree
+    two = np.flatnonzero(count == 2)
+    a, b = first[two], first[two] + 1
+    d = np.zeros(n_lines)
+    d[two] = np.where(rank[a] == rank[b], 0.0, 1.0)
+    for r in np.unique(rank[a][(rank[a] == rank[b]) & (rank[a] > 0)]):
+        same = (rank[a] == r) & (rank[b] == r)
+        d[two[same]] = lc.subspace_distances(vt[a[same], :r], vt[b[same], :r])
+    checks = [
+        (point, "curvature sphere of line {} is a point sphere - no admissible projection"),
+        (count == 0, "line {} belongs to no ribbon"),
+        (~(d <= TOL.agreement), lambda li: f"generating circles of line {li} disagree between "
+                                           f"ribbons (residual {d[li]:.3e})"),
+        (rank[first] != 3, lambda li: f"generating circle of line {li} degenerates "
+                                      f"(dim {rank[first][li]})")]
+    failure = lc.first_failure(checks)
     # every vertex point sphere of the lines checked so far lies on its circle
-    vertices, line = _flatten(cert.lines[:done])
+    vertices, on = _flatten(cert.lines[:n_lines if failure is None else failure[0]])
     point_sphere, has_point = point_spheres(net.bases[vertices])
-    r = lc.residuals(spaces[line], point_sphere)
-    failure = lc.first_failure([(~has_point, NO_POINT_SPHERE), (~(r <= TOL.agreement), "")])
-    if failure is not None:
-        k, message = failure
-        error = message or (f"vertex {vertices[k]} does not lie on the generating circle of "
-                            f"line {line[k]} (residual {r[k]:.3e})")
-    if error is not None:
-        raise LieGeometryError(error)
-    return spaces, agreement
+    r = lc.residuals(vt[first][on], point_sphere)
+    lc.raise_first([(~has_point, NO_POINT_SPHERE), (~(r <= TOL.agreement), lambda k: (
+        f"vertex {vertices[k]} does not lie on the generating circle of line {on[k]} "
+        f"(residual {r[k]:.3e})"))])
+    lc.raise_first(checks)
+    return vt[first], float(np.max(d, initial=0.0))
+
+
+def moebius_complements(rows: np.ndarray, rank: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Moebius vectors (..., 5 - rank, 6) Gram-orthogonal to each stack of
+    rows (..., n, 6), from the complement of its span with the point sphere
+    complex, and the ranks of those spans (...); zero where not `rank`."""
+    p = np.broadcast_to(POINT_COMPLEX, rows.shape[:-2] + (1, 6))
+    vt, ranks = lc.spans(np.concatenate([rows, p], axis=-2))
+    out = np.zeros(rows.shape[:-2] + (6 - rank, 6))
+    out[ranks == rank] = lc.orthocomplements(vt[ranks == rank, :rank])
+    return out, ranks
+
+
+def _unit_spheres(v: np.ndarray, checks) -> np.ndarray:
+    """Canonically signed unit Moebius spheres of the rows of v; raises the
+    first error of the (mask, message) checks and `unit_moebius_sphere`."""
+    units, ok = lc.unit_moebius_spheres(v)
+    lc.raise_first([*checks, (~ok, "vector has no real unoriented sphere part")])
+    return canonical_sign(units)
 
 
 def _face_spheres(circles: np.ndarray, ribbon_lines) -> np.ndarray:
     """Per ribbon: the unique Moebius sphere containing both bounding circles."""
-    out = np.empty((len(ribbon_lines), 6))
-    for ri, (la, lb) in enumerate(ribbon_lines):
-        comp = orthocomplement(span(np.vstack([circles[la], circles[lb], POINT_COMPLEX])))
-        if comp.dim != 1:
-            raise LieGeometryError(
-                f"ribbon {ri}: bounding circles are not cospherical "
-                f"(complement dim {comp.dim}) - certificate corrupt")
-        out[ri] = canonical_sign(unit_moebius_sphere(comp.basis[0]))
-    return out
-
-
-def sphere_pencil(circle_space: Subspace) -> Subspace:
-    """2-space of Moebius sphere vectors containing the circle."""
-    return orthocomplement(span(list(circle_space.basis) + [POINT_COMPLEX]))
+    la, lb = np.array(ribbon_lines, dtype=int).reshape(-1, 2).T
+    comp, rank = moebius_complements(np.concatenate([circles[la], circles[lb]], axis=1), 5)
+    return _unit_spheres(comp[:, 0], [(rank != 5, lambda ri: (
+        f"ribbon {ri}: bounding circles are not cospherical (complement dim {6 - rank[ri]}) "
+        f"- certificate corrupt"))])
 
 
 def _quer_spheres(circles: np.ndarray, line_spheres: np.ndarray) -> np.ndarray:
     """Per line: sphere through the circle orthogonal to the enveloped sphere."""
-    out = np.empty_like(line_spheres)
-    for li, s in enumerate(line_spheres):
-        q1, q2 = sphere_pencil(Subspace(circles[li])).basis
-        v = inner(q2, s) * q1 - inner(q1, s) * q2
-        if np.linalg.norm(v) <= TOL.membership:
-            raise LieGeometryError(f"line {li}: enveloped sphere orthogonal to the whole pencil")
-        out[li] = canonical_sign(unit_moebius_sphere(v))
-    return out
+    pencils, rank = moebius_complements(circles, 4)
+    q1, q2 = pencils[:, 0], pencils[:, 1]
+    v = (lc.inner_rows(q2, line_spheres)[:, None] * q1
+         - lc.inner_rows(q1, line_spheres)[:, None] * q2)
+    return _unit_spheres(v, [(rank != 4, "line {}: circle spans no sphere pencil"),
+                             (np.sqrt(lc.dots(v, v)) <= TOL.membership,
+                              "line {}: enveloped sphere orthogonal to the whole pencil")])
 
 
 def _face_quer_spheres(circles: np.ndarray, face_spheres: np.ndarray, ribbon_lines) -> np.ndarray:
@@ -310,31 +352,36 @@ def _face_quer_spheres(circles: np.ndarray, face_spheres: np.ndarray, ribbon_lin
     Orthogonal to the face-sphere by construction. Both algebraic
     candidates are tried; failure reports their residuals.
     """
-    out = np.empty_like(face_spheres)
-    for ri, (la, lb) in enumerate(ribbon_lines):
-        sigma = face_spheres[ri]
-        na = orthocomplement(span(np.vstack([circles[la], sigma, POINT_COMPLEX])))
-        nb = orthocomplement(span(np.vstack([circles[lb], sigma, POINT_COMPLEX])))
-        if na.dim != 1 or nb.dim != 1:
-            raise LieGeometryError(f"ribbon {ri}: degenerate circle normals")
-        a = na.basis[0] / math.sqrt(abs(inner(na.basis[0], na.basis[0])))
-        b = nb.basis[0] / math.sqrt(abs(inner(nb.basis[0], nb.basis[0])))
-        if inner(a, b) < 0:
-            b = -b
-        candidates = []
-        for m in (a - b, a + b):
-            if inner(m, m) <= TOL.membership:
-                candidates.append((math.inf, m))
-                continue
-            img = span([gram_reflection(m, v) for v in circles[la]])
-            candidates.append((subspace_distance(img, Subspace(circles[lb])), m))
-        candidates.sort(key=lambda t: t[0])
-        if not candidates[0][0] <= TOL.agreement:
-            raise LieGeometryError(
-                f"ribbon {ri}: no swapping reflection found "
-                f"(candidate residuals {candidates[0][0]:.3e}, {candidates[1][0]:.3e})")
-        out[ri] = canonical_sign(unit_moebius_sphere(candidates[0][1]))
-    return out
+    la, lb = np.array(ribbon_lines, dtype=int).reshape(-1, 2).T
+    n, sigma = len(la), face_spheres[:, None, None]
+    # the sphere through each bounding circle orthogonal to the face-sphere
+    normals, rank = moebius_complements(np.concatenate([np.stack(
+        [circles[la], circles[lb]], axis=1), np.broadcast_to(sigma, (n, 2, 1, 6))], axis=2), 5)
+    sound = np.all(rank == 5, axis=1)
+    normals = np.where(sound[:, None, None], normals[:, :, 0], lc.E1)
+    normals /= np.sqrt(np.abs(lc.inner_rows(normals, normals)))[..., None]
+    a, b = normals[:, 0], normals[:, 1]
+    b = np.where(lc.inner_rows(a, b)[:, None] < 0, -b, b)
+    m = np.stack([a - b, a + b], axis=1)  # the two candidates
+    mm = lc.inner_rows(m, m)
+    live = sound[:, None] & ~(mm <= TOL.membership)
+    null = live & (np.abs(mm) <= 1e-14 * np.sqrt(lc.dots(m, m)) ** 2)  # `gram_reflection` refuses
+    live &= ~null
+    # circle la reflected in each live candidate, against circle lb
+    rows, cols = np.nonzero(live)
+    v, mv = circles[la[rows]], m[rows, cols, None]
+    vt, rank = lc.spans(v - (2.0 * lc.inner_rows(v, mv) / mm[rows, cols, None])[..., None] * mv)
+    residual = np.full((n, 2), math.inf)  # 1 for spaces of different dimensions
+    residual[live] = np.where(rank == 3, lc.subspace_distances(vt[:, :3], circles[lb[rows]]), 1.0)
+    # the better candidate first, the first one on a tie (a stable sort)
+    best = (residual[:, 1] < residual[:, 0]).astype(int)
+    ranked = np.take_along_axis(residual, np.stack([best, 1 - best], axis=1), axis=1)
+    return _unit_spheres(m[np.arange(n), best], [
+        (~sound, "ribbon {}: degenerate circle normals"),
+        (null.any(axis=1), lambda _: DegenerateGramError("cannot reflect in a null vector")),
+        (~(ranked[:, 0] <= TOL.agreement), lambda ri: (
+            f"ribbon {ri}: no swapping reflection found "
+            f"(candidate residuals {ranked[ri, 0]:.3e}, {ranked[ri, 1]:.3e})"))])
 
 
 def complete_certificate(res, net: LegendreNet):
@@ -356,28 +403,24 @@ def full_certificate(net: LegendreNet, direction: str = PLUS):
     return complete_certificate(verify_channel(net, direction), net)
 
 
-def underdetermined(direction: str, exc: LieGeometryError) -> ChannelFailure:
-    """Failure of a certificate that verify_channel returns but that cannot be
-    completed: a ribbon of one face (or of one sphere pencil) leaves a
-    1-parameter family of cyclides, and the member verify_channel picks need
-    not agree with the neighbouring ribbons on their shared line."""
-    return ChannelFailure(direction=direction, check="underdetermined", location=None,
-                          message=str(exc), envelopes=True)
+def certified(net: LegendreNet, direction: str):
+    """`full_certificate` of one direction, where a certificate that
+    verify_channel returns but that cannot be completed fails as
+    `underdetermined`: a ribbon of one face (or of one sphere pencil) leaves
+    a 1-parameter family of cyclides, and the member verify_channel picks
+    need not agree with the neighbouring ribbons on their shared line."""
+    res = verify_channel(net, direction)
+    try:
+        return complete_certificate(res, net)
+    except LieGeometryError as exc:
+        return ChannelFailure(direction, "underdetermined", None, str(exc), True)
 
 
 def first_full_certificate(net: LegendreNet):
-    """full_certificate of the first direction, '+' before '-', whose
-    certificate completes; otherwise the failure of '-', where a certificate
-    that cannot be completed fails as `underdetermined`."""
-    for direction in (PLUS, MINUS):
-        res = verify_channel(net, direction)
-        try:
-            complete_certificate(res, net)
-        except LieGeometryError as exc:
-            res = underdetermined(direction, exc)
-        if res.ok:
-            return res
-    return res
+    """The `certified` result of the first direction, '+' before '-', that
+    is a certificate; otherwise the failure of '-'."""
+    res = certified(net, PLUS)
+    return res if res.ok else certified(net, MINUS)
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +428,13 @@ def first_full_certificate(net: LegendreNet):
 
 
 def is_dupin_cyclide(net: LegendreNet):
-    """Channel in both directions; returns (ok, constant cyclide or None, info)."""
-    return dupin_verdict(net, verify_channel(net, PLUS), verify_channel(net, MINUS))
+    """Channel in both directions, each certificate completed; returns
+    (ok, constant cyclide or None, info)."""
+    return dupin_verdict(net, certified(net, PLUS), certified(net, MINUS))
 
 
 def dupin_verdict(net: LegendreNet, res_p, res_m):
-    """is_dupin_cyclide from the verify_channel results of both directions."""
+    """is_dupin_cyclide from the `certified` results of both directions."""
     if not res_p.ok:
         return False, None, f"'+' direction fails: {res_p.message}"
     if not res_m.ok:
@@ -411,9 +455,8 @@ def dupin_verdict(net: LegendreNet, res_p, res_m):
         if not all(cy.dplus.contains(s) for s in s_plus) or \
                 not all(cy.dminus.contains(s) for s in s_minus):
             return False, None, "curvature spheres not confined to a fixed splitting"
-    # subspace_distance of cy.dminus to each ribbon's D-, all dimension 3
-    spread = np.max([lc.residuals(res_p.dminus[:, None], cy.dminus.basis),
-                     lc.residuals(cy.dminus.basis, res_p.dminus)], initial=0.0)
+    spread = np.max(lc.subspace_distances(
+        res_p.dminus, np.broadcast_to(cy.dminus.basis, res_p.dminus.shape)), initial=0.0)
     return True, cy, f"lie cyclide spread {spread:.3e}"
 
 
@@ -511,10 +554,17 @@ def is_ribaucour_pair(a: DiscreteCurve3D, b: DiscreteCurve3D,
 # Rounding allowance of the concurrent-lines accept, relative to the unit
 # lifts: it keeps the accept sound when t approaches machine precision.
 _ROUNDING = 64 * np.finfo(float).eps
+# Crossings per batch of `is_multi_circular_net`, whose crossings of line
+# pairs grow as V^1.5: batches keep its memory linear in V. A 128^2 Dupin
+# torus verified in both directions peaks at 123 MB, 562 MB in one batch;
+# at 64^2 batches of 2^13 add nothing to the peak of loading the net,
+# 2^15 add 11 MB, and neither is faster.
+_BATCH = 1 << 13
 
 
-def _planes_concurrent(x: np.ndarray, y: np.ndarray, t: float) -> bool:
-    """Sound accept: every plane <x_a, y_a> passes within t/3 of one z.
+def _planes_concurrent(x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
+    """Sound accept of each pair of aligned stacks (P, n, 6) of unit lifts:
+    every plane <x_a, y_a> of the pair passes within t/3 of one z.
 
     z is the unit vector minimising the summed squared distances to the
     planes. With w_a = alpha_a x_a + beta_a y_a the projection of z and
@@ -523,72 +573,116 @@ def _planes_concurrent(x: np.ndarray, y: np.ndarray, t: float) -> bool:
     c = (alpha_s, -alpha_u, -beta_u, beta_s) to w_s - w_u, so
     |M^T c| <= 2 eps while |c| >= 1 - eps; with unit rows sigma_1 >= 1, hence
     sigma_4 / sigma_1 <= 2 eps / (1 - eps) < t for eps <= t/3 and t < 1
-    (for t >= 1 the cutoff passes every quadrilateral anyway).
+    (for t >= 1 the cutoff passes every quadrilateral anyway). Non-finite
+    pairs are refused: the exact test fails them as the SVD does.
     """
-    # non-finite input is left to the fallback, which fails as the
-    # per-quadrilateral SVD does (eigh would raise its own error first)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        return False
-    q, r = np.linalg.qr(np.stack([x, y], axis=2))
-    flat = q.transpose(1, 0, 2).reshape(6, -1)
-    _, vecs = np.linalg.eigh(flat @ flat.T)
-    z = vecs[:, -1]
-    c = np.einsum("aij,i->aj", q, z)
+    accept = np.zeros(len(x), dtype=bool)
+    finite = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(y).all(axis=(1, 2))
+    x, y = x[finite], y[finite]
+    q, r = np.linalg.qr(np.stack([x, y], axis=3))
+    flat = q.transpose(0, 2, 1, 3).reshape(len(q), 6, 2 * q.shape[1])
+    z = np.linalg.eigh(flat @ flat.transpose(0, 2, 1))[1][..., -1]
+    c = (np.swapaxes(q, -1, -2) @ z[:, None, :, None])[..., 0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        beta = c[:, 1] / r[:, 1, 1]
-        alpha = (c[:, 0] - r[:, 0, 1] * beta) / r[:, 0, 0]
-        res = np.linalg.norm(z - alpha[:, None] * x - beta[:, None] * y, axis=1)
-        eps = res + _ROUNDING * (1.0 + np.abs(alpha) + np.abs(beta))
-    return bool(np.max(eps) <= t / 3)
+        beta = c[..., 1] / r[..., 1, 1]
+        alpha = (c[..., 0] - r[..., 0, 1] * beta) / r[..., 0, 0]
+        w = z[:, None] - alpha[..., None] * x - beta[..., None] * y
+        eps = np.sqrt(lc.dots(w, w)) + _ROUNDING * (1.0 + np.abs(alpha) + np.abs(beta))
+    accept[finite] = np.max(eps, axis=1) <= t / 3
+    return accept
 
 
-def _quads_circular(x: np.ndarray, y: np.ndarray, t: float) -> bool:
-    """Every quadrilateral [x_s, x_u, y_u, y_s], s < u, has rank <= 3.
-
-    x and y are aligned (n, 6) stacks of unit Moebius lifts, the crossings
-    of two lines with a family of transversal lines. All quadrilaterals are
+def _all_circular(lifts: np.ndarray, groups, t: float) -> bool:
+    """Every quadrilateral [x_s, x_u, y_u, y_s], s < u, of every pair is
+    circular; each of the `groups` holds pair ids (P,) and index rows
+    xs, ys (P, n) of one length n into the unit lifts, the crossings of
+    two lines with transversal lines. All quadrilaterals of a pair are
     circular exactly when the lines <x_a, y_a> of projective space meet
     pairwise, i.e. (classical lemma) are all concurrent or all coplanar.
-    The concurrent case is accepted in O(n) by `_planes_concurrent`; any
-    other input is decided by the rank test of `liecore.points_concircular`
-    (`liecore.unit_lift_rank` with cutoff t) of the C(n, 2) quadrilaterals.
+    The concurrent case is accepted for all pairs of a group at once by
+    `_planes_concurrent`; the refused pairs, in id order, take the exact
+    rank test of `liecore.points_concircular` with cutoff t.
     """
-    n = x.shape[0]
-    if n < 2 or _planes_concurrent(x, y, t):
-        return True
-    s, u = np.triu_indices(n, 1)
-    return bool(np.all(lc.unit_lift_rank(np.stack([x[s], x[u], y[u], y[s]], axis=1), t) <= 3))
+    refused = []
+    for ids, xs, ys in groups:
+        if xs.shape[1] >= 2:
+            bad = ~_planes_concurrent(lifts[xs], lifts[ys], t)
+            refused += zip(ids[bad], xs[bad], ys[bad])
+    for _, xs, ys in sorted(refused, key=lambda pair: pair[0]):
+        x, y, (s, u) = lifts[xs], lifts[ys], np.triu_indices(len(xs), 1)
+        if not np.all(lc.unit_lift_rank(np.stack([x[s], x[u], y[u], y[s]], axis=1), t) <= 3):
+            return False
+    return True
 
 
 def is_multi_circular(net: LegendreNet, direction: str, tol: Optional[float] = None) -> bool:
     """Within each dir-ribbon, every coordinate quadrilateral is circular.
 
     A dir-ribbon is bounded by two dir-lines; the quadrilaterals pair any
-    two crossings of those lines, including non-elementary ones. Each
-    ribbon costs O(n) when the lines joining corresponding crossings are
-    concurrent to within tol/3 (`_planes_concurrent`); otherwise its
-    C(n, 2) quadrilaterals are rank-tested exactly as by
-    `liecore.points_concircular` with cutoff `tol`.
+    two crossings of those lines, including non-elementary ones. A ribbon
+    costs O(n) when the lines joining corresponding crossings are
+    concurrent to within tol/3, and O(n^2) rank tests otherwise
+    (`_all_circular`).
     """
-    t = TOL.membership if tol is None else tol
-    lifts = lc.unit_point_lifts(net.vertex_points())
-    for la, lb in net.complex.coordinates(direction).line_pairs:
-        m = min(len(la), len(lb))
-        if not _quads_circular(lifts[la[:m]], lifts[lb[:m]], t):
-            return False
-    return True
+    pairs = [(a[:len(b)], b[:len(a)]) for a, b in net.complex.coordinates(direction).line_pairs]
+    xs, ys = (_flatten([pair[k] for pair in pairs])[0] for k in (0, 1))
+    groups = [(ids, xs[rows], ys[rows]) for ids, rows in _by_length([a for a, _ in pairs])]
+    return _all_circular(lc.unit_point_lifts(net.vertex_points()), groups,
+                         TOL.membership if tol is None else tol)
+
+
+def is_multi_circular_net(net: LegendreNet, tol: Optional[float] = None) -> bool:
+    """Every coordinate quadrilateral of every span, in both directions.
+
+    The quadrilaterals of two '+'-lines are those of their crossings with
+    the '-'-lines both meet, so each pair of '+'-lines is one pair of
+    `_all_circular`: O(lines^2 * n) on a multi-circular net instead of
+    O(lines^2 * n^2). The pairs go to `_all_circular` in batches of about
+    `_BATCH` crossings.
+    """
+    plus, minus = (net.complex.coordinates(label).lines for label in (PLUS, MINUS))
+    (vertices, pline), (on_minus, which) = _flatten(plus), _flatten(minus)
+    mline = np.full(net.complex.n_vertices, -1)
+    mline[on_minus] = which
+    on = mline[vertices] >= 0
+    # the vertex of each (plus-line, minus-line) crossing, -1 where none; a
+    # pair of lines crossing more than once keeps its last crossing
+    keys, last = np.unique((pline[on] * len(minus) + mline[vertices[on]])[::-1], return_index=True)
+    grid = np.full(len(plus) * len(minus), -1)
+    grid[keys] = vertices[on][::-1][last]
+    grid = grid.reshape(len(plus), len(minus))
+    p1, p2 = np.triu_indices(len(plus), 1)
+    step = _BATCH // max(len(minus), 1) + 1
+
+    def groups():
+        for k in range(0, len(p1), step):
+            a, b = grid[p1[k:k + step]], grid[p2[k:k + step]]
+            both = (a >= 0) & (b >= 0)
+            count = both.sum(axis=1)
+            for rows in (np.flatnonzero(count == n) for n in np.unique(count)):
+                cols = np.nonzero(both[rows])[1].reshape(len(rows), -1)
+                yield k + rows, a[rows[:, None], cols], b[rows[:, None], cols]
+
+    return _all_circular(lc.unit_point_lifts(net.vertex_points()), groups(),
+                         TOL.membership if tol is None else tol)
+
+
+def circle_bases(spaces: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`circle_basis` (g1, g2, g3) of each space of a stack (L, 3, 6), and
+    the mask of the spaces of signature (2,1) (elsewhere undefined)."""
+    eig, vecs = np.linalg.eigh(spaces @ lc.GRAM @ np.swapaxes(spaces, -1, -2))
+    with np.errstate(invalid="ignore"):
+        g3, g1, g2 = ((np.swapaxes(spaces, -1, -2) @ vecs[:, :, k, None])[..., 0]
+                      / np.sqrt(sign * eig[:, k, None]) for k, sign in ((0, -1), (1, 1), (2, 1)))
+    return g1, g2, g3, (eig[:, 0] < 0) & (0 < eig[:, 1])
 
 
 def circle_basis(space: Subspace) -> Tuple[LieVec, LieVec, LieVec]:
     """Pseudo-orthonormal basis (g1, g2 spacelike, g3 timelike) of a (2,1)-space."""
-    g = space.restricted_gram()
-    eig, vecs = np.linalg.eigh(g)
-    if not (eig[0] < 0 < eig[1]):
+    g1, g2, g3, ok = circle_bases(space.basis[None])
+    if not ok[0]:
         raise LieGeometryError("circle space must have signature (2,1)")
-    g3 = space.basis.T @ vecs[:, 0] / math.sqrt(-eig[0])
-    g1 = space.basis.T @ vecs[:, 1] / math.sqrt(eig[1])
-    g2 = space.basis.T @ vecs[:, 2] / math.sqrt(eig[2])
-    return g1, g2, g3
+    return g1[0], g2[0], g3[0]
 
 
 def circle_point(space: Subspace, theta: float) -> LieVec:
@@ -597,11 +691,18 @@ def circle_point(space: Subspace, theta: float) -> LieVec:
     return g3 + math.cos(theta) * g1 + math.sin(theta) * g2
 
 
+def circle_points(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray, m: int,
+                  phase: float = 0.0) -> np.ndarray:
+    """m points (..., m, 6) at equal chart angles, offset by phase, of the
+    circle bases (g1, g2, g3), each (..., 6)."""
+    angles = [phase + 2 * math.pi * k / m for k in range(m)]
+    cos, sin = (np.array([f(a) for a in angles])[:, None] for f in (math.cos, math.sin))
+    return g3[..., None, :] + cos * g1[..., None, :] + sin * g2[..., None, :]
+
+
 def sample_circle(space: Subspace, m: int, phase: float = 0.0) -> List[LieVec]:
     """m point spheres at equal chart angles, offset by phase."""
-    g1, g2, g3 = circle_basis(space)
-    return [g3 + math.cos(phase + 2 * math.pi * k / m) * g1
-            + math.sin(phase + 2 * math.pi * k / m) * g2 for k in range(m)]
+    return list(circle_points(*circle_basis(space), m, phase))
 
 
 def circle_chart_angle(space: Subspace, point_sphere: LieVec) -> float:
@@ -614,55 +715,38 @@ def circle_chart_angle(space: Subspace, point_sphere: LieVec) -> float:
     return math.atan2(inner(x, g2), inner(x, g1))
 
 
+def circles_euclidean(spaces: np.ndarray, n_probe: int = 12):
+    """(ok, center, radius, plane normal): the mask (L,) of the circle
+    spaces of a stack (L, 3, 6) that are Euclidean circles, the others
+    passing through the point at infinity (lines) or being no circle, and
+    the center, radius and normal of each of those. Their n_probe samples
+    are read by one `liecore.unlifts` and fitted by one batched plane SVD
+    and one least-squares circle per circle.
+    """
+    g1, g2, g3, ok = circle_bases(spaces)
+    kind, w = lc.unlifts(circle_points(g1, g2, g3, n_probe))
+    ok &= np.all(kind == 0, axis=1)
+    pts = w[ok, :, :3]
+    centroid = pts.mean(axis=1)
+    vt = np.linalg.svd(pts - centroid[:, None])[2]
+    u, v = vt[:, 0, :, None], vt[:, 1, :, None]
+    xy = np.concatenate([(pts - centroid[:, None]) @ u, (pts - centroid[:, None]) @ v], axis=-1)
+    # least squares circle in the plane: |q|^2 - 2 q.c0 = const
+    a = np.concatenate([2 * xy, np.ones(xy.shape[:-1] + (1,))], axis=-1)
+    sol = np.array([np.linalg.lstsq(ak, bk, rcond=None)[0]
+                    for ak, bk in zip(a, (xy ** 2).sum(axis=-1))]).reshape(-1, 3)
+    r2 = sol[:, 2] + lc.dots(sol[:, :2], sol[:, :2])
+    center = centroid + sol[:, :1] * u[..., 0] + sol[:, 1:2] * v[..., 0]
+    return ok, center, np.sqrt(np.where(0.0 > r2, 0.0, r2)), vt[:, 2]
+
+
 def circle_euclidean(space: Subspace, n_probe: int = 12):
     """Euclidean (center, radius, plane normal) of a circle space.
 
     Fails if the circle passes through the point at infinity (a line).
     """
-    pts = []
-    for p in sample_circle(space, n_probe):
-        d = lc.unlift(p)
-        if d.kind != "point":
-            raise LieGeometryError("circle passes through the point at infinity")
-        pts.append(d.center)
-    pts = np.array(pts)
-    centroid = pts.mean(axis=0)
-    _, sv, vt = np.linalg.svd(pts - centroid)
-    normal = vt[2]
-    u, v = vt[0], vt[1]
-    xy = np.stack([(pts - centroid) @ u, (pts - centroid) @ v], axis=1)
-    # least squares circle in the plane: |q|^2 - 2 q.c0 = const
-    a = np.hstack([2 * xy, np.ones((n_probe, 1))])
-    b = (xy ** 2).sum(axis=1)
-    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-    c0, r = sol[:2], math.sqrt(max(sol[2] + sol[:2] @ sol[:2], 0.0))
-    center = centroid + c0[0] * u + c0[1] * v
-    return center, r, normal
-
-
-def is_multi_circular_net(net: LegendreNet, tol: Optional[float] = None) -> bool:
-    """Every coordinate quadrilateral of every span, in both directions.
-
-    The quadrilaterals of two '+'-lines are those of their crossings with
-    the '-'-lines both meet, so each pair of '+'-lines is one call of
-    `_quads_circular`: O(n) when the lines joining corresponding crossings
-    are concurrent to within tol/3, and otherwise the exact
-    per-quadrilateral rank test with cutoff `tol`. Total cost is
-    O(lines^2 * n) on a multi-circular net instead of O(lines^2 * n^2).
-    """
-    t = TOL.membership if tol is None else tol
-    crossings = net.complex.coordinates(PLUS).crossings
-    n_minus = len(net.complex.coordinates(MINUS).lines)
-    # vertices indexed by (plus-line, minus-line) crossing, -1 where none;
-    # a pair of lines crossing more than once keeps its last crossing
-    grid = np.full((len(crossings), n_minus), -1)
-    for pi, crossing in enumerate(crossings):
-        for mi, vertices in crossing.items():
-            grid[pi, mi] = vertices[-1]
-    lifts = lc.unit_point_lifts(net.vertex_points())
-    for p1 in range(len(grid)):
-        for p2 in range(p1 + 1, len(grid)):
-            both = (grid[p1] >= 0) & (grid[p2] >= 0)
-            if not _quads_circular(lifts[grid[p1, both]], lifts[grid[p2, both]], t):
-                return False
-    return True
+    ok, center, radius, normal = circles_euclidean(space.basis[None], n_probe)
+    if not ok[0]:
+        circle_basis(space)  # a space that is no circle fails as such
+        raise LieGeometryError("circle passes through the point at infinity")
+    return center[0], float(radius[0]), normal[0]

@@ -76,18 +76,12 @@ def euclidean_lifts(net: LegendreNet) -> Tuple[np.ndarray, np.ndarray]:
     without a plane lift.
     """
     p, has_point = point_spheres(net.bases)
-    _raise_first([(~has_point, NO_POINT_SPHERE),
-                  (np.abs(p[:, 3]) <= 1e-13, "vertex {} is a point at infinity")])
+    lc.raise_first([(~has_point, NO_POINT_SPHERE),
+                    (np.abs(p[:, 3]) <= 1e-13, "vertex {} is a point at infinity")])
     n, has_plane = plane_lifts(net.bases)
-    _raise_first([(~has_plane, NO_PLANE_LIFT),
-                  (np.abs(n[:, 5]) <= 1e-13, "vertex {} has no tangent plane lift")])
+    lc.raise_first([(~has_plane, NO_PLANE_LIFT),
+                    (np.abs(n[:, 5]) <= 1e-13, "vertex {} has no tangent plane lift")])
     return p / p[:, 3:4], n / n[:, 5:6]
-
-
-def _raise_first(checks) -> None:
-    failure = lc.first_failure(checks)
-    if failure is not None:
-        raise LieGeometryError(failure[1])
 
 
 def gauss_means(f_quads: np.ndarray, n_quads: np.ndarray
@@ -258,19 +252,20 @@ def is_isothermic_5point(points: np.ndarray, c: QuadComplex) -> IsothermicReport
         # patches drop to rank <= 4
         sv = np.linalg.svd(lifts[[stars[k].patch for k in group]], compute_uv=False)
         applicable[group] = ~(sv[:, 4] / sv[:, 0] <= TOL.cosphericity)
-    _, sv, vt = np.linalg.svd(lifts[five[applicable]])  # `span` of vertex and diagonals
-    rank = np.sum(sv > TOL.rank * sv[:, :1], axis=1)
-    for r in np.unique(rank[rank <= 4]):
-        # `orthocomplement` (it holds the point sphere complex), its Moebius direction
-        comp = np.linalg.svd(vt[rank == r, :r] @ GRAM)[2][:, r:]
-        sphere = comp[:, 1, 5:] * comp[:, 0] - comp[:, 0, 5:] * comp[:, 1]
-        norm = np.sqrt(lc.dots(sphere, sphere))
+    # the spheres through the vertex and its diagonals are the Moebius
+    # complement of their span: one sphere at rank 4, the pencil of their
+    # circle at rank 3; p, Euclidean-orthogonal to point lifts, adds 1 to the rank
+    p = np.broadcast_to(lc.POINT_COMPLEX, (int(applicable.sum()), 1, 6))
+    vt, rank = lc.spans(np.concatenate([lifts[five[applicable]], p], axis=1))
+    for r in np.unique(rank[rank <= 5]):
         group = np.flatnonzero(applicable)[rank == r]
-        off = np.abs(lc.inner_rows(lifts[[stars[k].edge_neighbors for k in group]],
-                                   (sphere / np.maximum(norm, TOL.membership)[:, None])[:, None]))
+        # an edge neighbour's largest distance from the unit spheres through
+        # the points: the norm of its products with the orthonormal complement
+        ip = lc.inner_rows(lifts[[stars[k].edge_neighbors for k in group]][:, :, None],
+                           lc.orthocomplements(vt[rank == r, :r])[:, None])
         # a patch that passed the nowhere-spherical gate keeps its edge neighbours
         # off the 5-point sphere by at least the order of the gate cutoff
-        passed[group] = (norm > TOL.membership) & (off.max(axis=1) > 0.1 * TOL.cosphericity)
+        passed[group] = np.sqrt(lc.dots(ip, ip)).max(axis=1) > 0.1 * TOL.cosphericity
     diagonal_circular = lc.moebius_point_rank(pts[five[:, 1:]]) <= 3
     return IsothermicReport(*(dict(zip(five[:, 0].tolist(), verdicts.tolist()))
                               for verdicts in (applicable, passed, diagonal_circular)))

@@ -16,16 +16,16 @@ from typing import List, Sequence, Union
 import numpy as np
 
 from . import liecore as lc
-from .liecore import LieGeometryError, Subspace, unlift, unlift_moebius
+from .liecore import LieGeometryError, unlift_moebius
 from .cellcomplex import QuadComplex, edge_key, make_grid, validate, PLUS, MINUS
 from .legendre import (
     NO_PLANE_LIFT, NO_POINT_SPHERE, ContactElementError, LegendreNet, contact_bases,
     is_legendre, net_from_bases, plane_lifts, point_normal_generators, point_spheres,
 )
 from .channel import (
-    DiscreteCurve3D, verify_channel, complete_certificate, first_full_certificate,
-    underdetermined, certificate_residuals, cross_ratio_constancy, is_multi_circular,
-    is_multi_circular_net, dupin_verdict, sample_circle, circle_euclidean,
+    DiscreteCurve3D, certified, first_full_certificate, certificate_residuals,
+    cross_ratio_constancy, is_multi_circular, is_multi_circular_net, dupin_verdict,
+    circle_bases, circle_points, circles_euclidean,
 )
 from .builder import SphereCurve
 from .curvature import curvature_report, kappa_line_spread, is_isothermic_5point
@@ -288,54 +288,66 @@ def load_curve(path: Union[str, Path]) -> DiscreteCurve3D:
 # reports
 
 
-def _moebius_descriptor(v: np.ndarray) -> dict:
-    try:
-        d = unlift_moebius(v)
-    except LieGeometryError:
-        return {"kind": "unrepresentable"}
-    if d.kind == "plane":
-        return {"kind": "plane", "normal": list(d.normal), "offset": d.offset}
-    return {"kind": "sphere", "center": list(d.center), "radius": d.radius}
+def _lie_descriptors(vectors: np.ndarray) -> List[dict]:
+    """Euclidean reading of each null vector of a stack (`unlift`)."""
+    kind, w = lc.unlifts(vectors)
+    lc.raise_first([(kind == -2, "cannot normalize the zero vector"),
+                    (kind == -1, lambda _: lc.NotALieSphereError(lc.NOT_A_LIE_SPHERE))])
+    return [_descriptor(lc.KINDS[k], row) for k, row in zip(kind.tolist(), w.tolist())]
 
 
-def _lie_descriptor(v: np.ndarray) -> dict:
-    d = unlift(v)
-    if d.kind == "plane":
-        return {"kind": "plane", "normal": list(d.normal), "offset": d.offset}
-    if d.kind == "sphere":
-        return {"kind": "sphere", "center": list(d.center), "radius": d.radius}
-    if d.kind == "point":
-        return {"kind": "point", "center": list(d.center)}
+def _descriptor(kind: str, w: list) -> dict:
+    """Descriptor of an `unlifts` row w of the given kind."""
+    if kind == "plane":
+        return {"kind": "plane", "normal": w[:3], "offset": w[4]}
+    if kind == "sphere":
+        return {"kind": "sphere", "center": w[:3], "radius": w[5]}
+    if kind == "point":
+        return {"kind": "point", "center": w[:3]}
     return {"kind": "point_at_infinity"}
 
 
-def _circle_descriptor(space: np.ndarray) -> dict:
-    try:
-        center, radius, normal = circle_euclidean(Subspace(space))
-    except LieGeometryError:
-        return {"kind": "line"}
-    return {"kind": "circle", "center": list(center), "radius": radius,
-            "plane_normal": list(normal)}
+def _moebius_descriptors(vectors: np.ndarray) -> List[dict]:
+    """Euclidean reading of each Moebius sphere vector of a stack
+    (`unlift_moebius`, one orientation), a point as a sphere of radius
+    null; "unrepresentable" where it fails."""
+    units, ok = lc.unit_moebius_spheres(vectors)
+    kind, w = lc.unlifts(units + lc.E6)
+    return [{"kind": "unrepresentable"} if not good or k not in (0, 1, 2) else
+            _descriptor("plane", row) if k == 2 else
+            {"kind": "sphere", "center": row[:3], "radius": row[5] if k == 1 else None}
+            for good, k, row in zip(ok.tolist(), kind.tolist(), w.tolist())]
+
+
+def _circle_descriptors(spaces: np.ndarray) -> List[dict]:
+    """Circle (center, radius, plane normal) of each circle space of a
+    stack, or "line" where the circle passes through infinity."""
+    ok, *circle = circles_euclidean(spaces)
+    found = zip(*(x.tolist() for x in circle))
+    return [{"kind": "circle", **dict(zip(("center", "radius", "plane_normal"), next(found)))}
+            if good else {"kind": "line"} for good in ok.tolist()]
 
 
 def certificate_to_dict(cert) -> dict:
-    """Serializable content of a channel certificate."""
+    """Serializable content of a channel certificate; each family of
+    vectors is read as one stack."""
     return {
         "direction": cert.direction,
         "lines": [list(line) for line in cert.lines],
         "ribbons": [list(r) for r in cert.ribbons],
         "ribbon_lines": [list(rl) for rl in cert.ribbon_lines],
-        "enveloped_spheres": [_lie_descriptor(s) for s in cert.line_spheres],
-        "circles": [_circle_descriptor(c) for c in cert.circle_spaces],
-        "face_spheres": [_moebius_descriptor(s) for s in cert.face_spheres],
-        "quer_spheres": [_moebius_descriptor(s) for s in cert.quer_spheres],
-        "face_quer_spheres": [_moebius_descriptor(s) for s in cert.face_quer_spheres],
+        "enveloped_spheres": _lie_descriptors(cert.line_spheres),
+        "circles": _circle_descriptors(cert.circle_spaces),
+        "face_spheres": _moebius_descriptors(cert.face_spheres),
+        "quer_spheres": _moebius_descriptors(cert.quer_spheres),
+        "face_quer_spheres": _moebius_descriptors(cert.face_quer_spheres),
     }
 
 
 def verify_report(net: LegendreNet, directions: Sequence[str] = (PLUS, MINUS)) -> dict:
-    """Report of the requested directions from one verify_channel result
-    per direction; both are always computed, for the Dupin test."""
+    """Report of the requested directions from one completed certificate
+    (`certified`) per direction; both are always computed, for the Dupin
+    test."""
     diag = is_legendre(net)
     report: dict = {
         "format": "liechannel-verify-report", "version": 1,
@@ -344,17 +356,12 @@ def verify_report(net: LegendreNet, directions: Sequence[str] = (PLUS, MINUS)) -
         "directions": {},
     }
     any_channel = False
-    results = {d: verify_channel(net, d) for d in (PLUS, MINUS)}
+    results = {d: certified(net, d) for d in (PLUS, MINUS)}
     for d in directions:
         entry: dict = {}
         res = cert = results[d]
         if res.ok:
-            try:
-                complete_certificate(cert, net)
-                residuals = certificate_residuals(cert, net)
-            except LieGeometryError as exc:
-                res = underdetermined(d, exc)
-        if res.ok:
+            residuals = certificate_residuals(cert, net)
             entry.update({
                 "channel": True, "envelopes": True,
                 "failed_check": None, "failure_location": None,
@@ -440,20 +447,18 @@ def export_obj(net: LegendreNet, path: Union[str, Path], circles: bool = False,
         cert = first_full_certificate(net)
         if not cert.ok:
             raise LieGeometryError("cannot export circles: net is not a channel surface")
+        g1, g2, g3, ok = circle_bases(cert.circle_spaces)
+        kind, w = lc.unlifts(circle_points(g1, g2, g3, circle_samples))
+        # a circle through infinity is left out; its samples are read in order
+        stop = kind[np.arange(len(kind)), np.argmax(kind != 0, axis=1)]
+        lc.raise_first([(~ok, "circle space must have signature (2,1)"),
+                        (stop == -2, "cannot normalize the zero vector"),
+                        (stop == -1, lambda _: lc.NotALieSphereError(lc.NOT_A_LIE_SPHERE))])
         base = net.complex.n_vertices
-        for li, space in enumerate(cert.circle_spaces):
+        for li, (kinds, pts) in enumerate(zip(kind, w[..., :3].tolist())):
             lines.append(f"o circle_{li}")
-            pts = []
-            for s in sample_circle(Subspace(space), circle_samples):
-                d = unlift(s)
-                if d.kind != "point":
-                    pts = []
-                    break
-                pts.append(d.center)
-            for p in pts:
-                lines.append(f"v {float(p[0])!r} {float(p[1])!r} {float(p[2])!r}")
-            if pts:
-                idx = [str(base + k + 1) for k in range(len(pts))]
-                lines.append("l " + " ".join(idx + [idx[0]]))
+            if np.all(kinds == 0):
+                lines += [f"v {p[0]!r} {p[1]!r} {p[2]!r}" for p in pts]
+                lines.append("l " + " ".join(str(base + k + 1) for k in [*range(len(pts)), 0]))
                 base += len(pts)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -254,20 +254,11 @@ class LegendreNet:
         """Positions (n, 3) of the vertex point spheres (all by default), read by unlift."""
         vs = list(range(self.complex.n_vertices) if vertices is None else vertices)
         s, ok = point_spheres(self.bases[vs])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            n = s / np.sqrt(lc.dots(s, s))[:, None]
-            nn = np.sqrt(lc.dots(n, n))
-            null = np.abs(lc.inner_rows(n, n)) <= TOL.null * nn * nn  # is_null
-            w = n / n[:, 3:4]
-            centers = w[:, :3].copy()
-            point = (np.abs(n[:, 3]) > TOL.null) & \
-                (np.abs(w[:, 5]) <= TOL.null * (1.0 + np.sqrt(lc.dots(centers, centers))))
-        failure = lc.first_failure([(~ok, NO_POINT_SPHERE), (~null, lc.NOT_A_LIE_SPHERE), (~point, "")])
-        if failure is not None:
-            k, message = failure
-            error = lc.NotALieSphereError if message == lc.NOT_A_LIE_SPHERE else LieGeometryError
-            raise error(message or f"vertex {vs[k]} has no finite Euclidean position")
-        return centers
+        kind, w = lc.unlifts(s)
+        lc.raise_first([(~ok, NO_POINT_SPHERE),
+                        (kind == -1, lambda _: lc.NotALieSphereError(lc.NOT_A_LIE_SPHERE)),
+                        (kind != 0, lambda k: f"vertex {vs[k]} has no finite Euclidean position")])
+        return w[:, :3].copy()
 
 
 def net_from_bases(c: QuadComplex, bases: np.ndarray) -> LegendreNet:

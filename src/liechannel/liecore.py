@@ -122,17 +122,29 @@ def dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def first_failure(checks) -> Optional[Tuple[int, str]]:
+def first_failure(checks) -> Optional[Tuple[int, object]]:
     """Lowest index flagged by any of the (mask, message) checks, with the
-    message of the first check flagging it ("{}" is filled with the index);
-    None when nothing is flagged. This is the error a loop over the indices
-    running the checks in order would raise."""
+    message of the first check flagging it: a str, in which "{}" is filled
+    with the index, or a function of the index. None when nothing is
+    flagged. This is the error a loop over the indices running the checks
+    in order would raise."""
     first = None
     for bad, message in checks:
         hits = np.flatnonzero(bad)
         if hits.size and (first is None or hits[0] < first[0]):
             first = (int(hits[0]), message)
-    return None if first is None else (first[0], first[1].format(first[0]))
+    if first is None:
+        return None
+    k, message = first
+    return k, message(k) if callable(message) else message.format(k)
+
+
+def raise_first(checks) -> None:
+    """Raise the `first_failure` of the checks, if any: a message that is
+    an exception as it is, a string as LieGeometryError."""
+    failure = first_failure(checks)
+    if failure is not None:
+        raise failure[1] if isinstance(failure[1], Exception) else LieGeometryError(failure[1])
 
 
 def projective_distance(a: LieVec, b: LieVec) -> float:
@@ -194,26 +206,42 @@ class SphereDescriptor:
     offset: Optional[float] = None
 
 
-def unlift(v: LieVec, tol: Optional[float] = None) -> SphereDescriptor:
-    """Classify a null vector; inverse of the lifts up to projective scale."""
+KINDS = ("point", "sphere", "plane", "point_at_infinity")  # the codes of `unlifts`
+
+
+def unlifts(vectors: np.ndarray, tol: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """`unlift` of each row of a stack (..., 6): the index into KINDS of its
+    kind (-1 off the Lie quadric, -2 for a zero row: both refused by
+    `unlift`) and the row scaled to u0 = 1 (points and spheres) or u6 = 1
+    (planes), whose coordinates are the center and radius or the normal
+    and offset. Each row is `unlift` of it alone, bit for bit."""
     t = TOL.null if tol is None else tol
-    n = normalized(v)
-    if not is_null(n, t):
-        raise NotALieSphereError(NOT_A_LIE_SPHERE)
-    u0 = n[3]
-    if abs(u0) <= t:
+    v = np.asarray(vectors, dtype=float)
+    norm = np.sqrt(dots(v, v))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n = v / norm[..., None]
+        nn = np.sqrt(dots(n, n))
+        null = np.abs(inner_rows(n, n)) <= t * nn * nn
         # a null unit n with |u0| <= t has |spatial|^2 <= u6^2 + 3t, so a
         # vanishing u6 leaves only the point at infinity
-        if abs(n[5]) <= t:
-            return SphereDescriptor(kind="point_at_infinity")
-        w = n / n[5]
-        return SphereDescriptor(kind="plane", normal=w[:3].copy(), offset=float(w[4]))
-    w = n / u0
-    center = w[:3].copy()
-    radius = float(w[5])
-    if abs(radius) <= t * (1.0 + np.linalg.norm(center)):
-        return SphereDescriptor(kind="point", center=center)
-    return SphereDescriptor(kind="sphere", center=center, radius=radius)
+        at_infinity = np.abs(n[..., 3]) <= t
+        w = n / np.where(at_infinity, n[..., 5], n[..., 3])[..., None]
+        center = w[..., :3]
+        point = np.abs(w[..., 5]) <= t * (1.0 + np.sqrt(dots(center, center)))
+    kind = np.where(at_infinity, np.where(np.abs(n[..., 5]) <= t, 3, 2), np.where(point, 0, 1))
+    return np.where(norm == 0.0, -2, np.where(null, kind, -1)), w
+
+
+def unlift(v: LieVec, tol: Optional[float] = None) -> SphereDescriptor:
+    """Classify a null vector; inverse of the lifts up to projective scale."""
+    kind, w = unlifts(np.asarray(v, dtype=float)[None], tol)
+    raise_first([(kind == -2, "cannot normalize the zero vector"),
+                 (kind == -1, lambda _: NotALieSphereError(NOT_A_LIE_SPHERE))])
+    k, w = KINDS[kind[0]], w[0].copy()
+    return SphereDescriptor(kind=k, center=w[:3] if k in ("point", "sphere") else None,
+                            radius=float(w[5]) if k == "sphere" else None,
+                            normal=w[:3] if k == "plane" else None,
+                            offset=float(w[4]) if k == "plane" else None)
 
 
 def in_oriented_contact(a: LieVec, b: LieVec, tol: Optional[float] = None) -> bool:
@@ -273,36 +301,53 @@ def residuals(bases: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         return np.where(n == 0.0, 0.0, np.sqrt(dots(d, d)) / n)
 
 
+def spans(stacks: np.ndarray, tol: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """`span` of each stack of a (..., n, 6) array by one batched SVD: the
+    right singular vectors (..., min(n, 6) or 6, 6), whose first rank rows
+    are the basis, and the ranks (...), 0 where `span` refuses."""
+    t = TOL.rank if tol is None else tol
+    # a full U of a tall stack is n x n and thrown away; at most 6 rows keep
+    # the full factorisation, whose row signs the reports were written with
+    _, sv, vt = np.linalg.svd(stacks, full_matrices=stacks.shape[-2] <= 6)
+    return vt, np.sum(sv > t * sv[..., :1], axis=-1)
+
+
 def span(vectors: Sequence[LieVec], tol: Optional[float] = None) -> Subspace:
     """Subspace spanned by the vectors; rank via SVD with relative cutoff."""
-    t = TOL.rank if tol is None else tol
     m = np.atleast_2d(np.asarray(vectors, dtype=float))
     if m.size == 0:
         raise LieGeometryError("span of zero vectors")
-    # a full U of a tall stack is k x k and thrown away; at most 6 rows keep
-    # the full factorisation, whose row signs the reports were written with
-    _, sv, vt = np.linalg.svd(m, full_matrices=m.shape[0] <= 6)
-    if sv[0] == 0.0:
+    vt, rank = spans(m, tol)
+    if rank == 0:
         raise LieGeometryError("span of zero vectors")
-    rank = int(np.sum(sv > t * sv[0]))
     return Subspace(basis=vt[:rank].copy())
 
 
-def signature(s: Subspace, tol: Optional[float] = None) -> SignatureReport:
+def signatures(bases: np.ndarray, tol: Optional[float] = None
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Restricted-form eigenvalues (..., k) and `signature` counts n_plus,
+    n_minus (...) of each basis of a (..., k, 6) stack, one batched eigvalsh."""
     t = TOL.signature if tol is None else tol
-    eig = np.linalg.eigvalsh(s.restricted_gram())
-    cutoff = t * max(1e-300, float(np.max(np.abs(eig)))) if eig.size else 0.0
-    n_plus = int(np.sum(eig > cutoff))
-    n_minus = int(np.sum(eig < -cutoff))
-    return SignatureReport(n_plus=n_plus, n_minus=n_minus,
-                           n_null=s.dim - n_plus - n_minus, eigenvalues=eig)
+    eig = np.linalg.eigvalsh(bases @ GRAM @ np.swapaxes(bases, -1, -2))
+    cutoff = t * np.maximum(1e-300, np.max(np.abs(eig), axis=-1, initial=0.0))[..., None]
+    return eig, np.sum(eig > cutoff, axis=-1), np.sum(eig < -cutoff, axis=-1)
+
+
+def signature(s: Subspace, tol: Optional[float] = None) -> SignatureReport:
+    eig, n_plus, n_minus = signatures(s.basis, tol)
+    return SignatureReport(n_plus=int(n_plus), n_minus=int(n_minus),
+                           n_null=s.dim - int(n_plus) - int(n_minus), eigenvalues=eig)
+
+
+def orthocomplements(bases: np.ndarray) -> np.ndarray:
+    """Gram-orthogonal complements (..., 6 - k, 6) of the bases of a
+    (..., k, 6) stack, one batched SVD."""
+    return np.linalg.svd(bases @ GRAM, full_matrices=True)[2][..., bases.shape[-2]:, :]
 
 
 def orthocomplement(s: Subspace) -> Subspace:
     """Gram-orthogonal complement; dim(S) + dim(S^perp) = 6 always."""
-    m = s.basis @ GRAM
-    _, _, vt = np.linalg.svd(m, full_matrices=True)
-    return Subspace(basis=vt[s.dim:].copy())
+    return Subspace(basis=orthocomplements(s.basis).copy())
 
 
 def project_onto(v: np.ndarray, s: Subspace, tol: Optional[float] = None) -> np.ndarray:
@@ -319,13 +364,18 @@ def project_onto(v: np.ndarray, s: Subspace, tol: Optional[float] = None) -> np.
     return (s.basis.T @ coeff)[..., 0]
 
 
+def subspace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`subspace_distance` (...) of each pair of aux-orthonormal bases of
+    two (..., k, 6) stacks of one dimension k."""
+    return np.maximum(residuals(b[..., None, :, :], a).max(axis=-1),
+                      residuals(a[..., None, :, :], b).max(axis=-1))
+
+
 def subspace_distance(a: Subspace, b: Subspace) -> float:
     """Max containment residual in both directions (0 iff equal subspaces)."""
     if a.dim != b.dim:
         return 1.0
-    ra = max(b.residual(v) for v in a.basis)
-    rb = max(a.residual(v) for v in b.basis)
-    return max(ra, rb)
+    return float(subspace_distances(a.basis, b.basis))
 
 
 def intersect(a: Subspace, b: Subspace, tol: Optional[float] = None) -> Subspace:
@@ -346,17 +396,26 @@ def intersect(a: Subspace, b: Subspace, tol: Optional[float] = None) -> Subspace
 
 
 def moebius_part(v: LieVec) -> LieVec:
-    """Component of v orthogonal to the point sphere complex (kills e6)."""
-    return v + inner(v, POINT_COMPLEX) * POINT_COMPLEX
+    """Component of v (or of each row of a stack) orthogonal to the point
+    sphere complex (kills e6)."""
+    return v + inner_rows(v, POINT_COMPLEX)[..., None] * POINT_COMPLEX
+
+
+def unit_moebius_spheres(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """`unit_moebius_sphere` of each row of a stack (..., 6), and the mask
+    of rows that have a real unoriented sphere part (elsewhere undefined)."""
+    s = moebius_part(v)
+    q = inner_rows(s, s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return s / np.sqrt(q)[..., None], ~(q <= 0.0)
 
 
 def unit_moebius_sphere(v: LieVec) -> LieVec:
     """Moebius part normalized to (s,s) = +1 (real, unoriented sphere)."""
-    s = moebius_part(v)
-    q = inner(s, s)
-    if q <= 0.0:
+    s, ok = unit_moebius_spheres(np.asarray(v, dtype=float)[None])
+    if not ok[0]:
         raise LieGeometryError("vector has no real unoriented sphere part")
-    return s / np.sqrt(q)
+    return s[0]
 
 
 def oriented_representative(v: LieVec) -> LieVec:

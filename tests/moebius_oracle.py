@@ -13,7 +13,9 @@ import numpy as np
 
 from liechannel.config import TOL
 from liechannel.curvature import IsothermicReport, interior_vertex_stars
-from liechannel.liecore import LieGeometryError, inner, normalized, orthocomplement, span
+from liechannel.liecore import (
+    POINT_COMPLEX, LieGeometryError, inner, normalized, orthocomplement, span,
+)
 
 from kernel_oracle import unit_point_lift
 
@@ -103,7 +105,15 @@ def is_isothermic_5point(points, c):
         if not applicable[v]:
             continue
         sp = span(lifts[[v] + star.diagonal_neighbors])
-        if sp.dim <= 4:
+        if sp.dim <= 3:
+            # a circle (or less): some sphere through it avoids an edge
+            # neighbour exactly when one lies off it; the distance is the
+            # largest over the unit members of the spheres through it
+            comp = orthocomplement(span(list(sp.basis) + [POINT_COMPLEX])).basis
+            off = [math.sqrt(sum(inner(lifts[e], q) * inner(lifts[e], q) for q in comp))
+                   for e in star.edge_neighbors]
+            passed[v] = len(comp) == 5 - sp.dim and max(off) > 0.1 * TOL.cosphericity
+        elif sp.dim <= 4:
             comp = orthocomplement(sp)
             c1, c2 = comp.basis[0], comp.basis[1]
             sphere = c2[5] * c1 - c1[5] * c2

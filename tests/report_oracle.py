@@ -7,9 +7,10 @@ the derived sphere families one item at a time (`oracle_certificate`,
 `oracle_complete`, `oracle_residuals`). The other parts of the report come
 from their own public functions: `cross_ratio_constancy`,
 `is_multi_circular`, `is_multi_circular_net`, `is_isothermic_5point` and
-`is_dupin_cyclide` (which runs `verify_channel` for both directions once
-more). `io_json.verify_report` must give the same bytes from one
-certificate per direction.
+`is_dupin_cyclide` (which completes both directions once more). The
+certificate is serialised vector by vector, through the scalar `unlift`
+and circle fit below. `io_json.verify_report` must give the same bytes
+from one certificate per direction.
 """
 
 import math
@@ -21,11 +22,10 @@ from liechannel import liecore as lc
 from liechannel.cellcomplex import MINUS, PLUS
 from liechannel.channel import (
     ChannelFailure, cross_ratio_constancy, is_dupin_cyclide, is_multi_circular,
-    is_multi_circular_net, sphere_pencil, touching_circle_space,
+    is_multi_circular_net, touching_circle_space,
 )
 from liechannel.config import TOL
 from liechannel.curvature import is_isothermic_5point
-from liechannel.io_json import _circle_descriptor, _lie_descriptor, _moebius_descriptor
 from liechannel.legendre import (
     NO_POINT_SPHERE, DegenerateFaceError, DupinCyclide, face_cyclide_family, face_spheres_of,
     is_legendre, point_spheres,
@@ -34,6 +34,83 @@ from liechannel.liecore import (
     POINT_COMPLEX, LieGeometryError, canonical_sign, gram_reflection, inner, normalized,
     orthocomplement, signature, span, subspace_distance, unit_moebius_sphere,
 )
+
+
+def unlift(v, tol=None):
+    """`liecore.unlift` of one vector: (kind, center, radius, normal, offset)."""
+    t = TOL.null if tol is None else tol
+    n = normalized(v)
+    if not lc.is_null(n, t):
+        raise lc.NotALieSphereError(lc.NOT_A_LIE_SPHERE)
+    u0 = n[3]
+    if abs(u0) <= t:
+        if abs(n[5]) <= t:
+            return "point_at_infinity", None, None, None, None
+        w = n / n[5]
+        return "plane", None, None, w[:3].copy(), float(w[4])
+    w = n / u0
+    center, radius = w[:3].copy(), float(w[5])
+    if abs(radius) <= t * (1.0 + np.linalg.norm(center)):
+        return "point", center, None, None, None
+    return "sphere", center, radius, None, None
+
+
+def lie_descriptor(v):
+    kind, center, radius, normal, offset = unlift(v)
+    if kind == "plane":
+        return {"kind": "plane", "normal": list(normal), "offset": offset}
+    if kind == "sphere":
+        return {"kind": "sphere", "center": list(center), "radius": radius}
+    if kind == "point":
+        return {"kind": "point", "center": list(center)}
+    return {"kind": "point_at_infinity"}
+
+
+def moebius_descriptor(v):
+    try:
+        kind, center, radius, normal, offset = unlift(unit_moebius_sphere(v) + lc.E6)
+    except LieGeometryError:
+        return {"kind": "unrepresentable"}
+    if kind == "plane":
+        return {"kind": "plane", "normal": list(normal), "offset": offset}
+    return {"kind": "sphere", "center": list(center), "radius": radius}
+
+
+def circle_euclidean(basis, n_probe=12):
+    """Circle (center, radius, plane normal) of a circle space basis, from
+    n_probe samples unlifted one by one and a plane and circle fit."""
+    eig, vecs = np.linalg.eigh(basis @ lc.GRAM @ basis.T)
+    if not (eig[0] < 0 < eig[1]):
+        raise LieGeometryError("circle space must have signature (2,1)")
+    g3 = basis.T @ vecs[:, 0] / math.sqrt(-eig[0])
+    g1 = basis.T @ vecs[:, 1] / math.sqrt(eig[1])
+    g2 = basis.T @ vecs[:, 2] / math.sqrt(eig[2])
+    pts = []
+    for k in range(n_probe):
+        p = g3 + math.cos(2 * math.pi * k / n_probe) * g1 + math.sin(2 * math.pi * k / n_probe) * g2
+        kind, center, *_ = unlift(p)
+        if kind != "point":
+            raise LieGeometryError("circle passes through the point at infinity")
+        pts.append(center)
+    pts = np.array(pts)
+    centroid = pts.mean(axis=0)
+    _, _, vt = np.linalg.svd(pts - centroid)
+    normal, u, v = vt[2], vt[0], vt[1]
+    xy = np.stack([(pts - centroid) @ u, (pts - centroid) @ v], axis=1)
+    a = np.hstack([2 * xy, np.ones((n_probe, 1))])
+    b = (xy ** 2).sum(axis=1)
+    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
+    c0, r = sol[:2], math.sqrt(max(sol[2] + sol[:2] @ sol[:2], 0.0))
+    return centroid + c0[0] * u + c0[1] * v, r, normal
+
+
+def circle_descriptor(basis):
+    try:
+        center, radius, normal = circle_euclidean(basis)
+    except LieGeometryError:
+        return {"kind": "line"}
+    return {"kind": "circle", "center": list(center), "radius": radius,
+            "plane_normal": list(normal)}
 
 
 def oracle_certificate(net, direction):
@@ -163,7 +240,7 @@ def oracle_complete(cert, net):
         cert.face_spheres.append(canonical_sign(unit_moebius_sphere(comp.basis[0])))
     cert.quer_spheres = []
     for li in range(len(cert.lines)):
-        q1, q2 = sphere_pencil(circles[li]).basis
+        q1, q2 = orthocomplement(span(list(circles[li].basis) + [POINT_COMPLEX])).basis
         s = cert.line_spheres[li]
         v = inner(q2, s) * q1 - inner(q1, s) * q2
         if np.linalg.norm(v) <= TOL.membership:
@@ -194,6 +271,21 @@ def oracle_complete(cert, net):
                 f"(candidate residuals {candidates[0][0]:.3e}, {candidates[1][0]:.3e})")
         cert.face_quer_spheres.append(canonical_sign(unit_moebius_sphere(candidates[0][1])))
     return cert
+
+
+def oracle_certificate_dict(cert) -> dict:
+    """certificate_to_dict of a completed oracle certificate."""
+    return {
+        "direction": cert.direction,
+        "lines": [list(line) for line in cert.lines],
+        "ribbons": [list(r) for r in cert.ribbons],
+        "ribbon_lines": [list(rl) for rl in cert.ribbon_lines],
+        "enveloped_spheres": [lie_descriptor(s) for s in cert.line_spheres],
+        "circles": [circle_descriptor(c.basis) for c in cert.circles],
+        "face_spheres": [moebius_descriptor(s) for s in cert.face_spheres],
+        "quer_spheres": [moebius_descriptor(s) for s in cert.quer_spheres],
+        "face_quer_spheres": [moebius_descriptor(s) for s in cert.face_quer_spheres],
+    }
 
 
 def oracle_verify_report(net, directions=(PLUS, MINUS)) -> dict:
@@ -234,17 +326,7 @@ def oracle_verify_report(net, directions=(PLUS, MINUS)) -> dict:
                 entry["multi_circular_ribbons"] = is_multi_circular(net, d)
             except LieGeometryError:
                 entry["multi_circular_ribbons"] = None
-            entry["certificate"] = {
-                "direction": cert.direction,
-                "lines": [list(line) for line in cert.lines],
-                "ribbons": [list(r) for r in cert.ribbons],
-                "ribbon_lines": [list(rl) for rl in cert.ribbon_lines],
-                "enveloped_spheres": [_lie_descriptor(s) for s in cert.line_spheres],
-                "circles": [_circle_descriptor(c.basis) for c in cert.circles],
-                "face_spheres": [_moebius_descriptor(s) for s in cert.face_spheres],
-                "quer_spheres": [_moebius_descriptor(s) for s in cert.quer_spheres],
-                "face_quer_spheres": [_moebius_descriptor(s) for s in cert.face_quer_spheres],
-            }
+            entry["certificate"] = oracle_certificate_dict(cert)
             any_channel = True
         else:
             entry.update({

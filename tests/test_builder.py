@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import liechannel as L
+from liechannel import io_json
 from liechannel.liecore import subspace_distance, unlift_moebius
 from liechannel.builder import (
     propagate_profile_normals, sphere_curve_from_certificate,
@@ -319,3 +320,18 @@ class TestPropagation:
         circle = L.orthocomplement(L.span([a, L.moebius_plane((0, 0, 1), 0.0), L.E6]))
         with pytest.raises(L.LieGeometryError, match="degenerat"):
             blend_cyclide(circle, a, b)
+
+
+def test_degenerate_face_cyclide_member_is_named():
+    # columns 7 and 8 of a 12-sphere curve built with 16 samples, at the t0
+    # meant to rebuild its first ribbon's cyclide: the member of step 5 has
+    # a 2-dimensional D- (as blended by scripts/output_digest.py)
+    built = L.channel_from_sphere_curve(random_sphere_curve(np.random.default_rng(9), 12), 16)
+    vertices = io_json.net_to_dict(built.net)["vertices"]
+    c1, c2 = (L.DiscreteCurve3D(points=np.array([v["point"] for v in vertices[col::16]]))
+              for col in (7, 8))
+    normal = np.array(vertices[7]["normal"])
+    f0 = L.contact_from_point_normal(vertices[7]["point"], normal / np.linalg.norm(normal))
+    with pytest.raises(L.LieGeometryError, match=r"^degenerate face-cyclide member at step 5 "
+                                                 r"\(t = 1\.5696\d+\): dims 3, 2$"):
+        L.blend_channel(c1, c2, f0, 1.4808292377837171, 16)

@@ -8,7 +8,7 @@ import pytest
 import liechannel as L
 from liechannel.liecore import subspace_distance, unlift_moebius
 from liechannel import channel
-from liechannel.channel import certificate_residuals, sphere_pencil
+from liechannel.channel import certificate_residuals, moebius_complements
 
 from liechannel.cli import random_generator_net
 
@@ -127,18 +127,23 @@ class TestGeneratingCircles:
         assert cert.circle_spaces is None  # a failed completion leaves the certificate
 
     def test_degenerate_circle_space_fails(self, torus):
-        # the stack holds 3-dimensional circle spaces only
+        # the stack holds 3-dimensional circle spaces only: a D- basis of
+        # ribbon 0 with a repeated row maps onto a 2-space, and line 0
+        # bounds ribbon 0 alone
         cert = L.verify_channel(torus, "+")
-        with mock.patch.object(channel, "touching_circle_space",
-                               lambda s, d: L.Subspace(np.eye(6)[:2])):
-            with pytest.raises(L.LieGeometryError,
-                               match=r"generating circle of line 0 degenerates \(dim 2\)"):
-                L.complete_certificate(cert, torus)
+        assert cert.line_ribbons[0] == [0]
+        cert.dminus[0, 2] = cert.dminus[0, 1]
+        with pytest.raises(L.LieGeometryError,
+                           match=r"^generating circle of line 0 degenerates \(dim 2\)$"):
+            L.complete_certificate(cert, torus)
 
     def test_nan_agreement_residual_fails_closed(self, torus):
+        # line 1 is the first line that bounds two ribbons
         cert = L.verify_channel(torus, "+")
-        with mock.patch.object(channel, "subspace_distance", lambda a, b: math.nan):
-            with pytest.raises(L.LieGeometryError, match="disagree between ribbons"):
+        with mock.patch.object(channel.lc, "subspace_distances",
+                               lambda a, b: np.full(a.shape[:-2], math.nan)):
+            with pytest.raises(L.LieGeometryError, match=r"^generating circles of line 1 disagree "
+                                                         r"between ribbons \(residual nan\)$"):
                 L.complete_certificate(cert, torus)
 
     def test_nan_membership_residual_fails_closed(self, torus):
@@ -150,16 +155,23 @@ class TestGeneratingCircles:
                                match="vertex 0 does not lie on the generating circle of line 0"):
                 L.complete_certificate(cert, torus)
 
-    def test_nan_constancy_residual_fails_closed(self, torus):
-        with mock.patch.object(channel.lc, "projective_distance", lambda a, b: math.nan):
-            res = L.verify_channel(torus, "+")
-        assert not res.ok and res.check == "constancy" and "residual nan" in res.message
+    def test_nan_constancy_residual_fails_closed(self):
+        # a NaN edge sphere in the middle of '+' line 3: its distance to the
+        # line's first sphere is NaN, which must fail the line
+        net = L.make_dupin_torus(2.0, 1.0, 12, 10)
+        edge = net.complex.coordinates("+").line_edges[3][5]
+        net._edge_spheres[edge] = np.full(6, math.nan)
+        res = L.verify_channel(net, "+")
+        assert not res.ok and (res.check, res.location) == ("constancy",
+                                                            "line 3 (vertices [36, 37, 38, 39]...)")
+        assert res.message == "curvature sphere varies along the line (residual nan)"
 
     def test_nan_swapping_residual_fails_closed(self):
         # neither candidate reflection of a cone's ribbons is null, so both
         # residuals are the injected NaN (a torus has one null candidate)
         cert = L.full_certificate(random_generator_net("cone", 5, 5, 7), "+")
-        with mock.patch.object(channel, "subspace_distance", lambda a, b: math.nan):
+        with mock.patch.object(channel.lc, "subspace_distances",
+                               lambda a, b: np.full(a.shape[:-2], math.nan)):
             with pytest.raises(L.LieGeometryError, match=r"ribbon 0: no swapping reflection "
                                                          r"found \(candidate residuals nan, nan\)"):
                 channel._face_quer_spheres(cert.circle_spaces, cert.face_spheres,
@@ -239,8 +251,8 @@ class TestQuerSpheres:
             q = torus_cert.quer_spheres[li]
             s = torus_cert.line_spheres[li]
             assert abs(L.inner(q, s)) / np.linalg.norm(s) < 1e-10
-            pencil = sphere_pencil(torus_cert.circles[li].dplus)
-            assert pencil.residual(q) < 1e-9
+            pencil, rank = moebius_complements(torus_cert.circle_spaces[li, None], 4)
+            assert rank[0] == 4 and L.Subspace(pencil[0]).residual(q) < 1e-9
 
     def test_face_quer_swaps_circles(self, torus_cert):
         for ri, (la, lb) in enumerate(torus_cert.ribbon_lines):

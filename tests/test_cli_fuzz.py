@@ -51,6 +51,43 @@ def test_generated_nets(kind, n, m, seed):
             assert_contract(net, tmp)
 
 
+def verify_report(net: Path, tmp: Path, direction: str) -> dict:
+    report = tmp / f"report{direction}.json"
+    assert run("verify", "--in", str(net), "--direction", direction,
+               "--report", str(report)) in (0, 1)
+    return json.loads(report.read_text(encoding="utf-8"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(KINDS), n=st.integers(2, 6), m=st.integers(2, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_dupin_only_when_both_directions_are_channel(kind, n, m, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        net = tmp / "net.json"
+        if run("generate", kind, "--n", str(n), "--m", str(m), "--seed", str(seed),
+               "--out", str(net)) != 0:
+            return
+        both = verify_report(net, tmp, "both")
+        channel = [entry["channel"] for entry in both["directions"].values()]
+        assert not both["dupin_cyclide"] or channel == [True, True]
+        # the verdict does not depend on the directions a report shows
+        one = {verify_report(net, tmp, d)["dupin_cyclide"] for d in "+-"}
+        assert one == {both["dupin_cyclide"]}
+
+
+def test_underdetermined_revolution_is_not_dupin():
+    # its '-' ribbons are single faces whose cyclides disagree on shared lines
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        net = tmp / "net.json"
+        assert run("generate", "revolution", "--n", "2", "--m", "3", "--seed", "0",
+                   "--out", str(net)) == 0
+        report = verify_report(net, tmp, "both")
+        assert [report["directions"][d]["failed_check"] for d in "+-"] == [None, "underdetermined"]
+        assert report["dupin_cyclide"] is False
+
+
 def _vertices(points):
     return [{"point": p, "normal": [0.0, 0.0, 1.0]} for p in points]
 

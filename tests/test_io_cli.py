@@ -216,9 +216,10 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "face-spheres" in err
 
-    def test_blend_degenerate_next_circle_exit_2(self, tmp_path, capsys):
+    def test_blend_degenerate_cyclide_member_exit_2(self, tmp_path, capsys):
         # round-trip blend through columns 7, 8 of a net built from a random
-        # sphere curve: the circle of one propagation step is only a 2-space
+        # sphere curve: the face-cyclide member of step 5 has a 2-dimensional
+        # D-, whose circle would be only a 2-space
         curve = tmp_path / "curve.json"
         io_json.save_sphere_curve(random_sphere_curve(np.random.default_rng(9), 12), curve)
         built = L.channel_from_sphere_curve(io_json.load_sphere_curve(curve), 16)
@@ -241,7 +242,7 @@ class TestCli:
                      "--contact-point", *map(repr, p0), "--contact-normal", *map(repr, n0),
                      "--t0", repr(t0), "--samples", "16",
                      "--out", str(tmp_path / "blend.json")]) == 2
-        assert "degenerates" in capsys.readouterr().err
+        assert "degenerate face-cyclide member at step 5 " in capsys.readouterr().err
 
 
 class TestHostileNetFiles:

@@ -12,6 +12,7 @@ from liechannel.liecore import (
 )
 
 import kernel_oracle
+import report_oracle
 
 
 coord = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
@@ -126,6 +127,32 @@ class TestUnlift:
         assert d.kind == "plane" and d.offset == pytest.approx(1e5)
 
 
+    @pytest.mark.filterwarnings("error")
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-9, 1.0, 1e9]))
+    @settings(max_examples=40, deadline=None)
+    def test_stack_equals_the_one_vector_oracle(self, seed, scale):
+        rng = np.random.default_rng(seed)
+        c, n = rng.normal(size=(4, 3)), rng.normal(size=(2, 3))
+        rows = [L.lift_point(c[0]), L.lift_sphere(c[1], 0.7), L.lift_sphere(c[2], -1e-12),
+                L.lift_plane(n[0] / np.linalg.norm(n[0]), 0.4), L.lift_point(1e6 * c[3]),
+                L.lift_plane(n[1] / np.linalg.norm(n[1]), 1e10), rng.normal(size=6), np.zeros(6)]
+        stack = scale * np.array(rows)
+        kind, w = L.liecore.unlifts(stack)
+        for k, v, row in zip(kind.tolist(), stack, w):
+            try:
+                want = report_oracle.unlift(v)
+            except L.LieGeometryError as exc:
+                assert (k, str(exc)) in ((-1, L.liecore.NOT_A_LIE_SPHERE),
+                                         (-2, "cannot normalize the zero vector"))
+                continue
+            assert L.liecore.KINDS[k] == want[0]
+            got = {"plane": (row[:3], row[4]), "sphere": (row[:3], row[5]),
+                   "point": (row[:3],), "point_at_infinity": ()}[want[0]]
+            expected = [x for x in want[1:] if x is not None]
+            assert all(np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+                       for a, b in zip(got, expected))
+
+
 class TestOrientedContact:
     def test_examples(self):
         s0 = L.lift_sphere((0, 0, 0), 1.0)
@@ -223,6 +250,28 @@ class TestSubspaces:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert all(L.Subspace(bases[k]).residual(vectors[k, j]) == want[k, j]
                    for k in range(5) for j in range(4))
+
+    @given(dim=st.integers(1, 4), near=st.sampled_from([0.0, 1e-12, 1e-6, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_stacked_spans_equal_one_by_one(self, dim, near, seed):
+        rng = np.random.default_rng(seed)
+        a = np.array([np.linalg.svd(rng.normal(size=(6, 6)))[2][:dim] for _ in range(5)])
+        b = np.array([np.linalg.svd(x + near * rng.normal(size=x.shape))[2][:dim] for x in a])
+        got = L.liecore.subspace_distances(a, b)
+        want = [max(max(kernel_oracle.subspace_residual(y, v) for v in x),
+                    max(kernel_oracle.subspace_residual(x, v) for v in y)) for x, y in zip(a, b)]
+        assert got.tolist() == want
+        stacks = rng.normal(size=(5, dim + 1, 6))
+        stacks[0, -1] = stacks[0, 0]
+        vt, rank = L.liecore.spans(stacks)
+        for k, m in enumerate(stacks):
+            assert np.array_equal(vt[k, :rank[k]], L.span(m).basis)
+            assert np.array_equal(L.liecore.orthocomplements(vt[k, None, :rank[k]])[0],
+                                  L.orthocomplement(L.span(m)).basis)
+        eig, n_plus, n_minus = L.liecore.signatures(b)
+        assert [(p, m) for p, m in zip(n_plus.tolist(), n_minus.tolist())] == \
+            [L.signature(L.Subspace(x)).triple[:2] for x in b]
 
     def test_span_memory_is_linear_in_rows(self):
         # a full SVD of a (4096, 6) stack allocates a 4096 x 4096 U (134 MB)

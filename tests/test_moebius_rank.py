@@ -245,6 +245,19 @@ def test_five_point_spheres_match_oracle(seed, on, offsets):
     assert_isothermic_matches(points, make_grid(3, 3))
 
 
+def test_concircular_star_passes():
+    """Vertex and diagonal neighbours of the one star of a 3x3 grid on a
+    circle, the edge neighbours off it: a sphere of the circle's pencil
+    avoids them, so the star passes."""
+    rng = np.random.default_rng(4)
+    points = rng.normal(size=(9, 3))
+    angles = np.array([0.3, 1.5, 2.6, 3.9, 5.1])
+    points[[0, 2, 4, 6, 8]] = np.column_stack([np.cos(angles), np.sin(angles), np.zeros(5)])
+    report = is_isothermic_5point(points, make_grid(3, 3))
+    assert report.applicable == {4: True} and report.passed == {4: True}
+    assert report == oracle.is_isothermic_5point(points, make_grid(3, 3))
+
+
 def test_no_interior_star():
     net = random_generator_net("revolution", 0, 2, 3)
     assert interior_vertex_stars(net.complex) == []

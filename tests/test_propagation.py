@@ -26,8 +26,8 @@ DEGENERATE_CONDITION = "propagation condition degenerates"
 ROOTS_DISAGREE = "propagation roots disagree with the tangency direction"
 
 # 12-sphere curves built with 16 samples whose blend through columns 7 and 8,
-# at the t0 that should rebuild the first ribbon's cyclide, fails in the
-# propagation (as in scripts/output_digest.py)
+# at the t0 that should rebuild the first ribbon's cyclide, meets a
+# face-cyclide member with a 2-dimensional D- (as in scripts/output_digest.py)
 FAILING_BLENDS = {3: 1.4656630439821414, 9: 1.4808292377837171}
 
 
@@ -172,10 +172,20 @@ def test_error_cases(passing):
         assert assert_matches_oracle(rows, cy, next_hat) == (L.LieGeometryError, message)
 
 
-def test_two_dimensional_dminus(calls):
-    # the failing blends reach face-cyclide members with a 2-dimensional D-,
-    # on which the off-cyclide test or the next circle's dimension fails
-    errors = {assert_matches_oracle(x, cy, hat) for x, cy, hat in calls if cy.dminus.dim == 2}
+def test_two_dimensional_dminus(calls, passing, tmp_path):
+    # the failing blends stop at their face-cyclide member with a
+    # 2-dimensional D-, before any propagation through it
+    assert all(cy.dminus.dim == 3 for _, cy, _ in calls)
+    for seed, t0 in FAILING_BLENDS.items():
+        with pytest.raises(L.LieGeometryError, match=r"^degenerate face-cyclide member at step "
+                                                     r"\d+ \(t = \S+\): dims 3, 2$"):
+            failing_blend(tmp_path, seed, t0)()
+    # on such a member the off-cyclide test or the next circle's dimension fails
+    x, cy, hat = passing[0]
+    xm = L.project_onto(x[0], cy.dminus)
+    other = cy.dminus.basis[np.argmin(np.abs(cy.dminus.basis @ xm))]
+    errors = {assert_matches_oracle(x, L.DupinCyclide(dplus=cy.dplus, dminus=dminus), hat)
+              for dminus in (L.Subspace(cy.dminus.basis[:2]), L.span([xm, other]))}
     assert errors == {(L.LieGeometryError, OFF_CYCLIDE),
                       (L.LieGeometryError, "circle of the next sphere degenerates (dim 2)")}
 

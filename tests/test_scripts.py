@@ -1,9 +1,13 @@
 """The scripts run to completion and print their key results."""
 
 import hashlib
+import json
 import re
 import runpy
 from pathlib import Path
+
+from liechannel import io_json
+from liechannel.channel import verify_channel
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -37,9 +41,12 @@ def test_output_digest(capsys):
     exits = {name[:-len(" exit")]: d for name, d in digests.items() if name.endswith(" exit")}
     # generate on 8 settings, 7 commands on each net and the swapped one,
     # build, verify, classify, export --circles and blend on 4 sphere curves
-    # and on 2 whose blends fail
-    assert len(exits) == 8 + 9 * 7 + 6 * 5
+    # and on 2 whose blends fail, verify on the 2 nets that fail mid-check
+    assert len(exits) == 8 + 9 * 7 + 6 * 5 + 2
     code = {hashlib.sha256(str(c).encode()).hexdigest(): c for c in (0, 1, 2)}
+    assert {name: code.get(exits[name]) for name in ("moved-corner verify both",
+                                                      "beside verify both")} == {
+        "moved-corner verify both": 1, "beside verify both": 1}
     assert {name: code.get(d) for name, d in exits.items() if name.startswith("swapped")} == {
         "swapped verify +": 1, "swapped verify -": 0, "swapped verify both": 0,
         "swapped classify": 1, "swapped curvature": 0, "swapped export": 0,
@@ -53,3 +60,17 @@ def test_output_digest(capsys):
     assert len(built) == 18 and all(code.get(exits[name]) == 0 for name in built)
     assert all(code.get(d) == 0 for name, d in exits.items()
                if name.split()[1] in ("generate", "build", "blend") and name not in failing)
+
+
+def test_digest_failure_nets_fail_in_the_middle():
+    """The two nets the digest verifies last fail where the stacked checks
+    must find the first failure: not on the first line or ribbon."""
+    digest = runpy.run_path(str(SCRIPTS / "output_digest.py"), run_name="nets")
+    moved = digest["moved_corner_patch"]()
+    beside = io_json.net_from_dict(json.loads(json.dumps(digest["patch_beside_example"]())))
+    found = [(res.check, res.location) for res in (verify_channel(net, d) for net in (moved, beside)
+                                                   for d in "+-")]
+    assert found == [("constancy", "line 4 (vertices [24, 25, 26, 27]...)"),
+                     ("constancy", "line 5 (vertices [5, 11, 17, 23]...)"),
+                     ("ribbon_span", "ribbon 3"),
+                     ("constancy", "line 5 (vertices [20, 27, 34, 41]...)")]

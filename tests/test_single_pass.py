@@ -45,10 +45,26 @@ def test_report_equals_independent_calls(name):
     assert json.dumps(io_json.verify_report(net)) == got
 
 
-def test_underdetermined_direction_keeps_dupin_verdict():
+def test_underdetermined_direction_is_not_dupin():
+    # the Dupin verdict reads the completed certificates of both directions
     rep = io_json.verify_report(NETS["revolution_n2_m3"]())
     assert rep["directions"]["-"]["failed_check"] == "underdetermined"
-    assert rep["dupin_cyclide"] is True
+    assert rep["dupin_cyclide"] is False
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale, shift", [(1.0, 0.0), (1e-3, 0.0), (1e3, 0.0), (1e-6, 0.0),
+                                          (1.0, 30.0), (1.0, 100.0), (1.0, 1000.0)])
+def test_dupin_only_when_both_directions_are_certified(scale, shift):
+    # a 12^2 torus moved by a similarity; some of these fail a direction
+    # (ROADMAP item 2), and the verdict must then be false
+    torus = L.make_dupin_torus(2.0, 1.0, 12, 12)
+    doc = io_json.net_to_dict(torus)
+    for v in doc["vertices"]:
+        v["point"] = [scale * x + shift for x in v["point"]]
+    rep = io_json.verify_report(io_json.net_from_dict(doc))
+    both = all(entry["channel"] for entry in rep["directions"].values())
+    assert rep["dupin_cyclide"] is both
 
 
 @pytest.fixture
@@ -63,7 +79,6 @@ def counters(monkeypatch):
 
     verify = counted("verify_channel", channel.verify_channel)
     monkeypatch.setattr(channel, "verify_channel", verify)
-    monkeypatch.setattr(io_json, "verify_channel", verify)
     monkeypatch.setattr(cellcomplex, "_label_lines",
                         counted("lines", cellcomplex._label_lines))
     monkeypatch.setattr(cellcomplex, "_label_ribbons",
