@@ -75,8 +75,8 @@ PROPAGATION_FAILURES = {3: 1.4656630439821414, 9: 1.4808292377837171}
 def torus_patch(m: int, n: int) -> LegendreNet:
     """The first m x n vertices of a 10 x 8 Dupin torus, on an open grid."""
     torus = make_dupin_torus(2.5, 0.9, 10, 8)
-    elements = tuple(torus.element(b * 10 + a) for b in range(n) for a in range(m))
-    return LegendreNet(complex=make_grid(m, n), elements=elements)
+    vertices = [b * 10 + a for b in range(n) for a in range(m)]
+    return LegendreNet(complex=make_grid(m, n), bases=torus.bases[vertices])
 
 
 def moved_corner_patch() -> LegendreNet:
@@ -92,9 +92,9 @@ def moved_corner_patch() -> LegendreNet:
     s = s + 1e-3 * (u - (u @ s) * s)
     a, b = minus.basis
     t = inner(b, s) * a - inner(a, s) * b
-    elements = list(net.elements)
-    elements[corner] = contact_from_vectors(s, t)
-    return LegendreNet(complex=net.complex, elements=tuple(elements))
+    bases = net.bases.copy()
+    bases[corner] = contact_from_vectors(s, t).basis
+    return LegendreNet(complex=net.complex, bases=bases)
 
 
 def patch_beside_example() -> dict:
@@ -159,7 +159,7 @@ def digest_all() -> None:
 
     # '-' certificate completes, '+' ribbons of one face each do not
     base = random_generator_net("revolution", 0, 2, 3)
-    swapped = LegendreNet(complex=swapped_labels(base.complex), elements=base.elements)
+    swapped = LegendreNet(complex=swapped_labels(base.complex), bases=base.bases)
     io_json.save_net(swapped, "swapped.net.json")
     print(f"swapped input {sha(Path('swapped.net.json').read_bytes())}")
     net_commands("swapped", "swapped.net.json")

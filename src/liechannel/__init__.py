@@ -23,7 +23,7 @@ from .cellcomplex import (
 from .legendre import (
     ContactElement, LegendreNet, DupinCyclide, FaceCyclideFamily,
     contact_from_point_normal, contact_from_vectors, curvature_sphere,
-    contact_bases, curvature_spheres, net_from_bases,
+    contact_bases, curvature_spheres,
     is_legendre, net_from_edge_spheres, net_from_points_normals,
     face_cyclide_family, is_face_cyclide,
     NotInContactError, IdenticalContactElementsError, DegenerateFaceError,

@@ -47,7 +47,7 @@ from .liecore import (
 from .cellcomplex import make_grid, PLUS
 from .legendre import (
     ContactElement, LegendreNet, DupinCyclide, DegenerateFaceError, FaceCyclideFamily,
-    contact_bases, contact_from_vectors, curvature_spheres, net_from_bases,
+    contact_bases, contact_from_vectors, curvature_spheres,
     net_from_points_normals,
 )
 from .channel import (
@@ -364,7 +364,7 @@ def _assemble_channel_net(circle_spaces: List[Subspace], hats: List[LieVec],
     lines = np.array([hats[b % len(hats)] for b in range(len(rows))])
     gens = np.stack([points, np.broadcast_to(lines[:, None], points.shape)], axis=2)
     grid = make_grid(points.shape[1], len(rows), wrap_plus=True)
-    net = net_from_bases(grid, contact_bases(gens.reshape(-1, 2, 6)))
+    net = LegendreNet(complex=grid, bases=contact_bases(gens.reshape(-1, 2, 6)))
     cert = full_certificate(net, PLUS)
     if not cert.ok:
         raise LieGeometryError(f"constructed net fails verification: {cert.message}")

@@ -17,10 +17,16 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 PLUS = "+"
 MINUS = "-"
+# labels of the face edges (i,j), (j,k), (k,l), (l,i), and the positions of each label
+FACE_LABELS = (MINUS, PLUS, MINUS, PLUS)
+SLOTS = {lab: [t for t, x in enumerate(FACE_LABELS) if x == lab] for lab in (PLUS, MINUS)}
 
 Edge = Tuple[int, int]
 
@@ -38,55 +44,65 @@ class GridInfo:
 
 @dataclass(frozen=True)
 class QuadComplex:
+    """Edge e is ``edges[e]``, and every per-edge array is in that order;
+    a vertex pair listed more than once is indexed by its last listing."""
+
     n_vertices: int
     edges: Tuple[Tuple[int, int, str], ...]
     faces: Tuple[Tuple[int, int, int, int], ...]
     grid: Optional[GridInfo] = None
-    _labels: Dict[Edge, str] = field(default_factory=dict, repr=False, compare=False)
-    _vertex_edges: Dict[int, List[Edge]] = field(default_factory=dict, repr=False, compare=False)
-    _edge_faces: Dict[Edge, List[int]] = field(default_factory=dict, repr=False, compare=False)
-    _vertex_faces: Dict[int, List[int]] = field(default_factory=dict, repr=False, compare=False)
+    _edge_index: Dict[Edge, int] = field(init=False, repr=False, compare=False)
+    _vertex_edges: Dict[int, List[int]] = field(init=False, repr=False, compare=False)
+    _vertex_faces: Dict[int, List[int]] = field(init=False, repr=False, compare=False)
+    edge_vertices: np.ndarray = field(init=False, repr=False, compare=False)  # (E, 2) (min, max)
+    face_edge_ids: np.ndarray = field(init=False, repr=False, compare=False)  # (F, 4)
     _coordinates: Dict[str, "Coordinates"] = field(default_factory=dict, init=False,
                                                    repr=False, compare=False)
 
     def __post_init__(self):
-        labels: Dict[Edge, str] = {}
-        vertex_edges: Dict[int, List[Edge]] = {v: [] for v in range(self.n_vertices)}
-        for i, j, lab in self.edges:
-            k = edge_key(i, j)
-            labels[k] = lab
-            vertex_edges[i].append(k)
-            vertex_edges[j].append(k)
-        edge_faces: Dict[Edge, List[int]] = {k: [] for k in labels}
+        index: Dict[Edge, int] = {}
+        vertex_edges: Dict[int, List[int]] = {v: [] for v in range(self.n_vertices)}
+        for e, (i, j, _lab) in enumerate(self.edges):
+            index[edge_key(i, j)] = e
+            vertex_edges[i].append(e)
+            vertex_edges[j].append(e)
+        face_edge_ids: List[List[int]] = []
         vertex_faces: Dict[int, List[int]] = {v: [] for v in range(self.n_vertices)}
         for fi, face in enumerate(self.faces):
-            for a, b in face_edges(face):
-                edge_faces[edge_key(a, b)].append(fi)
+            # face_edge_labels order; a face edge that is no edge raises KeyError
+            face_edge_ids.append([index[edge_key(a, b)] for a, b, _lab in face_edge_labels(face)])
             for v in dict.fromkeys(face):
                 vertex_faces[v].append(fi)
-        object.__setattr__(self, "_labels", labels)
+        object.__setattr__(self, "_edge_index", index)
         object.__setattr__(self, "_vertex_edges", vertex_edges)
-        object.__setattr__(self, "_edge_faces", edge_faces)
         object.__setattr__(self, "_vertex_faces", vertex_faces)
+        object.__setattr__(self, "edge_vertices", np.sort(
+            np.array([e[:2] for e in self.edges], dtype=int).reshape(-1, 2), axis=1))
+        object.__setattr__(self, "face_edge_ids",
+                           np.array(face_edge_ids, dtype=int).reshape(-1, 4))
+
+    def edge_id(self, i: int, j: int) -> int:
+        """Id of the edge joining i and j; KeyError if there is none."""
+        return self._edge_index[edge_key(i, j)]
+
+    def edge_ids(self, a: Sequence[int], b: Sequence[int]) -> np.ndarray:
+        """Ids of the edges joining a[k] and b[k]; KeyError if one is missing."""
+        lo, hi = np.minimum(a, b).tolist(), np.maximum(a, b).tolist()
+        return np.array([self._edge_index[k] for k in zip(lo, hi)], dtype=int)
 
     def label(self, i: int, j: int) -> str:
-        return self._labels[edge_key(i, j)]
+        return self.edges[self.edge_id(i, j)][2]
 
     def has_edge(self, i: int, j: int) -> bool:
-        return edge_key(i, j) in self._labels
+        return edge_key(i, j) in self._edge_index
 
-    def vertex_edges(self, v: int) -> List[Edge]:
+    def vertex_edges(self, v: int) -> List[int]:
+        """Ids of the edges at v, ascending."""
         return self._vertex_edges[v]
-
-    def edge_faces(self, i: int, j: int) -> List[int]:
-        return self._edge_faces[edge_key(i, j)]
 
     def vertex_faces(self, v: int) -> List[int]:
         """Indices of the faces containing v, ascending."""
         return self._vertex_faces[v]
-
-    def vertex_star_degree(self, v: int) -> int:
-        return len(self._vertex_edges[v])
 
     def coordinates(self, label: str) -> "Coordinates":
         """Lines, ribbons and their maps for one label, built once per complex."""
@@ -98,14 +114,9 @@ class QuadComplex:
         return coords
 
 
-def face_edges(face: Sequence[int]) -> List[Tuple[int, int]]:
-    i, j, k, l = face
-    return [(i, j), (j, k), (k, l), (l, i)]
-
-
 def face_edge_labels(face: Sequence[int]) -> List[Tuple[int, int, str]]:
     i, j, k, l = face
-    return [(i, j, MINUS), (j, k, PLUS), (k, l, MINUS), (l, i, PLUS)]
+    return list(zip((i, j, k, l), (j, k, l, i), FACE_LABELS))
 
 
 def make_grid(n_plus: int, n_minus: int, wrap_plus: bool = False) -> QuadComplex:
@@ -187,10 +198,12 @@ def _label_lines(c: QuadComplex, label: str) -> List[List[int]]:
 
 def _label_ribbons(c: QuadComplex, label: str) -> List[List[int]]:
     """Maximal face strips glued along edges of the opposite label."""
-    glue = MINUS if label == PLUS else PLUS
-    nbrs = {fi: [fj for a, b, lab in face_edge_labels(face) if lab == glue
-                 for fj in c.edge_faces(a, b) if fj != fi]
-            for fi, face in enumerate(c.faces)}
+    faces_of: Dict[int, List[int]] = {}
+    for fi, ids in enumerate(c.face_edge_ids.tolist()):
+        for e in ids:
+            faces_of.setdefault(e, []).append(fi)
+    glue = c.face_edge_ids[:, SLOTS[MINUS if label == PLUS else PLUS]].tolist()
+    nbrs = {fi: [fj for e in ids for fj in faces_of[e] if fj != fi] for fi, ids in enumerate(glue)}
     # open strips first, then closed ones
     return _walks(nbrs, [fi for fi, ns in nbrs.items() if len(ns) <= 1], list(nbrs))
 
@@ -202,7 +215,7 @@ class Coordinates:
     facts at once, each ribbon and crossing fact on first use (while the
     complex is alive). They are shared by every certificate and test of
     the net and must not be mutated. A ribbon's faces are glued along edges
-    of the opposite label.
+    of the opposite label. Edges are edge ids of the complex.
     """
 
     def __init__(self, c: QuadComplex, label: str):
@@ -210,13 +223,14 @@ class Coordinates:
         self._complex, self.label = weakref.proxy(c), label
         self.opposite = MINUS if label == PLUS else PLUS
         self.lines: List[List[int]] = _label_lines(c, label)
-        self.line_edges: List[List[Edge]] = [_line_edges(c, line) for line in self.lines]
-        self.edge_line = {e: li for li, edges in enumerate(self.line_edges) for e in edges}
+        self.line_edges: List[List[int]] = _line_edges(c, self.lines)
+        self.edge_line = np.full(len(c.edges), -1)  # line of each edge, -1 if none
+        for li, edges in enumerate(self.line_edges):
+            self.edge_line[edges] = li
         self.vertex_line = {v: li for li, line in enumerate(self.lines) for v in line}
 
-    def _strip_edges(self, strip: List[int], label: str) -> List[Edge]:
-        return [edge_key(a, b) for fi in strip
-                for a, b, lab in face_edge_labels(self._complex.faces[fi]) if lab == label]
+    def _strip_edges(self, strip: List[int], label: str) -> List[int]:
+        return self._complex.face_edge_ids[strip][:, SLOTS[label]].ravel().tolist()
 
     @cached_property
     def ribbons(self) -> List[List[int]]:
@@ -224,7 +238,7 @@ class Coordinates:
         return _label_ribbons(self._complex, self.label)
 
     @cached_property
-    def ribbon_edges(self) -> List[List[Edge]]:
+    def ribbon_edges(self) -> List[List[int]]:
         """Distinct opposite-label edges of each ribbon, in strip order."""
         return [list(dict.fromkeys(self._strip_edges(strip, self.opposite)))
                 for strip in self.ribbons]
@@ -232,8 +246,8 @@ class Coordinates:
     @cached_property
     def ribbon_lines(self) -> List[Tuple[int, ...]]:
         """Ascending ids of the lines bounding each ribbon (two when sound)."""
-        return [tuple(sorted({self.edge_line[e] for e in self._strip_edges(strip, self.label)
-                              if e in self.edge_line}))
+        return [tuple(sorted({li for li in self.edge_line[self._strip_edges(strip, self.label)]
+                              .tolist() if li >= 0}))
                 for strip in self.ribbons]
 
     @cached_property
@@ -253,8 +267,8 @@ class Coordinates:
         c, pairs = self._complex, []
         for la, lb in (bounds for bounds in self.ribbon_lines if len(bounds) == 2):
             on_b = set(self.lines[lb])
-            mates = [{w for e in c.vertex_edges(v) for w in e
-                      if w in on_b and c.label(*e) == self.opposite} for v in self.lines[la]]
+            mates = [{w for e in c.vertex_edges(v) if c.edges[e][2] == self.opposite
+                      for w in c.edges[e][:2] if w in on_b} for v in self.lines[la]]
             unique = all(len(m) == 1 for m in mates)
             pairs.append((self.lines[la], [min(m) for m in mates] if unique else self.lines[lb]))
         return pairs
@@ -273,12 +287,16 @@ class Coordinates:
         return out
 
 
-def _line_edges(c: QuadComplex, line: List[int]) -> List[Edge]:
-    """Edges of a line in walk order, the closing edge of a cycle last."""
-    out = [edge_key(line[t], line[t + 1]) for t in range(len(line) - 1)]
-    if len(line) > 2 and c.has_edge(line[-1], line[0]):
-        out.append(edge_key(line[-1], line[0]))
-    return out
+def _line_edges(c: QuadComplex, lines: List[List[int]]) -> List[List[int]]:
+    """Edge ids of each line in walk order, the closing edge of a cycle last."""
+    starts, ends, counts = [], [], []
+    for line in lines:
+        nxt = line[1:] + line[:1] if len(line) > 2 and c.has_edge(line[-1], line[0]) else line[1:]
+        starts += line[:len(nxt)]
+        ends += nxt
+        counts.append(len(nxt))
+    ids = c.edge_ids(starts, ends).tolist()
+    return [ids[k - n:k] for k, n in zip(accumulate(counts), counts)]
 
 
 def plus_lines(c: QuadComplex) -> List[List[int]]:
@@ -313,39 +331,20 @@ class ComplexDiagnostics:
     overfull_edges: List[Edge]
     disconnected: bool
 
-    def issues(self) -> List[str]:
-        out = []
-        if self.odd_interior_vertices:
-            out.append(f"interior vertices of odd degree: {self.odd_interior_vertices}")
-        if self.bad_faces:
-            out.append(f"faces with inconsistent edge labels: {self.bad_faces}")
-        if self.overfull_edges:
-            out.append(f"edges in more than two faces: {self.overfull_edges}")
-        if self.disconnected:
-            out.append("complex is not connected")
-        return out
-
 
 def validate(c: QuadComplex) -> ComplexDiagnostics:
     """Diagnostic pass over the complex invariants; never raises."""
-    overfull = [e for e, fs in c._edge_faces.items() if len(fs) > 2]
+    # faces of each edge; every face edge is an edge (the complex refuses others)
+    count = np.bincount(c.face_edge_ids.ravel(), minlength=len(c.edges))
+    overfull = [k for k, e in c._edge_index.items() if count[e] > 2]
 
-    bad_faces = []
-    for fi, face in enumerate(c.faces):
-        ok = True
-        for a, b, expected in face_edge_labels(face):
-            if not c.has_edge(a, b) or c.label(a, b) != expected:
-                ok = False
-        if not ok:
-            bad_faces.append(fi)
+    labels = np.array([lab for *_e, lab in c.edges], dtype=str)
+    bad_faces = np.flatnonzero((labels[c.face_edge_ids] != FACE_LABELS).any(axis=1)).tolist()
 
-    boundary = set()
-    for e, fs in c._edge_faces.items():
-        if len(fs) < 2:
-            boundary.update(e)
+    boundary = {v for k, e in c._edge_index.items() if count[e] < 2 for v in k}
     odd_interior = [
         v for v in range(c.n_vertices)
-        if v not in boundary and c.vertex_star_degree(v) % 2 == 1
+        if v not in boundary and len(c.vertex_edges(v)) % 2 == 1
     ]
 
     # connectivity over edges
@@ -355,8 +354,7 @@ def validate(c: QuadComplex) -> ComplexDiagnostics:
         stack = [0]
         while stack:
             v = stack.pop()
-            for a, b in c.vertex_edges(v):
-                w = b if a == v else a
+            for w in (w for e in c.vertex_edges(v) for w in c.edges[e][:2]):
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)

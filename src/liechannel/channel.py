@@ -37,7 +37,7 @@ from .liecore import (
     LieVec, LieGeometryError, DegenerateGramError, Subspace, POINT_COMPLEX, inner,
     canonical_sign, span, signature, orthocomplement, subspace_distance, oriented_representative,
 )
-from .cellcomplex import PLUS, MINUS, face_edge_labels
+from .cellcomplex import PLUS, MINUS
 from .legendre import (
     NO_POINT_SPHERE, LegendreNet, DupinCyclide, is_legendre, face_cyclide_family,
     point_spheres, DegenerateFaceError,
@@ -131,9 +131,9 @@ def _by_length(groups: List[List]) -> List[Tuple[np.ndarray, np.ndarray]]:
 
 
 def _sphere_groups(net: LegendreNet, groups) -> Tuple[np.ndarray, np.ndarray]:
-    """Edge spheres (E, 6) of edge groups in `_flatten` order, and the group of each."""
+    """Edge spheres (E, 6) of edge id groups in `_flatten` order, and the group of each."""
     edges, group = _flatten(groups)
-    return np.array([net.edge_sphere(*e) for e in edges.tolist()]).reshape(-1, 6), group
+    return net.edge_spheres[edges], group
 
 
 def verify_channel(net: LegendreNet, direction: str = PLUS):
@@ -226,8 +226,7 @@ def certificate_residuals(cert: ChannelCertificate, net: LegendreNet) -> Dict[st
     env = np.abs(lc.inner_rows(s, gens)) / (np.sqrt(lc.dots(s, s)) * np.sqrt(lc.dots(gens, gens)))
     # face spheres in `face_edge_labels` order: '-', '+', '-', '+'
     faces, ribbon = _flatten(cert.ribbons)
-    spheres = np.array([net.edge_sphere(a, b) for fi in faces
-                        for a, b, _ in face_edge_labels(net.complex.faces[fi])]).reshape(-1, 4, 6)
+    spheres = net.edge_spheres[net.complex.face_edge_ids[faces]]
     plus, minus = (cert.dplus, cert.dminus) if cert.direction == PLUS else (cert.dminus, cert.dplus)
     fc = [lc.residuals(plus[ribbon, None], spheres[:, 1::2]),
           lc.residuals(minus[ribbon, None], spheres[:, ::2])]
@@ -439,8 +438,8 @@ def dupin_verdict(net: LegendreNet, res_p, res_m):
         return False, None, f"'+' direction fails: {res_p.message}"
     if not res_m.ok:
         return False, None, f"'-' direction fails: {res_m.message}"
-    s_plus = [net.edge_sphere(i, j) for i, j, lab in net.complex.edges if lab == PLUS]
-    s_minus = [net.edge_sphere(i, j) for i, j, lab in net.complex.edges if lab == MINUS]
+    labels = np.array([lab for *_e, lab in net.complex.edges], dtype=str)
+    s_plus, s_minus = (net.edge_spheres[labels == lab] for lab in (PLUS, MINUS))
     sp = span(s_plus)
     sm = span(s_minus)
     if sp.dim == 3 and sm.dim == 3:
@@ -452,8 +451,8 @@ def dupin_verdict(net: LegendreNet, res_p, res_m):
     else:
         # tiny nets: complete the splitting through one face's family
         cy = DupinCyclide(dplus=Subspace(res_p.dplus[0]), dminus=Subspace(res_p.dminus[0]))
-        if not all(cy.dplus.contains(s) for s in s_plus) or \
-                not all(cy.dminus.contains(s) for s in s_minus):
+        if not np.all(lc.residuals(cy.dplus.basis, s_plus) <= TOL.membership) or \
+                not np.all(lc.residuals(cy.dminus.basis, s_minus) <= TOL.membership):
             return False, None, "curvature spheres not confined to a fixed splitting"
     spread = np.max(lc.subspace_distances(
         res_p.dminus, np.broadcast_to(cy.dminus.basis, res_p.dminus.shape)), initial=0.0)

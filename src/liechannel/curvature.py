@@ -33,7 +33,7 @@ import numpy as np
 from .config import TOL
 from . import liecore as lc
 from .liecore import LieVec, LieGeometryError, Subspace, GRAM, span, signature
-from .cellcomplex import QuadComplex, PLUS, MINUS, edge_key, face_edges, face_edge_labels
+from .cellcomplex import QuadComplex, PLUS, MINUS, SLOTS
 from .legendre import (
     NO_PLANE_LIFT, NO_POINT_SPHERE, LegendreNet, plane_lifts, point_spheres,
 )
@@ -135,8 +135,8 @@ class CurvatureReport:
     gauss: List[float]
     mean: List[float]
     face_residuals: List[float]
-    edge_kappa: Dict[Tuple[int, int], float]
-    edge_residuals: Dict[Tuple[int, int], float]
+    edge_kappa: np.ndarray        # (E,) per edge id
+    edge_residuals: np.ndarray    # (E,)
     identity_residuals: List[float]
 
     @property
@@ -155,19 +155,14 @@ def curvature_report(net: LegendreNet) -> CurvatureReport:
     """
     c = net.complex
     f_lift, n_lift = euclidean_lifts(net)
-    ij = np.array([(i, j) for i, j, _lab in c.edges], dtype=int).reshape(-1, 2)
-    kappa, k_res = principal_curvatures(f_lift[ij[:, 0]], f_lift[ij[:, 1]],
-                                        n_lift[ij[:, 0]], n_lift[ij[:, 1]])
-    keys = [edge_key(i, j) for i, j in ij.tolist()]
+    # dn = -kappa df reads the same from either end of an edge
+    i, j = c.edge_vertices.T
+    kappa, k_res = principal_curvatures(f_lift[i], f_lift[j], n_lift[i], n_lift[j])
 
     faces = np.array(c.faces, dtype=int).reshape(-1, 4)
     gauss, mean, res = gauss_means(f_lift[faces], n_lift[faces])
-    # kappa per face edge (i,j), (j,k), (k,l), (l,i); a repeated edge keeps
-    # its last value, as in the per-edge dictionaries
-    slot = {k: e for e, k in enumerate(keys)}
-    fe = np.array([[slot[edge_key(a, b)] for a, b in face_edges(face)] for face in c.faces],
-                  dtype=int).reshape(-1, 4)
-    kij, kjk, kkl, kli = (kappa[fe[:, t]] for t in range(4))
+    # kappa per face edge (i,j), (j,k), (k,l), (l,i)
+    kij, kjk, kkl, kli = kappa[c.face_edge_ids].T
     # with dn = -kappa df and H = -A(n,f)/A(f,f) taken literally, H is
     # the mean of the edge curvatures and the face identity reads
     lhs = (kij - kli - kjk + kkl) * mean
@@ -176,22 +171,19 @@ def curvature_report(net: LegendreNet) -> CurvatureReport:
                     np.full(len(faces), 1e-12)], axis=0)
     ident = np.abs(lhs - rhs) / scale
     return CurvatureReport(faces=list(c.faces), gauss=gauss.tolist(), mean=mean.tolist(),
-                           face_residuals=res.tolist(),
-                           edge_kappa=dict(zip(keys, kappa.tolist())),
-                           edge_residuals=dict(zip(keys, k_res.tolist())),
+                           face_residuals=res.tolist(), edge_kappa=kappa, edge_residuals=k_res,
                            identity_residuals=ident.tolist())
 
 
 def kappa_line_spread(net: LegendreNet, report: CurvatureReport, direction: str) -> float:
     """Max spread of principal curvatures along dir-coordinate lines,
     relative to the largest curvature magnitude of the net."""
-    line_edges = net.complex.coordinates(direction).line_edges
-    scale = max(max((abs(k) for k in report.edge_kappa.values()), default=1.0), 1e-12)
+    kappa = report.edge_kappa
+    scale = max(float(np.max(np.abs(kappa), initial=0.0)), 1e-12)
     worst = 0.0
-    for edges in line_edges:
-        ks = [report.edge_kappa[e] for e in edges]
-        if len(ks) > 1:
-            worst = max(worst, (max(ks) - min(ks)) / scale)
+    for edges in net.complex.coordinates(direction).line_edges:
+        if len(edges) > 1:
+            worst = max(worst, float(np.ptp(kappa[edges])) / scale)
     return worst
 
 
@@ -211,9 +203,11 @@ def interior_vertex_stars(c: QuadComplex) -> List[VertexStar]:
     """Degree-4 interior vertices with their edge and diagonal neighbours."""
     out = []
     for v in range(c.n_vertices):
-        edges, faces = c.vertex_edges(v), [c.faces[fi] for fi in c.vertex_faces(v)]
+        edges = [c.edges[e] for e in c.vertex_edges(v)]
+        faces = [c.faces[fi] for fi in c.vertex_faces(v)]
         if len(edges) == 4 and len(faces) == 4:
-            out.append(VertexStar(vertex=v, edge_neighbors=[a if b == v else b for a, b in edges],
+            out.append(VertexStar(vertex=v, edge_neighbors=[a if b == v else b
+                                                            for a, b, _lab in edges],
                                   diagonal_neighbors=[f[(f.index(v) + 2) % 4] for f in faces],
                                   patch=sorted({w for f in faces for w in f})))
     return out
@@ -327,21 +321,20 @@ def ribbon_cmc_analysis(net: LegendreNet, cert: ChannelCertificate,
     """Per circular ribbon: the alternative (equal '-' curvatures) or
     (H = -kappa) that constant mean curvature forces on adjacent faces."""
     opp = MINUS if cert.direction == PLUS else PLUS
-    face_index = {tuple(f): i for i, f in enumerate(net.complex.faces)}
+    # the two opposite-label curvatures of each face
+    face_kappa = report.edge_kappa[net.complex.face_edge_ids[:, SLOTS[opp]]].tolist()
     out = []
     for ri, strip in enumerate(cert.ribbons):
         chain: List[float] = []
         hs: List[float] = []
         for fi in strip:
-            face = net.complex.faces[fi]
-            ks = [report.edge_kappa[edge_key(a, b)]
-                  for a, b, lab in face_edge_labels(face) if lab == opp]
+            ks = face_kappa[fi]
             if not chain:
                 chain.extend(ks)
             else:
                 # faces of a strip share one opposite-label edge
                 chain.append(ks[1] if abs(ks[0] - chain[-1]) < abs(ks[1] - chain[-1]) else ks[0])
-            hs.append(report.mean[face_index[tuple(face)]])
+            hs.append(report.mean[fi])
         residuals = []
         for t in range(len(chain) - 2):
             # constant mean curvature forces, per adjacent face pair, either

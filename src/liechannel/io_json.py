@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from pathlib import Path
 from typing import List, Sequence, Union
 
@@ -17,10 +16,10 @@ import numpy as np
 
 from . import liecore as lc
 from .liecore import LieGeometryError, unlift_moebius
-from .cellcomplex import QuadComplex, edge_key, make_grid, validate, PLUS, MINUS
+from .cellcomplex import QuadComplex, make_grid, validate, PLUS, MINUS
 from .legendre import (
     NO_PLANE_LIFT, NO_POINT_SPHERE, ContactElementError, LegendreNet, contact_bases,
-    is_legendre, net_from_bases, plane_lifts, point_normal_generators, point_spheres,
+    is_legendre, plane_lifts, point_normal_generators, point_spheres,
 )
 from .channel import (
     DiscreteCurve3D, certified, first_full_certificate, certificate_residuals,
@@ -129,10 +128,10 @@ def complex_from_dict(doc: dict) -> QuadComplex:
             raise ValueError(f"edge label {labels[0]!r} is not '+' or '-'")
         if bad_faces:
             raise ValueError(f"faces with inconsistent edge labels: {bad_faces[:5]}")
-        counts = Counter(edge_key(i, j) for i, j, _lab in edges)
-        twice = [k for k, count in counts.items() if count > 1]
+        # the first listing of a pair listed again is not the one it indexes
+        twice = [ij for e, ij in enumerate(c.edge_vertices.tolist()) if c.edge_id(*ij) != e]
         if twice:
-            raise ValueError(f"edge {list(twice[0])} listed more than once")
+            raise ValueError(f"edge {twice[0]} listed more than once")
         for label in (PLUS, MINUS):
             c.coordinates(label)  # lines need at most two edges of a label per vertex
     except (KeyError, TypeError, ValueError) as exc:
@@ -172,7 +171,7 @@ def net_from_dict(data: dict) -> LegendreNet:
     flagged = np.zeros(n, dtype=bool)
     flagged[euclidean] = bad_normals
     try:
-        net = net_from_bases(c, contact_bases(gens, flagged))
+        net = LegendreNet(complex=c, bases=contact_bases(gens, flagged))
     except ContactElementError as exc:
         raise FormatError(f"vertex {exc.vertex}: {exc}") from exc
     diag = is_legendre(net)
@@ -413,16 +412,14 @@ def verify_report(net: LegendreNet, directions: Sequence[str] = (PLUS, MINUS)) -
 
 def curvature_report_json(net: LegendreNet) -> dict:
     rep = curvature_report(net)
-    c = net.complex
+    kappa, residuals = rep.edge_kappa.tolist(), rep.edge_residuals.tolist()
     return {
         "format": "liechannel-curvature-report", "version": 1,
         "faces": [{"face": list(face), "K": rep.gauss[i], "H": rep.mean[i],
                    "residual": rep.face_residuals[i]}
                   for i, face in enumerate(rep.faces)],
-        "edges": [{"edge": [i, j], "label": lab,
-                   "kappa": rep.edge_kappa[(i, j) if i < j else (j, i)],
-                   "residual": rep.edge_residuals[(i, j) if i < j else (j, i)]}
-                  for i, j, lab in c.edges],
+        "edges": [{"edge": [i, j], "label": lab, "kappa": kappa[e], "residual": residuals[e]}
+                  for e, (i, j, lab) in enumerate(net.complex.edges)],
         "identity_max_residual": rep.identity_max,
         "kappa_spread_plus": kappa_line_spread(net, rep, PLUS),
         "kappa_spread_minus": kappa_line_spread(net, rep, MINUS),

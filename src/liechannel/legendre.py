@@ -21,7 +21,8 @@ period pi; every member is a valid Dupin cyclide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,7 +33,7 @@ from .liecore import (
     GRAM, LieVec, LieGeometryError, Subspace, inner, canonical_sign,
     orthocomplement, signature, span,
 )
-from .cellcomplex import QuadComplex, edge_key, face_edge_labels, PLUS
+from .cellcomplex import QuadComplex
 
 
 class NotInContactError(LieGeometryError):
@@ -96,7 +97,7 @@ class ContactElement:
     def __post_init__(self):
         if self.space.dim != 2:
             raise LieGeometryError(_NOT_2D)
-        if _isotropy(self.space.basis[None])[0] > TOL.membership:
+        if not _isotropy(self.space.basis[None])[0] <= TOL.membership:
             raise LieGeometryError(_NOT_ISOTROPIC)
 
     @property
@@ -158,31 +159,28 @@ def contact_bases(generators: np.ndarray,
          "normal must have unit length"),
         (sv[:, 0] == 0.0, "span of zero vectors"),
         (np.sum(sv > TOL.rank * sv[:, :1], axis=1) != 2, _NOT_2D),
-        (_isotropy(bases) > TOL.membership, _NOT_ISOTROPIC),
+        (~(_isotropy(bases) <= TOL.membership), _NOT_ISOTROPIC),
     ])
     if failure is not None:
         raise ContactElementError(*failure)
     return bases
 
 
-def _elements(bases: np.ndarray) -> Tuple[ContactElement, ...]:
-    """Contact elements of a stack that contact_bases has validated; the
-    per-element check of the constructor is not run again."""
-    out = []
-    for b in bases:
-        el = object.__new__(ContactElement)
-        object.__setattr__(el, "space", Subspace(basis=b))
-        out.append(el)
-    return tuple(out)
+def _element(basis: np.ndarray) -> ContactElement:
+    """Contact element of a basis that contact_bases has validated; the
+    check of the constructor is not run again."""
+    el = object.__new__(ContactElement)
+    object.__setattr__(el, "space", Subspace(basis=basis))
+    return el
 
 
 def contact_from_point_normal(x: Sequence[float], n: Sequence[float]) -> ContactElement:
     """Contact element of a point with unit normal: <point lift, tangent plane lift>."""
-    return _elements(contact_bases(*point_normal_generators([x], [n])))[0]
+    return _element(contact_bases(*point_normal_generators([x], [n]))[0])
 
 
 def contact_from_vectors(a: LieVec, b: LieVec) -> ContactElement:
-    return _elements(contact_bases(np.array([[a, b]], dtype=float)))[0]
+    return _element(contact_bases(np.array([[a, b]], dtype=float))[0])
 
 
 def curvature_spheres(a: np.ndarray, b: np.ndarray
@@ -222,29 +220,44 @@ def curvature_sphere(f_i: ContactElement, f_j: ContactElement) -> LieVec:
 
 @dataclass
 class LegendreNet:
-    """Contact element per vertex of a quad complex; edge spheres cached.
+    """Contact element bases (V, 2, 6), one per vertex of a quad complex.
 
-    ``bases`` stacks the element bases into one (V, 2, 6) array.
+    The curvature spheres of the edges are computed once, on first use, by
+    one `curvature_spheres` call: each as the meet of the elements of its
+    (smaller, larger) vertex pair, in the order of the complex's edges.
     """
 
     complex: QuadComplex
-    elements: Tuple[ContactElement, ...]
-    bases: np.ndarray = field(init=False, repr=False, compare=False)
-    _edge_spheres: Dict[Tuple[int, int], LieVec] = field(default_factory=dict, repr=False)
+    bases: np.ndarray
 
-    def __post_init__(self):
-        self.bases = np.array([el.basis for el in self.elements], dtype=float).reshape(-1, 2, 6)
+    @cached_property
+    def _meets(self) -> Tuple[np.ndarray, Dict[int, LieGeometryError]]:
+        ends = self.complex.edge_vertices
+        return curvature_spheres(self.bases[ends[:, 0]], self.bases[ends[:, 1]])
 
-    def element(self, v: int) -> ContactElement:
-        return self.elements[v]
+    @property
+    def edge_spheres(self) -> np.ndarray:
+        """(E, 6) curvature sphere of each edge; rows of failed edges are undefined."""
+        return self._meets[0]
+
+    @property
+    def edge_failures(self) -> Dict[int, LieGeometryError]:
+        """Error of each edge whose elements do not meet in a line, by edge id."""
+        return self._meets[1]
+
+    def spheres_of(self, edges) -> np.ndarray:
+        """Rows of `edge_spheres` of an edge id or an array of them; raises
+        the error of the first failed edge among them."""
+        failed = [e for e in np.ravel(edges).tolist() if e in self.edge_failures]
+        if failed:
+            raise self.edge_failures[failed[0]]
+        return self.edge_spheres[edges]
 
     def edge_sphere(self, i: int, j: int) -> LieVec:
-        k = edge_key(i, j)
-        s = self._edge_spheres.get(k)
-        if s is None:
-            s = curvature_sphere(self.elements[k[0]], self.elements[k[1]])
-            self._edge_spheres[k] = s
-        return s
+        return self.spheres_of(self.complex.edge_id(i, j))
+
+    def element(self, v: int) -> ContactElement:
+        return _element(self.bases[v])
 
     def vertex_point(self, v: int) -> np.ndarray:
         """Euclidean position of the vertex point sphere."""
@@ -261,11 +274,6 @@ class LegendreNet:
         return w[:, :3].copy()
 
 
-def net_from_bases(c: QuadComplex, bases: np.ndarray) -> LegendreNet:
-    """Net of a (V, 2, 6) stack returned by contact_bases."""
-    return LegendreNet(complex=c, elements=_elements(bases))
-
-
 @dataclass
 class LegendreDiagnostics:
     ok: bool
@@ -273,58 +281,61 @@ class LegendreDiagnostics:
 
 
 def is_legendre(net: LegendreNet) -> LegendreDiagnostics:
-    """Check every edge for a shared curvature sphere; caches the spheres.
-
-    All uncached edges are computed by one `curvature_spheres` call, each
-    as the meet of the elements of its (smaller, larger) vertex pair.
-    """
-    keys = [edge_key(i, j) for i, j, _lab in net.complex.edges]
-    todo = [k for k in keys if k not in net._edge_spheres]
-    errors: Dict[Tuple[int, int], str] = {}
-    if todo:
-        ij = np.array(todo)
-        spheres, failures = curvature_spheres(net.bases[ij[:, 0]], net.bases[ij[:, 1]])
-        net._edge_spheres.update(zip(todo, spheres))
-        for e, exc in failures.items():
-            errors[todo[e]] = str(exc)
-            net._edge_spheres.pop(todo[e], None)
-    failed = [(i, j, errors[k]) for (i, j, _lab), k in zip(net.complex.edges, keys)
-              if k in errors]
+    """Check every edge for a shared curvature sphere (`LegendreNet.edge_spheres`)."""
+    failed = [(*net.complex.edges[e][:2], str(exc)) for e, exc in net.edge_failures.items()]
     return LegendreDiagnostics(ok=not failed, failed_edges=failed)
 
 
 def net_from_edge_spheres(c: QuadComplex, spheres: Dict[Tuple[int, int], LieVec]) -> LegendreNet:
-    """Reconstruct a Legendre net from null vectors on edges.
+    """Reconstruct a Legendre net from null vectors on the edges, keyed by
+    (smaller, larger) vertex.
 
-    The spheres of each vertex star must span a contact element.
+    The spheres of each vertex star must span a contact element. The stars
+    are spanned by one batched SVD per star size; the errors are those of a
+    loop over the vertices and then over the given spheres.
     """
-    for k, s in spheres.items():
-        if not lc.is_null(s):
-            raise LieGeometryError(f"edge sphere on {k} is not null")
-    elements: List[ContactElement] = []
-    for v in range(c.n_vertices):
-        star = [spheres[e] for e in c.vertex_edges(v)]
-        if len(star) < 2:
-            raise LieGeometryError(f"vertex-star does not span a contact element (vertex {v})")
-        sp = span(star)
-        if sp.dim != 2:
-            raise LieGeometryError(f"vertex-star does not span a contact element (vertex {v})")
-        try:
-            elements.append(ContactElement(space=sp))
-        except LieGeometryError as exc:
-            raise LieGeometryError(
-                f"vertex-star does not span a contact element (vertex {v}): {exc}"
-            ) from exc
-    net = LegendreNet(complex=c, elements=tuple(elements))
-    for (i, j), s in spheres.items():
-        got = net.edge_sphere(i, j)
-        if lc.projective_distance(got, s) > math.sqrt(TOL.membership):
-            raise LieGeometryError(f"edge sphere on ({i},{j}) not reproduced by the net")
+    keys = list(spheres)
+    given = np.array([spheres[k] for k in keys], dtype=float).reshape(-1, 6)
+    norm = np.sqrt(lc.dots(given, given))
+    null = (norm == 0.0) | (np.abs(lc.inner_rows(given, given)) <= TOL.null * norm * norm)
+    lc.raise_first([(~null, lambda k: f"edge sphere on {keys[k]} is not null")])
+
+    pairs = [tuple(ij) for ij in c.edge_vertices.tolist()]
+    known = np.array([ij in spheres for ij in pairs], dtype=bool)
+    rows = np.array([spheres.get(ij, np.zeros(6)) for ij in pairs], dtype=float).reshape(-1, 6)
+    stars = [c.vertex_edges(v) for v in range(c.n_vertices)]
+    size = np.array([len(star) for star in stars], dtype=int)
+    rank, bases = np.zeros(c.n_vertices, dtype=int), np.zeros((c.n_vertices, 2, 6))
+    for n in np.unique(size[size >= 2]).tolist():
+        group = np.flatnonzero(size == n)
+        vt, rank[group] = lc.spans(rows[[stars[v] for v in group.tolist()]])
+        bases[group] = vt[:, :2]
+    message = "vertex-star does not span a contact element (vertex {})"
+    lc.raise_first([
+        (np.array([not known[star].all() for star in stars], dtype=bool),
+         lambda v: KeyError(pairs[next(e for e in stars[v] if not known[e])])),
+        (size < 2, message),
+        (rank == 0, "span of zero vectors"),
+        (rank != 2, message),
+        (~(_isotropy(bases) <= TOL.membership), lambda v: f"{message.format(v)}: {_NOT_ISOTROPIC}"),
+    ])
+
+    net = LegendreNet(complex=c, bases=bases)
+    ids = np.array([c.edge_id(*k) for k in keys], dtype=int)
+    got, failures = net.edge_spheres[ids], net.edge_failures
+    with np.errstate(divide="ignore", invalid="ignore"):  # `projective_distance` of each
+        d = 1.0 - np.abs(lc.dots(got / np.sqrt(lc.dots(got, got))[:, None], given / norm[:, None]))
+    lc.raise_first([
+        (np.isin(ids, list(failures)), lambda k: failures[ids[k]]),
+        (norm == 0.0, "cannot normalize the zero vector"),
+        (~(d <= math.sqrt(TOL.membership)),
+         lambda k: f"edge sphere on ({keys[k][0]},{keys[k][1]}) not reproduced by the net"),
+    ])
     return net
 
 
 def net_from_points_normals(c: QuadComplex, points: np.ndarray, normals: np.ndarray) -> LegendreNet:
-    return net_from_bases(c, contact_bases(*point_normal_generators(points, normals)))
+    return LegendreNet(complex=c, bases=contact_bases(*point_normal_generators(points, normals)))
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +357,7 @@ class DupinCyclide:
             if signature(s).triple != (2, 1, 0):
                 raise LieGeometryError("Dupin cyclide components must have signature (2,1)")
         g = lc.inner_matrix(self.dplus.basis, self.dminus.basis)
-        if float(np.max(np.abs(g))) > t:
+        if not float(np.max(np.abs(g))) <= t:
             raise LieGeometryError("Dupin cyclide components are not orthogonal")
 
     def swapped(self) -> "DupinCyclide":
@@ -355,11 +366,9 @@ class DupinCyclide:
 
 def face_spheres_of(net: LegendreNet, face: Sequence[int]) -> Tuple[List[LieVec], List[LieVec]]:
     """([s+ on (j,k), s+ on (l,i)], [s- on (i,j), s- on (k,l)]) of a face."""
-    plus, minus = [], []
-    for a, b, lab in face_edge_labels(face):
-        s = net.edge_sphere(a, b)
-        (plus if lab == PLUS else minus).append(s)
-    return plus, minus
+    i, j, k, l = face
+    s = net.spheres_of(net.complex.edge_ids([i, j, k, l], [j, k, l, i]))
+    return list(s[1::2]), list(s[::2])
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Scalar reference for the batched R^{4,2} kernel.
 
-One contact element, one edge sphere, one edge curvature, one face, one
-vertex position, one subspace residual and one propagated circle sample at
-a time, written as the kernel computed them before it worked on stacks: two
-SVDs per span, three per edge meet, 6x6 operators per face, one `unlift`
-per vertex, one projection per residual, one next circle per sample. The batched kernel must reproduce these values bit for
+One contact element, one edge sphere, one vertex star, one edge curvature,
+one face, one vertex position, one subspace residual and one propagated
+circle sample at a time, written as the kernel computed them before it
+worked on stacks: two SVDs per span, three per edge meet, 6x6 operators
+per face, one `unlift` per vertex, one projection per residual, one next
+circle per sample. The batched kernel must reproduce these values bit for
 bit and raise the same errors.
 """
 
@@ -12,13 +13,13 @@ import math
 
 import numpy as np
 
-from liechannel import legendre
+from liechannel import legendre, liecore
 from liechannel.cellcomplex import edge_key
 from liechannel.channel import touching_circle_space
 from liechannel.config import TOL
 from liechannel.liecore import (
-    GRAM, POINT_COMPLEX, DegenerateGramError, LieGeometryError, aux_norm, inner, normalized,
-    oriented_representative, projective_distance, unlift,
+    GRAM, POINT_COMPLEX, DegenerateGramError, LieGeometryError, aux_norm, inner, is_null,
+    normalized, oriented_representative, projective_distance, unlift,
 )
 
 
@@ -125,6 +126,34 @@ def edge_spheres(bases, complex_):
         except LieGeometryError as exc:
             failed.append((i, j, str(exc)))
     return spheres, failed
+
+
+def net_from_edge_spheres(c, spheres):
+    """Bases (V, 2, 6) spanned by the vertex stars of edge spheres keyed by
+    (smaller, larger) vertex, one star and then one given sphere at a time,
+    raising as that loop did."""
+    for k, s in spheres.items():
+        if not is_null(s):
+            raise LieGeometryError(f"edge sphere on {k} is not null")
+    bases = []
+    for v in range(c.n_vertices):
+        star = [spheres[edge_key(*c.edges[e][:2])] for e in c.vertex_edges(v)]
+        message = f"vertex-star does not span a contact element (vertex {v})"
+        if len(star) < 2:
+            raise LieGeometryError(message)
+        sp = liecore.span(star)
+        if sp.dim != 2:
+            raise LieGeometryError(message)
+        try:
+            bases.append(contact_element(sp.basis))
+        except LieGeometryError as exc:
+            raise LieGeometryError(f"{message}: {exc}") from exc
+    for (i, j), s in spheres.items():
+        k = edge_key(i, j)
+        if projective_distance(curvature_sphere(bases[k[0]], bases[k[1]]), s) > \
+                math.sqrt(TOL.membership):
+            raise LieGeometryError(f"edge sphere on ({i},{j}) not reproduced by the net")
+    return np.array(bases).reshape(-1, 2, 6)
 
 
 def _pencil_member(basis, k, message):

@@ -124,7 +124,7 @@ def oracle_certificate(net, direction):
     line_spheres = []
     worst = 0.0
     for li, line in enumerate(coords.lines):
-        spheres = [net.edge_sphere(i, j) for i, j in coords.line_edges[li]]
+        spheres = [net.edge_sphere(*net.complex.edges[e][:2]) for e in coords.line_edges[li]]
         rep = normalized(spheres[0])
         for s in spheres[1:]:
             d = lc.projective_distance(rep, s)
@@ -146,7 +146,7 @@ def oracle_certificate(net, direction):
                                   location=f"ribbon {ri}",
                                   message=f"ribbon bounded by {len(bounds)} lines",
                                   envelopes=True)
-        sp = span([net.edge_sphere(i, j) for i, j in coords.ribbon_edges[ri]])
+        sp = span([net.edge_sphere(*net.complex.edges[e][:2]) for e in coords.ribbon_edges[ri]])
         if sp.dim == 2 and signature(sp).triple == (1, 1, 0):
             try:
                 cy = face_cyclide_family(net, net.complex.faces[strip[0]])(0.0)

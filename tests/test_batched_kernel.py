@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import liechannel as L
-from liechannel import builder, io_json
-from liechannel.cellcomplex import QuadComplex, make_grid
+from liechannel import builder, cellcomplex, io_json
+from liechannel.cellcomplex import QuadComplex, edge_key, make_grid
 from liechannel.cli import random_generator_net
 from liechannel.curvature import curvature_report
 from liechannel.legendre import LegendreNet, contact_from_vectors
@@ -39,17 +39,31 @@ def generated(make, *args, **kwargs):
     return net, points, normals
 
 
+def assert_edge_spheres_match_oracle(net, bases):
+    """Every row of the edge-sphere array is the oracle's sphere of its
+    edge, and `edge_sphere` on a failed edge raises the oracle's message."""
+    spheres, failed = oracle.edge_spheres(bases, net.complex)
+    assert L.is_legendre(net).failed_edges == failed
+    messages = {edge_key(i, j): msg for i, j, msg in failed}
+    assert net.edge_spheres.shape == (len(net.complex.edges), 6)
+    for e, (i, j, _lab) in enumerate(net.complex.edges):
+        k = edge_key(i, j)
+        if k in spheres:
+            assert e not in net.edge_failures
+            assert same_bits(net.edge_spheres[e], spheres[k])
+            assert same_bits(net.edge_sphere(j, i), spheres[k])
+        else:
+            with pytest.raises(L.LieGeometryError) as err:
+                net.edge_sphere(i, j)
+            assert str(err.value) == messages[k] == str(net.edge_failures[e])
+    return failed
+
+
 def assert_matches_oracle(net, points, normals):
     bases = [oracle.contact_from_point_normal(p, n) for p, n in zip(points, normals)]
     assert same_bits(net.bases, bases)
     assert all(same_bits(net.element(v).basis, b) for v, b in enumerate(bases))
-
-    spheres, failed = oracle.edge_spheres(bases, net.complex)
-    diag = L.is_legendre(net)
-    assert diag.failed_edges == failed
-    assert set(net._edge_spheres) == set(spheres)
-    assert all(same_bits(net._edge_spheres[k], s) for k, s in spheres.items())
-    if failed:
+    if assert_edge_spheres_match_oracle(net, bases):
         return
 
     gauss, mean, res, kappa, k_res, ident = oracle.curvature_report(bases, net.complex)
@@ -57,9 +71,9 @@ def assert_matches_oracle(net, points, normals):
     assert same_bits(rep.gauss, gauss) and same_bits(rep.mean, mean)
     assert same_bits(rep.face_residuals, res)
     assert same_bits(rep.identity_residuals, ident)
-    assert list(rep.edge_kappa) == list(kappa)
-    assert same_bits(list(rep.edge_kappa.values()), list(kappa.values()))
-    assert same_bits(list(rep.edge_residuals.values()), list(k_res.values()))
+    keys = [edge_key(i, j) for i, j, _lab in net.complex.edges]
+    assert same_bits(rep.edge_kappa, [kappa[k] for k in keys])
+    assert same_bits(rep.edge_residuals, [k_res[k] for k in keys])
 
 
 @given(kind=st.sampled_from(["revolution", "cylinder", "cone"]),
@@ -98,18 +112,17 @@ def test_perturbed_normals_fail_the_same_edges(seed, scale):
 
 def test_identical_and_non_contact_elements_fail_the_same_edges():
     torus = L.make_dupin_torus(2.0, 1.0, 6, 5)
-    elements = list(torus.elements)
-    elements[1] = elements[0]                         # one edge with nullity 2
-    elements[8] = L.contact_from_point_normal((9.0, 1, 2), (0.0, 0.6, 0.8))
-    net = LegendreNet(complex=torus.complex, elements=tuple(elements))
-    bases = [el.basis for el in elements]
-    spheres, failed = oracle.edge_spheres(bases, torus.complex)
+    bases = torus.bases.copy()
+    bases[1] = bases[0]                               # one edge with nullity 2
+    bases[8] = L.contact_from_point_normal((9.0, 1, 2), (0.0, 0.6, 0.8)).basis
+    net = LegendreNet(complex=torus.complex, bases=bases)
+    failed = assert_edge_spheres_match_oracle(net, list(bases))
     assert {msg for _i, _j, msg in failed} == {
         "identical contact elements", "not in contact: contact elements do not intersect"}
-    assert L.is_legendre(net).failed_edges == failed
-    assert all(same_bits(net._edge_spheres[k], s) for k, s in spheres.items())
     with pytest.raises(L.IdenticalContactElementsError):
-        L.curvature_sphere(elements[0], elements[1])
+        net.edge_sphere(0, 1)
+    with pytest.raises(L.IdenticalContactElementsError):
+        L.curvature_sphere(net.element(0), net.element(1))
 
 
 def test_loader_matches_oracle_on_both_vertex_forms():
@@ -162,10 +175,10 @@ def test_contact_element_errors_match_oracle():
 
 def torus_with(replace):
     torus = L.make_dupin_torus(2.0, 1.0, 6, 5)
-    elements = list(torus.elements)
+    bases = torus.bases.copy()
     for v, element in replace(torus).items():
-        elements[v] = element
-    return LegendreNet(complex=torus.complex, elements=tuple(elements))
+        bases[v] = element.basis
+    return LegendreNet(complex=torus.complex, bases=bases)
 
 
 AT_INFINITY = (L.EINF, L.lift_plane((0.0, 0.0, 1.0), 0.5))   # <einf, plane>
@@ -180,7 +193,7 @@ AT_INFINITY = (L.EINF, L.lift_plane((0.0, 0.0, 1.0), 0.5))   # <einf, plane>
 ])
 def test_curvature_errors_match_oracle(replace):
     net = torus_with(replace)
-    bases = [el.basis for el in net.elements]
+    bases = list(net.bases)
     expected = error_of(oracle.curvature_report, bases, net.complex)
     assert expected is not None
     assert error_of(curvature_report, net) == expected
@@ -191,7 +204,7 @@ def test_degenerate_face_error_matches_oracle():
     c = QuadComplex(n_vertices=2, edges=((0, 1, "-"),), faces=((0, 1, 0, 1),))
     elements = (L.contact_from_point_normal((0, 0, 0), (0, 0, 1.0)),
                 L.contact_from_point_normal((1, 0, 0), (0, 0, 1.0)))
-    net = LegendreNet(complex=c, elements=elements)
+    net = LegendreNet(complex=c, bases=np.array([el.basis for el in elements]))
     expected = error_of(oracle.curvature_report, [el.basis for el in elements], c)
     assert expected == "degenerate face: vanishing mixed area"
     assert error_of(curvature_report, net) == expected
@@ -207,6 +220,21 @@ def test_single_item_functions_are_stacks_of_one():
     for a, b in np.random.default_rng(1).normal(size=(10, 2, 6)):
         assert same_bits(L.mixed_area([a, b, -a, b], [b, a, a, -b]),
                          oracle.mixed_area([a, b, -a, b], [b, a, a, -b]))
+
+
+def test_report_paths_make_no_per_edge_call():
+    # the complex indexes its edges when it is built; the reports index arrays
+    net = builder.make_dupin_torus(2.0, 0.8, 16, 16)
+    net_edges = len(net.complex.edges)
+    with mock.patch.object(LegendreNet, "edge_sphere", side_effect=AssertionError), \
+            mock.patch.object(cellcomplex, "edge_key", wraps=cellcomplex.edge_key) as key:
+        io_json.verify_report(net)
+        L.vessiot_classify(L.first_full_certificate(net))
+        curvature_report(net)
+        io_json.curvature_report_json(net)
+    # one `has_edge` per line (a cycle's closing edge) and per cross-ratio
+    lines = sum(len(net.complex.coordinates(d).lines) for d in (L.PLUS, L.MINUS))
+    assert key.call_count <= lines + 2 < net_edges // 8
 
 
 def test_interior_vertex_stars_use_the_vertex_face_index():
@@ -273,7 +301,7 @@ def test_reflection_example_positions_match_oracle(kind, seed, data):
 
 def _raw_element(a, b):
     """Contact element of the basis (a, b), without the constructor's checks."""
-    return L.legendre._elements(np.array([[a, b]], dtype=float))[0]
+    return L.legendre._element(np.array([a, b], dtype=float))
 
 
 BAD_VERTICES = {

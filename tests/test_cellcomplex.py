@@ -175,7 +175,10 @@ def test_coordinates_match_direct_construction(c):
     for label in (PLUS, MINUS):
         coords = c.coordinates(label)
         for name, value in _direct_coordinates(c, label).items():
-            assert getattr(coords, name) == value, (label, name)
+            got = getattr(coords, name)
+            if name in ("line_edges", "ribbon_edges"):  # edge ids, read back as vertex pairs
+                got = [[edge_key(*c.edges[e][:2]) for e in ids] for ids in got]
+            assert got == value, (label, name)
 
 
 def test_reversed_rows_are_aligned():
@@ -190,3 +193,31 @@ def test_coordinates_built_once_and_shared():
     assert minus_ribbons(c) is c.coordinates(MINUS).ribbons
     with pytest.raises(ValueError):
         c.coordinates("x")
+
+
+@pytest.mark.parametrize("c", [
+    make_grid(5, 4, wrap_plus=True), swapped_labels(make_grid(4, 3)), REVERSED_ROWS,
+], ids=["5x4-wrapped", "swapped-4x3", "reversed-rows"])
+def test_edge_index(c):
+    assert c.edge_vertices.tolist() == [sorted((i, j)) for i, j, _lab in c.edges]
+    for e, (i, j, lab) in enumerate(c.edges):
+        assert c.edge_id(i, j) == c.edge_id(j, i) == e and c.label(j, i) == lab
+    assert c.face_edge_ids.tolist() == [[c.edge_id(a, b) for a, b, _lab in face_edge_labels(f)]
+                                        for f in c.faces]
+    a, b = c.edge_vertices.T
+    assert c.edge_ids(b, a).tolist() == list(range(len(c.edges)))
+    for v in range(c.n_vertices):
+        assert c.vertex_edges(v) == [e for e, (i, j, _lab) in enumerate(c.edges) if v in (i, j)]
+    with pytest.raises(KeyError):
+        c.edge_id(0, c.n_vertices)
+
+
+def test_pair_listed_twice_is_indexed_by_its_last_listing():
+    edges = ((0, 1, MINUS), (1, 2, PLUS), (2, 3, MINUS), (3, 0, PLUS), (1, 0, MINUS))
+    c = QuadComplex(n_vertices=4, edges=edges, faces=((0, 1, 2, 3),))
+    assert c.edge_id(0, 1) == 4 and c.face_edge_ids.tolist() == [[4, 1, 2, 3]]
+    assert c.vertex_edges(0) == [0, 3, 4]
+    assert validate(c).bad_faces == []
+    # three faces on edge (0, 1): reported once, by vertex pair
+    c = QuadComplex(n_vertices=4, edges=edges[:4], faces=((0, 1, 2, 3),) * 3)
+    assert validate(c).overfull_edges == [(0, 1), (1, 2), (2, 3), (0, 3)]

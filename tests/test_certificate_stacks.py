@@ -112,9 +112,9 @@ def moved_vertex(data, net):
 
 
 def moved_spheres(data, net):
-    """Move the cached curvature spheres of a drawn line's edges at a drawn
-    vertex, and a drawn ribbon's edge sphere, each by a drawn amount;
-    `is_legendre` keeps the cache, so `verify_channel` reads them."""
+    """Move the curvature spheres of a drawn line's edges at a drawn vertex,
+    and a drawn ribbon's edge sphere, each by a drawn amount: rows of the
+    net's edge-sphere array, which `verify_channel` reads."""
     L.is_legendre(net)
     coords = net.complex.coordinates(data.draw(st.sampled_from([PLUS, MINUS]), label="label"))
     rng = np.random.default_rng(7)
@@ -122,12 +122,12 @@ def moved_spheres(data, net):
     if coords.lines and data.draw(st.booleans(), label="moved line spheres"):
         li = data.draw(st.integers(0, len(coords.lines) - 1), label="line")
         v = data.draw(st.sampled_from(coords.lines[li]), label="line vertex")
-        moved += [e for e in coords.line_edges[li] if v in e]
+        moved += [e for e in coords.line_edges[li] if v in net.complex.edges[e][:2]]
     if coords.ribbons and data.draw(st.booleans(), label="moved ribbon sphere"):
         ri = data.draw(st.integers(0, len(coords.ribbons) - 1), label="ribbon")
         moved.append(data.draw(st.sampled_from(coords.ribbon_edges[ri]), label="ribbon edge"))
-    for e in (e for e in moved if e in net._edge_spheres):  # not on a failing edge
-        net._edge_spheres[e] = net._edge_spheres[e] + data.draw(SCALES, label="sphere scale") * \
+    for e in (e for e in moved if e not in net.edge_failures):
+        net.edge_spheres[e] = net.edge_spheres[e] + data.draw(SCALES, label="sphere scale") * \
             rng.normal(size=6)
     return net
 

@@ -160,7 +160,7 @@ class TestGeneratingCircles:
         # line's first sphere is NaN, which must fail the line
         net = L.make_dupin_torus(2.0, 1.0, 12, 10)
         edge = net.complex.coordinates("+").line_edges[3][5]
-        net._edge_spheres[edge] = np.full(6, math.nan)
+        net.edge_spheres[edge] = np.full(6, math.nan)
         res = L.verify_channel(net, "+")
         assert not res.ok and (res.check, res.location) == ("constancy",
                                                             "line 3 (vertices [36, 37, 38, 39]...)")
@@ -239,8 +239,8 @@ class TestQuerSpheres:
             q = torus_cert.quer_spheres[li]
             v = line[0]
             tube = None
-            for a, b in torus.complex.vertex_edges(v):
-                if torus.complex.label(a, b) == "-":
+            for a, b, lab in (torus.complex.edges[e] for e in torus.complex.vertex_edges(v)):
+                if lab == "-":
                     tube = torus.edge_sphere(a, b)
                     break
             val = abs(L.inner(q, tube)) / np.linalg.norm(tube)
@@ -307,8 +307,7 @@ class TestDupin:
         els = tuple(torus.element(v) for v in face)
         # face order (i,j,k,l) -> grid ids: i=0, j=2, k=3, l=1
         i, j, k, l = face
-        net = L.LegendreNet(complex=sub, elements=(
-            torus.element(i), torus.element(l), torus.element(j), torus.element(k)))
+        net = L.LegendreNet(complex=sub, bases=torus.bases[[i, l, j, k]])
         assert L.is_legendre(net).ok
         ok, _, _ = L.is_dupin_cyclide(net)
         assert ok

@@ -11,6 +11,7 @@ from liechannel.curvature import (
     ribbon_cmc_analysis, interior_vertex_stars,
 )
 from liechannel.builder import random_sphere_curve
+from liechannel.cellcomplex import MINUS, PLUS, edge_key, face_edge_labels
 
 from geo_helpers import revolution_net, cylinder_net, cone_net
 
@@ -131,16 +132,16 @@ class TestPrincipalCurvatures:
     def test_ruling_edges_flat(self):
         net = regular_polygon_cylinder()
         rep = curvature_report(net)
-        for (i, j), k in rep.edge_kappa.items():
-            if net.complex.label(i, j) == "+":
+        for (i, j, lab), k in zip(net.complex.edges, rep.edge_kappa):
+            if lab == "+":
                 assert k == pytest.approx(0.0, abs=1e-12)
 
     def test_polygon_edges_minus_inverse_radius(self):
         rho = 1.5
         net = regular_polygon_cylinder(rho=rho)
         rep = curvature_report(net)
-        for (i, j), k in rep.edge_kappa.items():
-            if net.complex.label(i, j) == "-":
+        for (i, j, lab), k in zip(net.complex.edges, rep.edge_kappa):
+            if lab == "-":
                 assert k == pytest.approx(-1.0 / rho, rel=1e-12)
 
     def test_constant_along_circular_lines(self):
@@ -253,6 +254,38 @@ class TestCmc:
         rep = curvature_report(res.net)
         rows = ribbon_cmc_analysis(res.net, res.certificate, rep)
         assert any(max(map(abs, r.residuals), default=0.0) > 1e-6 for r in rows)
+
+
+def test_line_spread_and_ribbon_chains_read_each_edge_and_face():
+    # a generic channel surface: the curvatures vary along lines and ribbons;
+    # the expected values are read through vertex pairs and face tuples
+    res = L.channel_from_sphere_curve(random_sphere_curve(np.random.default_rng(72), 6),
+                                      samples_per_circle=9)
+    net, cert, c = res.net, res.certificate, res.net.complex
+    rep = curvature_report(net)
+    kappa = {edge_key(i, j): k for (i, j, _lab), k in zip(c.edges, rep.edge_kappa.tolist())}
+    scale = max(max(abs(k) for k in kappa.values()), 1e-12)
+    for direction in (PLUS, MINUS):
+        spread = 0.0
+        for line in c.coordinates(direction).lines:
+            closed = len(line) > 2 and c.has_edge(line[-1], line[0])
+            ks = [kappa[edge_key(a, b)] for a, b in zip(line, line[1:] + line[:1] if closed
+                                                        else line[1:])]
+            spread = max(spread, (max(ks) - min(ks)) / scale) if len(ks) > 1 else spread
+        assert kappa_line_spread(net, rep, direction) == spread
+        assert (spread > 1e-6) == (direction == MINUS)  # '+' lines are curvature lines
+    rows = ribbon_cmc_analysis(net, cert, rep)
+    for row, strip in zip(rows, cert.ribbons):
+        chain, hs = [], [rep.mean[fi] for fi in strip]
+        for fi in strip:
+            ks = [kappa[edge_key(a, b)] for a, b, lab in face_edge_labels(c.faces[fi])
+                  if lab == MINUS]
+            chain += ks if not chain else \
+                [ks[1] if abs(ks[0] - chain[-1]) < abs(ks[1] - chain[-1]) else ks[0]]
+        assert row.kappa_minus == chain
+        assert row.residuals == [(chain[t] - chain[t + 2]) * (0.5 * (hs[t] + hs[t + 1])
+                                                              - chain[t + 1])
+                                 for t in range(len(chain) - 2)]
 
 
 class TestFlatness:

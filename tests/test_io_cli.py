@@ -396,7 +396,7 @@ class TestUnderdeterminedRibbons:
         net = random_generator_net("revolution", 0, 2, 3)
         path = tmp_path / "swapped.json"
         io_json.save_net(L.LegendreNet(complex=L.swapped_labels(net.complex),
-                                       elements=net.elements), path)
+                                       bases=net.bases), path)
         return path
 
     def test_classify_falls_back_to_the_completed_direction(self, swapped_net, capsys):

@@ -1,3 +1,6 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from liechannel.cellcomplex import edge_key
 from liechannel.legendre import face_spheres_of
 
 from geo_helpers import revolution_net
+import kernel_oracle as oracle
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +128,90 @@ class TestLegendreNets:
             L.net_from_edge_spheres(c, spheres)
 
 
+def _outcome(fn, *args):
+    """The bases of the net, or the class and message of the error."""
+    try:
+        return "ok", fn(*args)
+    except (KeyError, L.LieGeometryError) as exc:
+        return type(exc), str(exc)
+
+
+def _torus_spheres(torus):
+    return {edge_key(i, j): torus.edge_sphere(i, j) for i, j, _lab in torus.complex.edges}
+
+
+def _with(spheres, **changes):
+    """The spheres, the edges (a, b) named "a_b" replaced (None: dropped)."""
+    out = dict(spheres)
+    for name, value in changes.items():
+        key = tuple(int(v) for v in name[1:].split("_"))
+        out.pop(key) if value is None else out.update({key: value(spheres[key])})
+    return out
+
+
+@pytest.mark.parametrize("change", [
+    lambda s: s,
+    lambda s: _with(s, e0_1=None),                                # a missing sphere
+    lambda s: _with(s, e5_6=None),                                # ... not the first
+    lambda s: _with(s, e5_6=lambda x: x + 1e-3 * L.E1),          # not null
+    lambda s: _with(s, e5_6=lambda x: 0.0 * x),                  # zero
+    lambda s: _with(s, **{f"e{k}": lambda x: 0.0 * x for k in ("0_1", "0_11", "0_12")}),  # a star
+    lambda s: _with(s, e5_6=lambda x: -3.0 * x),                 # another representative
+    lambda s: _with(s, e5_6=lambda x: s[(5, 17)]),                # a '-' sphere on a '+' edge
+    lambda s: _with(s, e0_12=lambda x: s[(1, 13)]),               # the next '-' line's sphere
+    lambda s: dict(reversed(list(s.items()))),                    # another order
+    lambda s: dict(list(s.items())[::2]),                         # half of them
+])
+def test_net_from_edge_spheres_matches_oracle(torus, change):
+    spheres = change(_torus_spheres(torus))
+    got = _outcome(lambda: L.net_from_edge_spheres(torus.complex, spheres).bases)
+    want = _outcome(oracle.net_from_edge_spheres, torus.complex, spheres)
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        assert np.array_equal(got[1].view(np.uint64), want[1].view(np.uint64))
+    else:
+        assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_net_from_edge_spheres_refusals_match_oracle(seed):
+    # grids with random null vectors: stars of two to four edges that fail
+    c = L.make_grid(2 + seed % 3, 2 + seed // 3, wrap_plus=seed % 3 == 1)
+    rng = np.random.default_rng(seed)
+    spheres = {edge_key(i, j): L.lift_sphere(rng.normal(size=3), rng.uniform(0.5, 1))
+               for i, j, _lab in c.edges}
+    assert _outcome(lambda: L.net_from_edge_spheres(c, spheres).bases) == \
+        _outcome(oracle.net_from_edge_spheres, c, spheres)
+
+
+class TestNanFailsClosed:
+    def test_contact_element_isotropy(self):
+        with pytest.raises(L.LieGeometryError, match="not totally isotropic"):
+            L.ContactElement(space=L.Subspace(basis=np.full((2, 6), math.nan)))
+
+    def test_contact_bases_isotropy(self):
+        gens = L.legendre.point_normal_generators([(0.0, 0.0, 0.0)] * 3, [(0.0, 0.0, 1.0)] * 3)[0]
+        with mock.patch.object(L.legendre, "_isotropy", lambda b: np.full(len(b), math.nan)):
+            with pytest.raises(L.ContactElementError, match="not totally isotropic") as err:
+                L.contact_bases(gens)
+        assert err.value.vertex == 0
+
+    def test_cyclide_orthogonality(self, torus):
+        cy = L.verify_channel(torus, "+").cyclides[0]
+        cy.validate()
+        with mock.patch.object(L.legendre.lc, "inner_matrix",
+                               lambda a, b: np.full((3, 3), math.nan)):
+            with pytest.raises(L.LieGeometryError, match="not orthogonal"):
+                cy.validate()
+
+    def test_edge_sphere_reproduction(self, torus):
+        spheres = _torus_spheres(torus)
+        with mock.patch.object(L.legendre, "curvature_spheres",
+                               lambda a, b: (np.full((len(a), 6), math.nan), {})):
+            with pytest.raises(L.LieGeometryError, match=r"edge sphere on \(0,1\) not reproduced"):
+                L.net_from_edge_spheres(torus.complex, spheres)
+
+
 class TestFaceCyclides:
     def test_sphere_pairs_orthogonal(self, torus):
         for face in torus.complex.faces[:20]:
@@ -160,7 +248,7 @@ class TestFaceCyclides:
     def test_family_swap_symmetry(self, torus):
         face = torus.complex.faces[4]
         swapped = L.swapped_labels(torus.complex)
-        net2 = L.LegendreNet(complex=swapped, elements=torus.elements)
+        net2 = L.LegendreNet(complex=swapped, bases=torus.bases)
         face2 = swapped.faces[4]
         fam = L.face_cyclide_family(torus, face)
         fam2 = L.face_cyclide_family(net2, face2)
@@ -190,7 +278,7 @@ class TestFaceCyclides:
         f3 = L.contact_from_point_normal((-1, 0, 0), (-1, 0, 0))
         f4 = L.contact_from_point_normal((0, -1, 0), (0, -1, 0))
         c = L.make_grid(2, 2)
-        net = L.LegendreNet(complex=c, elements=(f1, f2, f3, f4))
+        net = L.LegendreNet(complex=c, bases=np.array([f.basis for f in (f1, f2, f3, f4)]))
         assert L.is_legendre(net).ok
         with pytest.raises(L.DegenerateFaceError):
             L.face_cyclide_family(net, c.faces[0])

@@ -43,10 +43,10 @@ def torus(n, big, ratio):
 def moved(net, v, delta, rng):
     """The net with vertex v moved by delta in a random direction."""
     d = rng.normal(size=3)
-    elements = list(net.elements)
-    elements[v] = contact_from_point_normal(net.vertex_point(v) + delta * d / np.linalg.norm(d),
-                                            (0.0, 0.0, 1.0))
-    return LegendreNet(complex=net.complex, elements=tuple(elements))
+    bases = net.bases.copy()
+    bases[v] = contact_from_point_normal(net.vertex_point(v) + delta * d / np.linalg.norm(d),
+                                         (0.0, 0.0, 1.0)).basis
+    return LegendreNet(complex=net.complex, bases=bases)
 
 
 @SETTINGS
