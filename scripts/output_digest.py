@@ -11,9 +11,11 @@ listings shows every report, net file, OBJ or message a change alters:
     python scripts/output_digest.py > new.txt      # in the new checkout
     diff old.txt new.txt
 
-Inputs: `generate` on eight generator settings, and the revolution net with
-n = 2, m = 3 with its labels swapped, each followed by verify ('+', '-',
-'both'), classify, curvature and export with and without --circles; `build`
+Inputs: `generate` on eight generator settings, the revolution net with
+n = 2, m = 3 with its labels swapped, and a 6 x 5 Dupin torus written as an
+explicit complex whose vertex and edge ids are not in grid order, each
+followed by verify ('+', '-', 'both'), classify, curvature and export with
+and without --circles; `build`
 on four fixed sphere curves, then `verify --direction both`, classify and
 export --circles on each built net (a generic channel surface, so these
 outputs hold the certificate, cross-ratio spread and circles of a channel
@@ -114,6 +116,27 @@ def patch_beside_example() -> dict:
             "vertices": vertices}
 
 
+def explicit_torus() -> dict:
+    """A 6 x 5 Dupin torus as an explicit complex: its vertices permuted,
+    its edges shuffled and every other one reversed, its faces rotated by
+    two, so that edge ids (the order of the curvature report) and vertex
+    ids follow no grid order."""
+    doc = io_json.net_to_dict(make_dupin_torus(2.5, 0.9, 6, 5))
+    c = io_json.complex_from_dict(doc["complex"])
+    rng = np.random.default_rng(6)
+    new = rng.permutation(c.n_vertices).tolist()  # the new id of each vertex
+    edges = [[new[j], new[i], lab] if k % 2 else [new[i], new[j], lab]
+             for k, (i, j, lab) in enumerate(c.edges)]
+    vertices = [None] * c.n_vertices
+    for old, v in enumerate(new):
+        vertices[v] = doc["vertices"][old]
+    return {"format": "liechannel-net", "version": 1,
+            "complex": {"n_vertices": c.n_vertices,
+                        "edges": [edges[k] for k in rng.permutation(len(edges)).tolist()],
+                        "faces": [[new[v] for v in (k, l, i, j)] for i, j, k, l in c.faces]},
+            "vertices": vertices}
+
+
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -163,6 +186,10 @@ def digest_all() -> None:
     io_json.save_net(swapped, "swapped.net.json")
     print(f"swapped input {sha(Path('swapped.net.json').read_bytes())}")
     net_commands("swapped", "swapped.net.json")
+
+    Path("explicit-torus.net.json").write_text(json.dumps(explicit_torus()), encoding="utf-8")
+    print(f"explicit-torus input {sha(Path('explicit-torus.net.json').read_bytes())}")
+    net_commands("explicit-torus", "explicit-torus.net.json")
 
     for k in CURVE_SEEDS:
         curve_commands(f"curve{k}", k, CURVE_SPHERES, SAMPLES, BLEND_COLUMNS)

@@ -133,7 +133,7 @@ def validate_sphere_curve(sc: SphereCurve) -> SphereCurveDiagnostics:
             msgs.append(f"vertex {j}: pencil is not elliptic (signature {signature(sp).triple})")
         r = sp.residual(sc.vertex_spheres[j])
         pencil = max(pencil, r)
-        if r > TOL.membership:
+        if not r <= TOL.membership:
             msgs.append(f"vertex {j}: sphere leaves the pencil of its edges (residual {r:.3e})")
 
     angle = 0.0
@@ -207,7 +207,7 @@ def blend_cyclide(circle_space: Subspace, a_hat: LieVec, b_hat: LieVec) -> Dupin
     cy = DupinCyclide(dplus=dplus, dminus=dminus)
     cy.validate()
     for s in (a_hat, b_hat):
-        if dplus.residual(s) > TOL.membership:
+        if not dplus.residual(s) <= TOL.membership:
             raise LieGeometryError("cyclide does not carry the prescribed spheres")
     return cy
 
@@ -389,7 +389,7 @@ def channel_from_sphere_curve(sc: SphereCurve, samples_per_circle: int,
     for e, (i, j) in enumerate(sc.edge_indices()):
         cy = blend_cyclide(circles[i], hats[i], hats[j])
         link = subspace_distance(touching_circle_space(hats[j], cy.dminus), circles[j])
-        if link > TOL.agreement:
+        if not link <= TOL.agreement:
             raise LieGeometryError(f"cyclide chain does not close at vertex {j} "
                                    f"(residual {link:.3e})")
         cyclides.append(cy)
@@ -597,12 +597,12 @@ def check_profile_legendre(points: np.ndarray, normals: np.ndarray,
                            tol: float = 1e-8) -> None:
     pts = np.asarray(points, dtype=float)
     nms = np.asarray(normals, dtype=float)
-    if np.max(np.abs(np.linalg.norm(nms, axis=1) - 1.0)) > 1e-8:
+    if not np.max(np.abs(np.linalg.norm(nms, axis=1) - 1.0)) <= 1e-8:
         raise LieGeometryError("profile normals must have unit length")
     for a in range(len(pts) - 1):
         d = pts[a] - pts[a + 1]
         expected = nms[a] - 2.0 * (d @ nms[a]) / (d @ d) * d
-        if np.linalg.norm(nms[a + 1] - expected) > tol:
+        if not np.linalg.norm(nms[a + 1] - expected) <= tol:
             raise LieGeometryError(
                 f"Legendre condition violated by the supplied normals at edge {a}")
 

@@ -438,7 +438,7 @@ def dupin_verdict(net: LegendreNet, res_p, res_m):
         return False, None, f"'+' direction fails: {res_p.message}"
     if not res_m.ok:
         return False, None, f"'-' direction fails: {res_m.message}"
-    labels = np.array([lab for *_e, lab in net.complex.edges], dtype=str)
+    labels = net.complex.edge_labels
     s_plus, s_minus = (net.edge_spheres[labels == lab] for lab in (PLUS, MINUS))
     sp = span(s_plus)
     sm = span(s_minus)
@@ -640,9 +640,7 @@ def is_multi_circular_net(net: LegendreNet, tol: Optional[float] = None) -> bool
     `_BATCH` crossings.
     """
     plus, minus = (net.complex.coordinates(label).lines for label in (PLUS, MINUS))
-    (vertices, pline), (on_minus, which) = _flatten(plus), _flatten(minus)
-    mline = np.full(net.complex.n_vertices, -1)
-    mline[on_minus] = which
+    (vertices, pline), mline = _flatten(plus), net.complex.coordinates(MINUS).vertex_line
     on = mline[vertices] >= 0
     # the vertex of each (plus-line, minus-line) crossing, -1 where none; a
     # pair of lines crossing more than once keeps its last crossing

@@ -77,10 +77,10 @@ def euclidean_lifts(net: LegendreNet) -> Tuple[np.ndarray, np.ndarray]:
     """
     p, has_point = point_spheres(net.bases)
     lc.raise_first([(~has_point, NO_POINT_SPHERE),
-                    (np.abs(p[:, 3]) <= 1e-13, "vertex {} is a point at infinity")])
+                    (~(np.abs(p[:, 3]) > 1e-13), "vertex {} is a point at infinity")])
     n, has_plane = plane_lifts(net.bases)
     lc.raise_first([(~has_plane, NO_PLANE_LIFT),
-                    (np.abs(n[:, 5]) <= 1e-13, "vertex {} has no tangent plane lift")])
+                    (~(np.abs(n[:, 5]) > 1e-13), "vertex {} has no tangent plane lift")])
     return p / p[:, 3:4], n / n[:, 5:6]
 
 
@@ -89,7 +89,7 @@ def gauss_means(f_quads: np.ndarray, n_quads: np.ndarray
     """(K, H, collinearity residual) of a stack of faces from their
     (F, 4, 6) point and normal lifts."""
     aff = mixed_area(f_quads, f_quads)
-    if np.any(np.max(np.abs(aff).reshape(-1, 36), axis=1) <= 1e-14):
+    if not np.all(np.max(np.abs(aff).reshape(-1, 36), axis=1) > 1e-14):
         raise LieGeometryError("degenerate face: vanishing mixed area")
     k, r1 = _operator_ratios(mixed_area(n_quads, n_quads), aff)
     h_neg, r2 = _operator_ratios(mixed_area(n_quads, f_quads), aff)
@@ -111,7 +111,7 @@ def principal_curvatures(f_i: np.ndarray, f_j: np.ndarray, n_i: np.ndarray,
     df = f_i - f_j
     dn = n_i - n_j
     dd = lc.dots(df, df)
-    if np.any(dd <= 1e-26):
+    if not np.all(dd > 1e-26):
         raise LieGeometryError("principal curvature undefined: df = 0")
     kappa = -lc.dots(dn, df) / dd
     nn = lc.dots(dn, dn)
@@ -159,7 +159,7 @@ def curvature_report(net: LegendreNet) -> CurvatureReport:
     i, j = c.edge_vertices.T
     kappa, k_res = principal_curvatures(f_lift[i], f_lift[j], n_lift[i], n_lift[j])
 
-    faces = np.array(c.faces, dtype=int).reshape(-1, 4)
+    faces = c.face_vertices
     gauss, mean, res = gauss_means(f_lift[faces], n_lift[faces])
     # kappa per face edge (i,j), (j,k), (k,l), (l,i)
     kij, kjk, kkl, kli = kappa[c.face_edge_ids].T
@@ -201,16 +201,19 @@ class VertexStar:
 
 def interior_vertex_stars(c: QuadComplex) -> List[VertexStar]:
     """Degree-4 interior vertices with their edge and diagonal neighbours."""
-    out = []
-    for v in range(c.n_vertices):
-        edges = [c.edges[e] for e in c.vertex_edges(v)]
-        faces = [c.faces[fi] for fi in c.vertex_faces(v)]
-        if len(edges) == 4 and len(faces) == 4:
-            out.append(VertexStar(vertex=v, edge_neighbors=[a if b == v else b
-                                                            for a, b, _lab in edges],
-                                  diagonal_neighbors=[f[(f.index(v) + 2) % 4] for f in faces],
-                                  patch=sorted({w for f in faces for w in f})))
-    return out
+    star_edges, star_faces = c.vertex_edges_csr, c.vertex_faces_csr
+    v = np.flatnonzero((star_edges.degrees == 4) & (star_faces.degrees == 4))
+    ends = c.edge_vertices[star_edges.gather(v)[0]].reshape(-1, 4, 2)
+    edge_neighbors = np.where(ends[..., 1] == v[:, None], ends[..., 0], ends[..., 1])
+    faces = c.face_vertices[star_faces.gather(v)[0]].reshape(-1, 4, 4)
+    # the corner opposite the first place of v in each face
+    at = np.argmax(faces == v[:, None, None], axis=2)
+    diagonal = np.take_along_axis(faces, ((at + 2) % 4)[..., None], axis=2)[..., 0]
+    corners = np.sort(faces.reshape(-1, 16), axis=1)
+    distinct = np.diff(corners, axis=1, prepend=-1) != 0
+    return [VertexStar(vertex=w, edge_neighbors=e, diagonal_neighbors=d, patch=p[m].tolist())
+            for w, e, d, p, m in zip(v.tolist(), edge_neighbors.tolist(), diagonal.tolist(),
+                                     corners, distinct)]
 
 
 @dataclass

@@ -99,7 +99,8 @@ def _vertex_count(doc: dict) -> int:
         raise FormatError("bad complex spec: expected a JSON object")
     grid = "n_plus" in doc
     try:
-        return int(doc["n_plus"]) * int(doc["n_minus"]) if grid else int(doc["n_vertices"])
+        return math.prod(int(_numbers(doc[key], (), f"{key} must be an integer", integral=True))
+                         for key in (("n_plus", "n_minus") if grid else ("n_vertices",)))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad {'grid' if grid else 'complex'} spec: {exc}") from exc
 
@@ -108,30 +109,38 @@ def complex_from_dict(doc: dict) -> QuadComplex:
     """Complex of a spec. A grid is valid by construction; an explicit
     complex must have faces, '+'/'-' edge labels, faces that follow the
     label convention, each edge listed once, and at most two edges of one
-    label per vertex."""
+    label per vertex. Counts and vertex indices are JSON integers, and
+    `wrap_plus` is a JSON boolean."""
     n = _vertex_count(doc)
     if "n_plus" in doc:
         try:
-            return make_grid(int(doc["n_plus"]), int(doc["n_minus"]),
-                             bool(doc.get("wrap_plus", False)))
+            wrap = doc.get("wrap_plus", False)
+            if not isinstance(wrap, bool):
+                raise ValueError("wrap_plus must be true or false")
+            return make_grid(int(doc["n_plus"]), int(doc["n_minus"]), wrap)
         except ValueError as exc:
             raise FormatError(f"bad grid spec: {exc}") from exc
     try:
-        edges = tuple((int(i), int(j), str(lab)) for i, j, lab in doc["edges"])
-        faces = tuple(tuple(int(v) for v in f) for f in doc["faces"])
-        c = QuadComplex(n_vertices=n, edges=edges, faces=faces)
-        labels = [lab for _i, _j, lab in edges if lab not in (PLUS, MINUS)]
+        edges, faces = [(i, j, str(lab)) for i, j, lab in doc["edges"]], doc["faces"]
+        # an empty list is read as numbers of no shape
+        ends = _numbers([e[:2] for e in edges] or np.empty((0, 2), dtype=int), (-1, 2),
+                        "edge vertices must be integers", integral=True)
+        corners = _numbers(faces or np.empty((0, 4), dtype=int), (-1, 4),
+                           "faces must be lists of 4 integers", integral=True)
+        c = QuadComplex(n_vertices=n, edges=tuple(zip(*ends.T.tolist(), (e[2] for e in edges))),
+                        faces=tuple(zip(*corners.T.tolist())))
+        unknown = [lab for _i, _j, lab in edges if lab not in (PLUS, MINUS)]
         bad_faces = validate(c).bad_faces
         if not faces:
             raise ValueError("no faces")
-        if labels:
-            raise ValueError(f"edge label {labels[0]!r} is not '+' or '-'")
+        if unknown:
+            raise ValueError(f"edge label {unknown[0]!r} is not '+' or '-'")
         if bad_faces:
             raise ValueError(f"faces with inconsistent edge labels: {bad_faces[:5]}")
         # the first listing of a pair listed again is not the one it indexes
-        twice = [ij for e, ij in enumerate(c.edge_vertices.tolist()) if c.edge_id(*ij) != e]
-        if twice:
-            raise ValueError(f"edge {twice[0]} listed more than once")
+        twice = np.flatnonzero(c.edge_ids(*c.edge_vertices.T) != np.arange(len(c.edges)))
+        if twice.size:
+            raise ValueError(f"edge {c.edge_vertices[twice[0]].tolist()} listed more than once")
         for label in (PLUS, MINUS):
             c.coordinates(label)  # lines need at most two edges of a label per vertex
     except (KeyError, TypeError, ValueError) as exc:
@@ -199,22 +208,24 @@ def _sphere_entry(v: np.ndarray) -> dict:
     raise LieGeometryError(f"cannot serialize sphere vector of kind {d.kind}")
 
 
-def _numbers(value, shape: tuple, message: str) -> np.ndarray:
+def _numbers(value, shape: tuple, message: str, integral: bool = False) -> np.ndarray:
     """JSON numbers of the given shape (-1: any length; at most 2 axes) as
-    floats. Anything else, a boolean among numbers too, raises
-    ValueError(message); non-finite numbers raise ValueError as well."""
+    floats, or with `integral` JSON integers (within int64) as int64.
+    Anything else, a boolean among numbers too, raises ValueError(message);
+    non-finite numbers raise ValueError as well."""
     try:
         a = np.asarray(value)
     except ValueError:  # ragged lists
         raise ValueError(message) from None
     # the numbers one by one, as numpy reads a boolean among numbers as 0 or 1
     flat = [value] if a.ndim == 0 else [x for row in value for x in row] if a.ndim == 2 else value
-    if a.dtype.kind not in "iuf" or a.ndim != len(shape) or bool in map(type, flat) or (
-            a.shape != shape and any(want not in (-1, got) for want, got in zip(shape, a.shape))):
+    if a.dtype.kind not in ("i" if integral else "iuf") or a.ndim != len(shape) or \
+            bool in map(type, flat) or (a.shape != shape and any(
+                want not in (-1, got) for want, got in zip(shape, a.shape))):
         raise ValueError(message)
     if not all(map(math.isfinite, flat)):
         raise ValueError("non-finite coordinate")
-    return a.astype(float, copy=False)
+    return a.astype(np.int64 if integral else float, copy=False)
 
 
 def _sphere_vector(doc: dict, where: str) -> np.ndarray:
@@ -437,9 +448,7 @@ def export_obj(net: LegendreNet, path: Union[str, Path], circles: bool = False,
     lines = ["# liechannel export", "o net"]
     for p in net.vertex_points():
         lines.append(f"v {float(p[0])!r} {float(p[1])!r} {float(p[2])!r}")
-    for face in net.complex.faces:
-        i, j, k, l = (v + 1 for v in face)
-        lines.append(f"f {i} {j} {k} {l}")
+    lines += [f"f {i} {j} {k} {l}" for i, j, k, l in (net.complex.face_vertices + 1).tolist()]
     if circles:
         cert = first_full_certificate(net)
         if not cert.ok:

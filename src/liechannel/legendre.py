@@ -303,17 +303,18 @@ def net_from_edge_spheres(c: QuadComplex, spheres: Dict[Tuple[int, int], LieVec]
     pairs = [tuple(ij) for ij in c.edge_vertices.tolist()]
     known = np.array([ij in spheres for ij in pairs], dtype=bool)
     rows = np.array([spheres.get(ij, np.zeros(6)) for ij in pairs], dtype=float).reshape(-1, 6)
-    stars = [c.vertex_edges(v) for v in range(c.n_vertices)]
-    size = np.array([len(star) for star in stars], dtype=int)
+    stars = c.vertex_edges_csr
+    size = stars.degrees
     rank, bases = np.zeros(c.n_vertices, dtype=int), np.zeros((c.n_vertices, 2, 6))
     for n in np.unique(size[size >= 2]).tolist():
         group = np.flatnonzero(size == n)
-        vt, rank[group] = lc.spans(rows[[stars[v] for v in group.tolist()]])
+        vt, rank[group] = lc.spans(rows[stars.gather(group)[0].reshape(-1, n)])
         bases[group] = vt[:, :2]
+    star_vertex = np.repeat(np.arange(c.n_vertices), size)
     message = "vertex-star does not span a contact element (vertex {})"
     lc.raise_first([
-        (np.array([not known[star].all() for star in stars], dtype=bool),
-         lambda v: KeyError(pairs[next(e for e in stars[v] if not known[e])])),
+        (np.bincount(star_vertex[~known[stars.ids]], minlength=c.n_vertices) > 0,
+         lambda v: KeyError(pairs[next(e for e in stars.row(v) if not known[e])])),
         (size < 2, message),
         (rank == 0, "span of zero vectors"),
         (rank != 2, message),
@@ -321,7 +322,7 @@ def net_from_edge_spheres(c: QuadComplex, spheres: Dict[Tuple[int, int], LieVec]
     ])
 
     net = LegendreNet(complex=c, bases=bases)
-    ids = np.array([c.edge_id(*k) for k in keys], dtype=int)
+    ids = c.edge_ids(*np.array(keys, dtype=int).reshape(-1, 2).T)
     got, failures = net.edge_spheres[ids], net.edge_failures
     with np.errstate(divide="ignore", invalid="ignore"):  # `projective_distance` of each
         d = 1.0 - np.abs(lc.dots(got / np.sqrt(lc.dots(got, got))[:, None], given / norm[:, None]))

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import liechannel as L
-from liechannel import io_json
+from liechannel import builder, io_json
 from liechannel.liecore import subspace_distance, unlift_moebius
 from liechannel.builder import (
-    propagate_profile_normals, sphere_curve_from_certificate,
+    propagate_profile_normals, sphere_curve_from_certificate, check_profile_legendre,
     random_sphere_curve, blend_cyclide, _oriented_chain, _curve_circle_spaces,
 )
 from liechannel.channel import touching_circle_space
@@ -335,3 +335,56 @@ def test_degenerate_face_cyclide_member_is_named():
     with pytest.raises(L.LieGeometryError, match=r"^degenerate face-cyclide member at step 5 "
                                                  r"\(t = 1\.5696\d+\): dims 3, 2$"):
         L.blend_channel(c1, c2, f0, 1.4808292377837171, 16)
+
+
+class TestNanFailsClosed:
+    """Each threshold test of the builder fails on a NaN residual."""
+
+    @pytest.fixture
+    def curve(self):
+        return random_sphere_curve(np.random.default_rng(5), 6)
+
+    def test_pencil_residual(self, curve, monkeypatch):
+        assert L.validate_sphere_curve(curve).ok
+        monkeypatch.setattr(L.Subspace, "residual", lambda self, v: math.nan)
+        diag = L.validate_sphere_curve(curve)
+        assert not diag.ok
+        assert "vertex 1: sphere leaves the pencil of its edges (residual nan)" in diag.messages
+
+    def test_cyclide_residual(self, curve, monkeypatch):
+        hats = _oriented_chain(curve)
+        circles = _curve_circle_spaces(curve, hats)
+        blend_cyclide(circles[0], hats[0], hats[1])
+        monkeypatch.setattr(L.Subspace, "residual", lambda self, v: math.nan)
+        with pytest.raises(L.LieGeometryError,
+                           match="^cyclide does not carry the prescribed spheres$"):
+            blend_cyclide(circles[0], hats[0], hats[1])
+
+    def test_chain_closing_residual(self, curve, monkeypatch):
+        monkeypatch.setattr(builder, "subspace_distance", lambda a, b: math.nan)
+        with pytest.raises(L.LieGeometryError,
+                           match=r"^cyclide chain does not close at vertex 1 \(residual nan\)$"):
+            L.channel_from_sphere_curve(curve, 8)
+
+    @pytest.fixture
+    def profile(self):
+        # a circle in the xz-plane with its radial normals
+        t = np.linspace(0.2, 1.4, 5)
+        normals = np.stack([np.cos(t), 0 * t, np.sin(t)], axis=1)
+        return normals * 0.5 + np.array([2.0, 0.0, 0.0]), normals
+
+    def test_profile_normal_length(self, profile):
+        points, normals = profile
+        check_profile_legendre(points, normals)
+        normals[2, 0] = math.nan
+        with pytest.raises(L.LieGeometryError, match="^profile normals must have unit length$"):
+            check_profile_legendre(points, normals)
+
+    def test_profile_legendre_residual(self, profile):
+        # coincident points: the reflected normal is 0/0
+        points, normals = profile
+        points[2] = points[1]
+        with np.errstate(invalid="ignore"), pytest.raises(
+                L.LieGeometryError,
+                match="^Legendre condition violated by the supplied normals at edge 1$"):
+            check_profile_legendre(points, normals)

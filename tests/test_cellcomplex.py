@@ -1,9 +1,13 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import complex_oracle as oracle
 from liechannel.cellcomplex import (
     QuadComplex, make_grid, validate, swapped_labels, face_edge_labels, edge_key,
     plus_lines, minus_lines, plus_ribbons, minus_ribbons, PLUS, MINUS,
 )
+from liechannel.curvature import interior_vertex_stars
 
 
 def test_grid_3x3_counts():
@@ -166,11 +170,53 @@ REVERSED_ROWS = QuadComplex(
            (0, 5, MINUS), (1, 4, MINUS), (2, 3, MINUS)))
 
 
+def shuffled_grid(n_plus, n_minus, wrap_plus, seed, twice=0, repeated=0, three=False,
+                  pinched=False):
+    """(n_vertices, edges, faces) of a grid written as an explicit complex:
+    vertices permuted, edges shuffled and about half reversed, faces
+    shuffled and rotated by two. Then `twice` vertex pairs listed again,
+    `repeated` faces listed again, each at a random place, with `three`
+    edges of one label added at a vertex until it has three, and with
+    `pinched` a face (i, j, i, j) on an edge added."""
+    rng = np.random.default_rng(seed)
+    edges, faces = oracle.grid_cells(n_plus, n_minus, wrap_plus)
+    n = n_plus * n_minus
+    new = rng.permutation(n).tolist()
+    edges = [(new[j], new[i], lab) if flip else (new[i], new[j], lab)
+             for (i, j, lab), flip in zip(edges, rng.random(len(edges)) < 0.5)]
+    edges = [edges[k] for k in rng.permutation(len(edges))]
+    faces = [(new[k], new[l], new[i], new[j]) for i, j, k, l in faces]
+    faces = [faces[k] for k in rng.permutation(len(faces))]
+    for _ in range(twice):
+        i, j, lab = edges[rng.integers(len(edges))]
+        edges.insert(rng.integers(len(edges) + 1),
+                     (j, i, lab) if rng.random() < 0.5 else (i, j, lab))
+    for _ in range(repeated):
+        faces.insert(rng.integers(len(faces) + 1), faces[rng.integers(len(faces))])
+    if three:
+        label = PLUS if rng.random() < 0.5 else MINUS
+        degree = np.bincount([v for i, j, lab in edges if lab == label for v in (i, j)],
+                             minlength=n)
+        v = int(np.argmax(degree))
+        others = [w for w in rng.permutation(n).tolist() if w != v]
+        edges += [(v, w, label) for w in others[:3 - degree[v]]]
+    if pinched:
+        i, j, _lab = edges[rng.integers(len(edges))]
+        faces.append((i, j, i, j))
+    return n, tuple(edges), tuple(faces)
+
+
+def explicit(n, edges, faces):
+    return QuadComplex(n_vertices=n, edges=edges, faces=faces)
+
+
 @pytest.mark.parametrize("c", [
     make_grid(2, 2), make_grid(3, 3), make_grid(5, 4), make_grid(5, 4, wrap_plus=True),
     swapped_labels(make_grid(4, 3, wrap_plus=True)), swapped_labels(make_grid(6, 2)),
-    REVERSED_ROWS,
-], ids=["2x2", "3x3", "5x4", "5x4-wrapped", "swapped-wrapped", "swapped-6x2", "reversed-rows"])
+    REVERSED_ROWS, explicit(*shuffled_grid(6, 5, True, 1)),
+    explicit(*shuffled_grid(5, 4, False, 2, repeated=2)),
+], ids=["2x2", "3x3", "5x4", "5x4-wrapped", "swapped-wrapped", "swapped-6x2", "reversed-rows",
+        "shuffled-6x5-wrapped", "shuffled-5x4-repeated-faces"])
 def test_coordinates_match_direct_construction(c):
     for label in (PLUS, MINUS):
         coords = c.coordinates(label)
@@ -221,3 +267,68 @@ def test_pair_listed_twice_is_indexed_by_its_last_listing():
     # three faces on edge (0, 1): reported once, by vertex pair
     c = QuadComplex(n_vertices=4, edges=edges[:4], faces=((0, 1, 2, 3),) * 3)
     assert validate(c).overfull_edges == [(0, 1), (1, 2), (2, 3), (0, 3)]
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the class and message of its error."""
+    try:
+        return fn(*args)
+    except (KeyError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n_plus=st.integers(2, 12), n_minus=st.integers(2, 12), wrap=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), twice=st.integers(0, 2), repeated=st.integers(0, 2),
+       three=st.booleans(), pinched=st.booleans(), drop=st.booleans())
+def test_complex_matches_dict_oracle(n_plus, n_minus, wrap, seed, twice, repeated, three,
+                                     pinched, drop):
+    wrap = wrap and n_plus >= 3
+    assert (make_grid(n_plus, n_minus, wrap).edges,
+            make_grid(n_plus, n_minus, wrap).faces) == oracle.grid_cells(n_plus, n_minus, wrap)
+    n, edges, faces = shuffled_grid(n_plus, n_minus, wrap, seed, twice, repeated, three, pinched)
+    if drop:  # a face edge that may be no edge
+        k = seed % len(edges)
+        edges = edges[:k] + edges[k + 1:]
+        got = outcome(explicit, n, edges, faces)
+        if isinstance(got, tuple):
+            assert got == outcome(oracle.DictComplex, n, edges, faces)
+            return
+    c, ref = explicit(n, edges, faces), oracle.DictComplex(n, edges, faces)
+
+    assert c.face_edge_ids.tolist() == ref.face_edge_ids
+    for v in range(-1, n + 1):  # a vertex off the complex raises the oracle's KeyError
+        assert outcome(c.vertex_edges, v) == outcome(ref.vertex_edges.__getitem__, v)
+        assert outcome(c.vertex_faces, v) == outcome(ref.vertex_faces.__getitem__, v)
+    # every pair both ways, vertex pairs that are no edge and pairs off the complex
+    rng = np.random.default_rng(seed)
+    a = np.concatenate([[i for i, _j, _lab in edges], rng.integers(-1, n + 1, 40)])
+    b = np.concatenate([[j for _i, j, _lab in edges], rng.integers(-1, n + 1, 40)])
+    for i, j in zip(a.tolist(), b.tolist()):
+        assert outcome(c.edge_id, i, j) == outcome(ref.edge_id, i, j)
+        assert outcome(c.edge_id, j, i) == outcome(ref.edge_id, j, i)
+        assert c.has_edge(i, j) == ref.has_edge(i, j)
+    for cut in (len(edges), len(a)):
+        got = outcome(lambda: c.edge_ids(b[:cut], a[:cut]).tolist())
+        assert got == outcome(ref.edge_ids, b[:cut].tolist(), a[:cut].tolist())
+
+    diag = validate(c)
+    assert {key: getattr(diag, key) for key in oracle.validate(ref)} == oracle.validate(ref)
+    assert [(s.vertex, s.edge_neighbors, s.diagonal_neighbors, s.patch)
+            for s in interior_vertex_stars(c)] == oracle.interior_vertex_stars(ref)
+
+    expected = {label: outcome(oracle.coordinates, ref, label) for label in (PLUS, MINUS)}
+    for label in (PLUS, MINUS):
+        coords = outcome(c.coordinates, label)
+        if isinstance(expected[label], tuple):  # the oracle's error
+            assert coords == expected[label]
+            continue
+        for name, value in expected[label].items():
+            got = getattr(coords, name)
+            if name in ("edge_line", "vertex_line"):
+                got = {k: li for k, li in enumerate(got.tolist()) if li >= 0}
+            assert got == value, (label, name)
+        other = expected[MINUS if label == PLUS else PLUS]
+        assert outcome(lambda: coords.crossings) == (
+            other if isinstance(other, tuple) else
+            oracle.crossings(expected[label]["lines"], other["vertex_line"]))

@@ -9,6 +9,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from liechannel import io_json
@@ -176,6 +177,38 @@ def test_malformed_documents(text):
 
 TORUS = {form: io_json.net_to_dict(make_dupin_torus(2.0, 1.0, 4, 4), form=form)
          for form in ("euclidean", "hexaspherical")}
+
+
+def _respecified(field, value):
+    """The euclidean 4^2 torus with one field of its complex spec replaced:
+    a grid field, or `n_vertices` or edge k (field ("edges", k)) of the
+    grid written out as an explicit complex."""
+    doc = copy.deepcopy(TORUS["euclidean"])
+    if field == "n_vertices" or isinstance(field, tuple):
+        c = io_json.complex_from_dict(doc["complex"])
+        doc["complex"] = {"n_vertices": c.n_vertices, "edges": [list(e) for e in c.edges],
+                          "faces": [list(f) for f in c.faces]}
+    if isinstance(field, tuple):
+        doc["complex"]["edges"][field[1]] = value
+    else:
+        doc["complex"][field] = value
+    return doc
+
+
+# specs that loaded through int() and bool(), or were refused only by a
+# lookup keyed by the index
+@pytest.mark.parametrize("field, value", [
+    ("wrap_plus", "no"), ("n_plus", "4"), ("n_minus", 4.9), ("n_vertices", 16.9),
+    (("edges", 0), [0.5, 1, "+"]), (("edges", 0), ["0", 1, "+"]),
+    (("edges", 1), [True, 2, "+"]), (("edges", 0), [0, 10**12, "+"]),
+    (("edges", 0), [-1, 2, "+"]),
+])
+def test_typed_complex_spec(field, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "net.json").write_text(json.dumps(_respecified(field, value)), encoding="utf-8")
+        for argv in net_commands(tmp / "net.json", tmp):
+            assert run(*argv) == 2, argv
 
 
 def _retyped(value, how: str, k: int):

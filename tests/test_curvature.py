@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import liechannel as L
+from liechannel import curvature
 from liechannel.curvature import (
     wedge, mixed_area, gauss_mean, curvature_report, kappa_line_spread,
     is_isothermic_5point, diagonal_concircular, vessiot_classify,
@@ -303,3 +304,38 @@ class TestFlatness:
             iso = is_isothermic_5point(net.vertex_points(), net.complex)
             assert iso.all_pass() == expect
             assert L.is_multi_circular_net(net) == expect
+
+
+class TestNanFailsClosed:
+    """Each cutoff of the curvature report fails on a NaN entry."""
+
+    @pytest.fixture
+    def torus(self):
+        return L.make_dupin_torus(2.0, 1.0, 6, 6)
+
+    @pytest.mark.parametrize("lift, column, message", [
+        ("point_spheres", 3, "vertex 4 is a point at infinity"),
+        ("plane_lifts", 5, "vertex 4 has no tangent plane lift"),
+    ])
+    def test_lift_normalisation(self, torus, monkeypatch, lift, column, message):
+        lifts, ok = getattr(curvature, lift)(torus.bases)
+        lifts[4, column] = math.nan
+        monkeypatch.setattr(curvature, lift, lambda bases: (lifts, ok))
+        with pytest.raises(L.LieGeometryError, match=f"^{message}$"):
+            curvature.euclidean_lifts(torus)
+
+    def test_face_area(self, torus):
+        f, n = curvature.euclidean_lifts(torus)
+        quads = torus.complex.face_vertices
+        f_quads = f[quads]
+        f_quads[3, 1, 0] = math.nan
+        with pytest.raises(L.LieGeometryError, match="^degenerate face: vanishing mixed area$"):
+            curvature.gauss_means(f_quads, n[quads])
+
+    def test_edge_difference(self, torus):
+        f, n = curvature.euclidean_lifts(torus)
+        i, j = torus.complex.edge_vertices.T
+        f_i = f[i]
+        f_i[7, 2] = math.nan
+        with pytest.raises(L.LieGeometryError, match=r"^principal curvature undefined: df = 0$"):
+            curvature.principal_curvatures(f_i, f[j], n[i], n[j])

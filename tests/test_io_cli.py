@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -310,11 +311,22 @@ class TestHostileNetFiles:
         assert capsys.readouterr().err == f"error: vertex 0: {message}\n"
 
 
-def _explicit_net(n, edges, faces):
+def _explicit_net(n, edges, faces, n_vertices=None):
     square = [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
     return {"format": "liechannel-net", "version": 1,
-            "complex": {"n_vertices": n, "edges": edges, "faces": faces},
+            "complex": {"n_vertices": n if n_vertices is None else n_vertices,
+                        "edges": edges, "faces": faces},
             "vertices": [{"point": p, "normal": [0.0, 0.0, 1.0]} for p in square[:n]]}
+
+
+_FACE_EDGES = [[1, 2, "+"], [2, 3, "-"], [3, 0, "+"]]
+
+
+def _torus_grid(**spec):
+    """A 4^2 torus file whose grid spec has the given entries."""
+    doc = io_json.net_to_dict(L.make_dupin_torus(2.0, 1.0, 4, 4))
+    doc["complex"].update(spec)
+    return doc
 
 
 class TestMalformedComplexes:
@@ -332,17 +344,63 @@ class TestMalformedComplexes:
                        [[0, 1, 2, 3]]), "edge [0, 1] listed more than once"),
         (_explicit_net(4, [[0, 1, "-"], [1, 2, "+"], [2, 3, "-"], [3, 0, "+"]] * 2,
                        [[0, 1, 2, 3]] * 4), "edge [0, 1] listed more than once"),
+        # counts and vertex indices are JSON integers, checked against the count
+        (_explicit_net(4, [[0.5, 1, "-"], *_FACE_EDGES], [[0, 1, 2, 3]]),
+         "edge vertices must be integers"),
+        (_explicit_net(4, [["0", 1, "-"], *_FACE_EDGES], [[0, 1, 2, 3]]),
+         "edge vertices must be integers"),
+        (_explicit_net(4, [[True, 0, "-"], *_FACE_EDGES], [[0, 1, 2, 3]]),
+         "edge vertices must be integers"),
+        (_explicit_net(4, [[0, 10**30, "-"], *_FACE_EDGES], [[0, 1, 2, 3]]),
+         "edge vertices must be integers"),
+        (_explicit_net(4, [[0, 1, "-"], *_FACE_EDGES], [[0, 1, 2, 3.0]]),
+         "faces must be lists of 4 integers"),
+        (_explicit_net(4, [[0, 1, "-"], *_FACE_EDGES], [[0, 1, 2]]),
+         "faces must be lists of 4 integers"),
+        (_explicit_net(4, [[0, 1], *_FACE_EDGES], [[0, 1, 2, 3]]),
+         "not enough values to unpack (expected 3, got 2)"),
+        (_explicit_net(4, [[0, 1, "-"], *_FACE_EDGES], [[0, 1, 2, 3]], n_vertices=4.0),
+         "n_vertices must be an integer"),
+        (_explicit_net(4, [[0, 10**12, "-"], *_FACE_EDGES], [[0, 1, 2, 3]]),
+         "edge 0: vertex 1000000000000 is not in [0, 4)"),
+        (_explicit_net(4, [[-1, 1, "-"], *_FACE_EDGES], [[0, 1, 2, 3]]),
+         "edge 0: vertex -1 is not in [0, 4)"),
+        (_explicit_net(4, [[0, 1, "-"], *_FACE_EDGES], [[0, 1, 2, 3], [0, 1, 2, 9]]),
+         "face 1: vertex 9 is not in [0, 4)"),
+        (_torus_grid(wrap_plus="no"), "wrap_plus must be true or false"),
+        (_torus_grid(wrap_plus=1), "wrap_plus must be true or false"),
+        (_torus_grid(n_plus="4"), "n_plus must be an integer"),
+        (_torus_grid(n_minus=4.9), "n_minus must be an integer"),
+        (_torus_grid(n_minus=True), "n_minus must be an integer"),
     ])
     def test_refused_with_exit_2(self, tmp_path, capsys, doc, message):
         path = tmp_path / "net.json"
         path.write_text(json.dumps(doc))
+        spec = "complex" if "n_vertices" in doc["complex"] else "grid"
         for command in (["verify", "--in", str(path)], ["classify", "--in", str(path)],
                         ["curvature", "--in", str(path)],
                         ["export", "--in", str(path), "--obj", str(tmp_path / "n.obj"),
                          "--circles"]):
             capsys.readouterr()
             assert main(command) == 2
-            assert capsys.readouterr().err == f"error: bad complex spec: {message}\n"
+            assert capsys.readouterr().err == f"error: bad {spec} spec: {message}\n"
+
+    def test_far_vertex_index_is_refused_before_anything_is_sized(self, tmp_path):
+        # an index is checked against the vertex count before an array is
+        # sized from it: loading the file allocates as little as a valid one
+        def peak(doc):
+            path = tmp_path / "net.json"
+            path.write_text(json.dumps(doc))
+            tracemalloc.start()
+            try:
+                code = main(["verify", "--in", str(path)])
+                return code, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        valid = peak(_explicit_net(4, [[0, 1, "-"], *_FACE_EDGES], [[0, 1, 2, 3]]))
+        far = peak(_explicit_net(4, [[0, 10**7, "-"], *_FACE_EDGES], [[0, 1, 2, 3]]))
+        assert far[0] == 2 and far[1] < valid[1] + 2**20
 
     def test_repeated_faces_with_single_edges_load_and_verify(self, tmp_path, capsys):
         path = tmp_path / "net.json"

@@ -39,10 +39,11 @@ def test_output_digest(capsys):
     digests = dict(line.rsplit(" ", 1) for line in lines)
     assert len(digests) == len(lines)           # every output named once
     exits = {name[:-len(" exit")]: d for name, d in digests.items() if name.endswith(" exit")}
-    # generate on 8 settings, 7 commands on each net and the swapped one,
-    # build, verify, classify, export --circles and blend on 4 sphere curves
-    # and on 2 whose blends fail, verify on the 2 nets that fail mid-check
-    assert len(exits) == 8 + 9 * 7 + 6 * 5 + 2
+    # generate on 8 settings, 7 commands on each net, the swapped one and the
+    # explicit torus, build, verify, classify, export --circles and blend on
+    # 4 sphere curves and on 2 whose blends fail, verify on the 2 nets that
+    # fail mid-check
+    assert len(exits) == 8 + 10 * 7 + 6 * 5 + 2
     code = {hashlib.sha256(str(c).encode()).hexdigest(): c for c in (0, 1, 2)}
     assert {name: code.get(exits[name]) for name in ("moved-corner verify both",
                                                       "beside verify both")} == {
@@ -51,6 +52,12 @@ def test_output_digest(capsys):
         "swapped verify +": 1, "swapped verify -": 0, "swapped verify both": 0,
         "swapped classify": 1, "swapped curvature": 0, "swapped export": 0,
         "swapped export --circles": 0}
+    # a Dupin torus whose vertex and edge ids follow no grid order
+    assert {name: code.get(d) for name, d in exits.items()
+            if name.startswith("explicit-torus")} == {
+        f"explicit-torus {command}": 0 for command in (
+            "verify +", "verify -", "verify both", "classify", "curvature", "export",
+            "export --circles")}
     failing = {name: code.get(d) for name, d in exits.items()
                if "-12x16" in name and name.endswith(" blend")}
     assert failing == {"curve3-12x16 blend": 2, "curve9-12x16 blend": 2}
