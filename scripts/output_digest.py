@@ -12,10 +12,11 @@ listings shows every report, net file, OBJ or message a change alters:
     diff old.txt new.txt
 
 Inputs: `generate` on eight generator settings, the revolution net with
-n = 2, m = 3 with its labels swapped, and a 6 x 5 Dupin torus written as an
-explicit complex whose vertex and edge ids are not in grid order, each
-followed by verify ('+', '-', 'both'), classify, curvature and export with
-and without --circles; `build`
+n = 2, m = 3 with its labels swapped, a 6 x 5 Dupin torus written as an
+explicit complex whose vertex and edge ids are not in grid order, and the
+6 x 5 faces of a Dupin torus cut apart (each face with its own four
+vertices), each followed by verify ('+', '-', 'both'), classify, curvature
+and export with and without --circles; `build`
 on four fixed sphere curves, then `verify --direction both`, classify and
 export --circles on each built net (a generic channel surface, so these
 outputs hold the certificate, cross-ratio spread and circles of a channel
@@ -48,7 +49,9 @@ from liechannel import io_json  # noqa: E402
 from liechannel.builder import (  # noqa: E402
     make_dupin_torus, make_reflection_example, random_sphere_curve,
 )
-from liechannel.cellcomplex import make_grid, swapped_labels  # noqa: E402
+from liechannel.cellcomplex import (  # noqa: E402
+    QuadComplex, face_edge_labels, make_grid, swapped_labels,
+)
 from liechannel.cli import main, random_generator_net  # noqa: E402
 from liechannel.legendre import LegendreNet, contact_from_vectors, curvature_sphere  # noqa: E402
 from liechannel.liecore import inner  # noqa: E402
@@ -137,6 +140,18 @@ def explicit_torus() -> dict:
             "vertices": vertices}
 
 
+def cut_torus() -> LegendreNet:
+    """The 30 faces of a 6 x 6-vertex Dupin torus (6 x 5 faces) as separate
+    quadrilaterals, each with its own four vertices and contact elements."""
+    torus = make_dupin_torus(2.5, 0.9, 6, 6)
+    faces = np.array(torus.complex.faces)
+    edges = tuple((4 * f + a, 4 * f + b, lab) for f in range(len(faces))
+                  for a, b, lab in face_edge_labels(range(4)))
+    c = QuadComplex(n_vertices=faces.size, edges=edges,
+                    faces=tuple(map(tuple, np.arange(faces.size).reshape(-1, 4).tolist())))
+    return LegendreNet(complex=c, bases=torus.bases[faces.ravel()])
+
+
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -190,6 +205,10 @@ def digest_all() -> None:
     Path("explicit-torus.net.json").write_text(json.dumps(explicit_torus()), encoding="utf-8")
     print(f"explicit-torus input {sha(Path('explicit-torus.net.json').read_bytes())}")
     net_commands("explicit-torus", "explicit-torus.net.json")
+
+    io_json.save_net(cut_torus(), "cut-torus.net.json")
+    print(f"cut-torus input {sha(Path('cut-torus.net.json').read_bytes())}")
+    net_commands("cut-torus", "cut-torus.net.json")
 
     for k in CURVE_SEEDS:
         curve_commands(f"curve{k}", k, CURVE_SPHERES, SAMPLES, BLEND_COLUMNS)

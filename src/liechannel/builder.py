@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -408,18 +408,16 @@ def sphere_curve_from_certificate(cert: ChannelCertificate) -> SphereCurve:
     # order lines along the ribbon adjacency
     if not cert.ribbon_lines:
         raise LieGeometryError("certificate has no ribbons")
-    neighbors: Dict[int, List[Tuple[int, int]]] = {}
-    for ri, (a, b) in enumerate(cert.ribbon_lines):
-        neighbors.setdefault(a, []).append((b, ri))
-        neighbors.setdefault(b, []).append((a, ri))
-    ends = [li for li, ns in neighbors.items() if len(ns) == 1]
+    ends = np.flatnonzero(cert.line_ribbons.degrees == 1).tolist()
     closed = not ends
     start = min(ends) if ends else 0
     order = [start]
     ribbons_seq: List[int] = []
     prev = None
     while True:
-        ns = [t for t in neighbors[order[-1]] if t[0] != prev]
+        # the other bounding line of each ribbon of the line, but the one it came from
+        ns = [(other, ri) for ri in cert.line_ribbons[order[-1]]
+              if (other := sum(cert.ribbon_lines[ri]) - order[-1]) != prev]
         if not ns:
             break
         nxt, ri = ns[0]

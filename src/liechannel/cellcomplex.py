@@ -17,8 +17,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import accumulate
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,20 +34,48 @@ def edge_key(i: int, j: int) -> Edge:
     return (i, j) if i < j else (j, i)
 
 
-class Incidence(NamedTuple):
-    """Compressed rows: row r holds ``ids[offsets[r]:offsets[r + 1]]``."""
+@dataclass(frozen=True, eq=False)
+class Incidence:
+    """Ragged rows: row r holds ``ids[offsets[r]:offsets[r + 1]]``. Both
+    arrays are read-only; `[r]` and iteration give a row as a list."""
 
-    offsets: np.ndarray
+    offsets: np.ndarray  # (R + 1,)
     ids: np.ndarray
+
+    def __post_init__(self):
+        self.offsets.flags.writeable = self.ids.flags.writeable = False
+
+    @classmethod
+    def grouped(cls, rows: np.ndarray, ids: np.ndarray, n_rows: int) -> "Incidence":
+        """`ids` grouped by their row in [0, n_rows), each row in input order."""
+        return cls(np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows)))),
+                   ids[np.argsort(rows, kind="stable")])
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __iter__(self) -> Iterator[List[int]]:
+        return iter(self.tolist())
 
     @property
     def degrees(self) -> np.ndarray:
         return np.diff(self.offsets)
 
+    @property
+    def group(self) -> np.ndarray:
+        """The row of each id."""
+        return np.repeat(np.arange(len(self)), self.degrees)
+
     def row(self, r: int) -> List[int]:
-        if not 0 <= r < len(self.offsets) - 1:
+        if not 0 <= r < len(self):
             raise KeyError(r)
         return self.ids[self.offsets[r]:self.offsets[r + 1]].tolist()
+
+    __getitem__ = row
+
+    def tolist(self) -> List[List[int]]:
+        ids, ends = self.ids.tolist(), self.offsets.tolist()
+        return [ids[a:b] for a, b in zip(ends, ends[1:])]
 
     def gather(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The ids of the given rows in order, and the position in `rows` of the row of each."""
@@ -56,11 +83,14 @@ class Incidence(NamedTuple):
         at = np.repeat(starts - (np.cumsum(n) - n), n) + np.arange(n.sum())
         return self.ids[at], np.repeat(np.arange(len(rows)), n)
 
-
-def _incidence(rows: np.ndarray, ids: np.ndarray, n_rows: int) -> Incidence:
-    """`ids` grouped by their row in [0, n_rows), each row in input order."""
-    return Incidence(np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows)))),
-                     ids[np.argsort(rows, kind="stable")])
+    def by_length(self, lengths: Optional[np.ndarray] = None
+                  ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Per length n: the rows (k,) of that length and the positions
+        (k, n) in `ids` of their first n ids; a row's length is its degree
+        unless `lengths` are given."""
+        lengths = self.degrees if lengths is None else lengths
+        return [(rows, self.offsets[rows, None] + np.arange(n))
+                for n in np.unique(lengths) for rows in [np.flatnonzero(lengths == n)]]
 
 
 @dataclass(frozen=True)
@@ -104,17 +134,20 @@ class QuadComplex:
         keys = ends[:, 0] * n + ends[:, 1]
         order = np.argsort(keys, kind="stable")  # the last of equal keys is the last listing
         put("_keys", np.append(keys[order], np.iinfo(np.int64).max))
-        put("_key_edges", order)
+        put("_key_edges", np.append(order, -1))
         put("edge_vertices", ends)
         put("edge_labels", rows[:, 2].astype(str))
         put("face_vertices", faces)
-        put("vertex_edges_csr", _incidence(ends.ravel(), np.arange(len(ends)).repeat(2), n))
+        put("vertex_edges_csr", Incidence.grouped(ends.ravel(), np.arange(len(ends)).repeat(2), n))
         # a face lists each vertex it names once
         once = np.stack([(faces[:, :t] != faces[:, t:t + 1]).all(axis=1) for t in range(4)], 1)
         put("vertex_faces_csr",
-            _incidence(faces[once], np.arange(len(faces)).repeat(4)[once.ravel()], n))
+            Incidence.grouped(faces[once], np.arange(len(faces)).repeat(4)[once.ravel()], n))
         # face_edge_labels order; a face edge that is no edge raises KeyError
         put("face_edge_ids", self.edge_ids(faces, np.roll(faces, -1, axis=1)))
+        for name in ("_keys", "_key_edges", "edge_vertices", "edge_labels", "face_vertices",
+                     "face_edge_ids"):
+            getattr(self, name).flags.writeable = False  # shared by every reader
 
     def edge_id(self, i: int, j: int) -> int:
         """Id of the edge joining i and j; KeyError if there is none."""
@@ -125,7 +158,7 @@ class QuadComplex:
         """Ids of the edges joining a[k] and b[k], and where there is one."""
         lo, hi, n = np.minimum(a, b), np.maximum(a, b), self.n_vertices
         key = np.where((lo >= 0) & (hi < n), lo * n + hi, -1)
-        # the last of the keys <= key; below them all, -1 reads the maximal key
+        # the last of the keys <= key; below them all, -1 reads the maximal key of no edge
         at = np.searchsorted(self._keys, key, side="right") - 1
         return self._key_edges[at], self._keys[at] == key
 
@@ -194,14 +227,14 @@ def make_grid(n_plus: int, n_minus: int, wrap_plus: bool = False) -> QuadComplex
     )
 
 
-def _walks(nbrs: Incidence, starts: np.ndarray) -> List[List[int]]:
+def _walks(nbrs: Incidence, starts: np.ndarray) -> Incidence:
     """Maximal walks through a graph, one from each node of `starts` not
     yet visited: a walk steps to the first neighbour that is not the node
     it came from, and ends where there is none or it was visited."""
     offsets, ids = nbrs.offsets.tolist(), nbrs.ids.tolist()
-    seen, walks = [False] * (len(offsets) - 1), []
+    seen, path, ends = [False] * len(nbrs), [], [0]
     for node in starts.tolist():
-        path, prev = [], -1
+        prev = -1
         while node >= 0 and not seen[node]:
             seen[node] = True
             path.append(node)
@@ -211,18 +244,18 @@ def _walks(nbrs: Incidence, starts: np.ndarray) -> List[List[int]]:
             else:
                 w = -1
             prev, node = node, w
-        if path:
-            walks.append(path)
-    return walks
+        if len(path) > ends[-1]:
+            ends.append(len(path))
+    return Incidence(np.array(ends), np.array(path, dtype=np.int64))
 
 
 def _neighbours(c: QuadComplex, label: Optional[str] = None) -> Incidence:
     """The vertices joined to each vertex by an edge (of one label), in edge order."""
     ends = c.edge_vertices if label is None else c.edge_vertices[c.edge_labels == label]
-    return _incidence(ends.ravel(), ends[:, ::-1].ravel(), c.n_vertices)
+    return Incidence.grouped(ends.ravel(), ends[:, ::-1].ravel(), c.n_vertices)
 
 
-def _label_lines(c: QuadComplex, label: str) -> List[List[int]]:
+def _label_lines(c: QuadComplex, label: str) -> Incidence:
     """Paths (or cycles) along edges of one label."""
     nbrs = _neighbours(c, label)
     degree = nbrs.degrees
@@ -236,127 +269,139 @@ def _label_lines(c: QuadComplex, label: str) -> List[List[int]]:
     return _walks(nbrs, np.concatenate((np.flatnonzero(degree == 1), np.flatnonzero(degree))))
 
 
-def _label_ribbons(c: QuadComplex, label: str) -> List[List[int]]:
+def _label_ribbons(c: QuadComplex, label: str) -> Incidence:
     """Maximal face strips glued along edges of the opposite label."""
     n_faces = len(c.face_edge_ids)
-    faces_of = _incidence(c.face_edge_ids.ravel(), np.repeat(np.arange(n_faces), 4), len(c.edges))
+    faces_of = Incidence.grouped(c.face_edge_ids.ravel(), np.repeat(np.arange(n_faces), 4),
+                                 len(c.edges))
     glue = c.face_edge_ids[:, SLOTS[MINUS if label == PLUS else PLUS]].ravel()
     # the faces on each face's two glue edges, in slot order, the face itself left out
     other, at = faces_of.gather(glue)
     face = at // 2
     keep = other != face
-    nbrs = _incidence(face[keep], other[keep], n_faces)
+    nbrs = Incidence.grouped(face[keep], other[keep], n_faces)
     # open strips first, then closed ones
     return _walks(nbrs, np.concatenate((np.flatnonzero(nbrs.degrees <= 1), np.arange(n_faces))))
 
 
+def _line_edges(c: QuadComplex, lines: Incidence) -> Incidence:
+    """Edge ids of each line in walk order, the closing edge of a cycle last."""
+    heads, tails = lines.offsets[:-1], lines.offsets[1:] - 1
+    # a line of three or more vertices is a cycle when its ends are joined
+    cycle = (lines.degrees > 2) & c._lookup(lines.ids[tails], lines.ids[heads])[1]
+    after = np.arange(1, len(lines.ids) + 1)  # the next vertex of each, -1 past an open end
+    after[tails] = np.where(cycle, heads, -1)
+    on = after >= 0
+    return Incidence.grouped(lines.group[on], c.edge_ids(lines.ids[on], lines.ids[after[on]]),
+                             len(lines))
+
+
 class Coordinates:
-    """Coordinate lines and ribbons of one label and the maps between them.
+    """Coordinate lines and ribbons of one label and the maps between them,
+    as read-only arrays and `Incidence` rows.
 
     Built once per complex and label by `QuadComplex.coordinates`: the line
     facts at once, each ribbon and crossing fact on first use (while the
     complex is alive). They are shared by every certificate and test of
-    the net and must not be mutated. A ribbon's faces are glued along edges
-    of the opposite label. Edges are edge ids of the complex.
+    the net. A ribbon's faces are glued along edges of the opposite label.
+    Edges are edge ids of the complex.
     """
 
     def __init__(self, c: QuadComplex, label: str):
         # weak, so that a dropped complex is freed at once, not by the cycle collector
         self._complex, self.label = weakref.proxy(c), label
         self.opposite = MINUS if label == PLUS else PLUS
-        self.lines: List[List[int]] = _label_lines(c, label)
-        self.line_edges: List[List[int]] = _line_edges(c, self.lines)
+        self.lines: Incidence = _label_lines(c, label)             # vertex paths
+        self.line_edges: Incidence = _line_edges(c, self.lines)
         self.edge_line = np.full(len(c.edges), -1)     # line of each edge, -1 if none
         self.vertex_line = np.full(c.n_vertices, -1)   # line of each vertex, -1 if none
-        for li, (line, edges) in enumerate(zip(self.lines, self.line_edges)):
-            self.vertex_line[line], self.edge_line[edges] = li, li
+        self.edge_line[self.line_edges.ids] = self.line_edges.group
+        self.vertex_line[self.lines.ids] = self.lines.group
+        self.edge_line.flags.writeable = self.vertex_line.flags.writeable = False
 
-    def _strip_edges(self, strip: List[int], label: str) -> List[int]:
-        return self._complex.face_edge_ids[strip][:, SLOTS[label]].ravel().tolist()
+    def _strip_edges(self, label: str) -> Tuple[np.ndarray, np.ndarray]:
+        """The edges of one label of the ribbon faces in strip order, and the ribbon of each."""
+        strips = self.ribbons
+        return (self._complex.face_edge_ids[strips.ids][:, SLOTS[label]].ravel(),
+                strips.group.repeat(2))
 
     @cached_property
-    def ribbons(self) -> List[List[int]]:
+    def ribbons(self) -> Incidence:
         """Face index strips."""
         return _label_ribbons(self._complex, self.label)
 
     @cached_property
-    def ribbon_edges(self) -> List[List[int]]:
+    def ribbon_edges(self) -> Incidence:
         """Distinct opposite-label edges of each ribbon, in strip order."""
-        return [list(dict.fromkeys(self._strip_edges(strip, self.opposite)))
-                for strip in self.ribbons]
+        edges, ribbon = self._strip_edges(self.opposite)
+        first = np.sort(np.unique(ribbon * len(self.edge_line) + edges, return_index=True)[1])
+        return Incidence.grouped(ribbon[first], edges[first], len(self.ribbons))
+
+    @cached_property
+    def ribbon_bounds(self) -> Incidence:
+        """Ascending ids of the lines bounding each ribbon (two when sound)."""
+        edges, ribbon = self._strip_edges(self.label)
+        line, n = self.edge_line[edges], len(self.lines)
+        ribbon, line = np.divmod(np.unique((ribbon * n + line)[line >= 0]), n)
+        return Incidence.grouped(ribbon, line, len(self.ribbons))
 
     @cached_property
     def ribbon_lines(self) -> List[Tuple[int, ...]]:
-        """Ascending ids of the lines bounding each ribbon (two when sound)."""
-        return [tuple(sorted({li for li in self.edge_line[self._strip_edges(strip, self.label)]
-                              .tolist() if li >= 0}))
-                for strip in self.ribbons]
+        """`ribbon_bounds` as tuples, the form certificates hand on."""
+        return [tuple(bounds) for bounds in self.ribbon_bounds]
 
     @cached_property
-    def line_ribbons(self) -> Dict[int, List[int]]:
-        """Two-line ribbons of each bounding line."""
-        out: Dict[int, List[int]] = {}
-        for ri, bounds in enumerate(self.ribbon_lines):
-            for li in bounds if len(bounds) == 2 else ():
-                out.setdefault(li, []).append(ri)
-        return out
+    def line_ribbons(self) -> Incidence:
+        """Two-line ribbons of each line; empty for a line that bounds none."""
+        bounds = self.ribbon_bounds
+        two = np.repeat(bounds.degrees == 2, bounds.degrees)
+        return Incidence.grouped(bounds.ids[two], bounds.group[two], len(self.lines))
 
     @cached_property
-    def line_pairs(self) -> List[Tuple[List[int], List[int]]]:
-        """Bounding lines of each two-line ribbon, the second reordered so
-        that corresponding vertices share an opposite-label edge (kept as
-        walked when some vertex has no unique mate)."""
-        offsets, nbrs = (x.tolist() for x in _neighbours(self._complex, self.opposite))
-        line_of, pairs = self.vertex_line.tolist(), []
-        for la, lb in (bounds for bounds in self.ribbon_lines if len(bounds) == 2):
-            mates = [{w for w in nbrs[offsets[v]:offsets[v + 1]] if line_of[w] == lb}
-                     for v in self.lines[la]]
-            unique = all(len(m) == 1 for m in mates)
-            pairs.append((self.lines[la], [min(m) for m in mates] if unique else self.lines[lb]))
-        return pairs
+    def line_pairs(self) -> Tuple[Incidence, Incidence]:
+        """Bounding lines of each two-line ribbon, as two aligned row sets:
+        the first line, and the second reordered so that corresponding
+        vertices share an opposite-label edge (kept as walked when some
+        vertex has no unique mate)."""
+        bounds, n = self.ribbon_bounds, self._complex.n_vertices
+        la, lb = bounds.ids[np.repeat(bounds.degrees == 2, bounds.degrees)].reshape(-1, 2).T
+        (first, pair), (second, pair_b) = self.lines.gather(la), self.lines.gather(lb)
+        # the distinct opposite-label neighbours of each first-line vertex on the second line
+        w, at = _neighbours(self._complex, self.opposite).gather(first)
+        on = self.vertex_line[w] == lb[pair[at]]
+        at, w = np.divmod(np.unique(at[on] * n + w[on]), n)
+        lone = np.bincount(at, minlength=len(first)) == 1
+        unique = np.bincount(pair, ~lone, minlength=len(la)) == 0
+        # an aligned pair has one mate per vertex, in the order of the first line
+        a, b = unique[pair[at]], ~unique[pair_b]
+        return (Incidence.grouped(pair, first, len(la)),
+                Incidence.grouped(np.concatenate((pair[at[a]], pair_b[b])),
+                                  np.concatenate((w[a], second[b])), len(la)))
 
     @cached_property
-    def crossings(self) -> List[Dict[int, List[int]]]:
-        """Per line: id of each opposite-label line it crosses -> the
-        vertices of the line on it, ordered by first crossing along the line."""
-        other = self._complex.coordinates(self.opposite).vertex_line.tolist()
-        out = []
-        for line in self.lines:
-            crossing: Dict[int, List[int]] = {}
-            for v in line:
-                if other[v] >= 0:
-                    crossing.setdefault(other[v], []).append(v)
-            out.append(crossing)
-        return out
+    def crossings(self) -> Tuple[Incidence, Incidence]:
+        """The vertices of each line that lie on an opposite-label line, in
+        walk order, and the id of that line for each, as two aligned row sets."""
+        other = self._complex.coordinates(self.opposite).vertex_line[self.lines.ids]
+        on = other >= 0
+        line = self.lines.group[on]
+        return (Incidence.grouped(line, self.lines.ids[on], len(self.lines)),
+                Incidence.grouped(line, other[on], len(self.lines)))
 
 
-def _line_edges(c: QuadComplex, lines: List[List[int]]) -> List[List[int]]:
-    """Edge ids of each line in walk order, the closing edge of a cycle last."""
-    # a line of three or more vertices is a cycle when its ends are joined
-    tips = np.array([(line[-1], line[0]) if len(line) > 2 else (-1, -1) for line in lines])
-    starts, ends, counts = [], [], []
-    for line, cycle in zip(lines, c._lookup(*tips.reshape(-1, 2).T)[1].tolist()):
-        nxt = line[1:] + line[:1] if cycle else line[1:]
-        starts += line[:len(nxt)]
-        ends += nxt
-        counts.append(len(nxt))
-    ids = c.edge_ids(starts, ends).tolist()
-    return [ids[k - n:k] for k, n in zip(accumulate(counts), counts)]
-
-
-def plus_lines(c: QuadComplex) -> List[List[int]]:
+def plus_lines(c: QuadComplex) -> Incidence:
     return c.coordinates(PLUS).lines
 
 
-def minus_lines(c: QuadComplex) -> List[List[int]]:
+def minus_lines(c: QuadComplex) -> Incidence:
     return c.coordinates(MINUS).lines
 
 
-def plus_ribbons(c: QuadComplex) -> List[List[int]]:
+def plus_ribbons(c: QuadComplex) -> Incidence:
     return c.coordinates(PLUS).ribbons
 
 
-def minus_ribbons(c: QuadComplex) -> List[List[int]]:
+def minus_ribbons(c: QuadComplex) -> Incidence:
     return c.coordinates(MINUS).ribbons
 
 

@@ -37,7 +37,7 @@ from .liecore import (
     LieVec, LieGeometryError, DegenerateGramError, Subspace, POINT_COMPLEX, inner,
     canonical_sign, span, signature, orthocomplement, subspace_distance, oriented_representative,
 )
-from .cellcomplex import PLUS, MINUS
+from .cellcomplex import PLUS, MINUS, Incidence
 from .legendre import (
     NO_POINT_SPHERE, LegendreNet, DupinCyclide, is_legendre, face_cyclide_family,
     point_spheres, DegenerateFaceError,
@@ -71,15 +71,15 @@ class ChannelCertificate:
     """Per-line and per-ribbon data of a verified channel surface, as stacks.
 
     lines, ribbons, ribbon_lines and line_ribbons are the complex's shared
-    `Coordinates` of the direction and must not be mutated. The stacks after
-    constancy_residual are set by `complete_certificate`.
+    `Coordinates` of the direction. The stacks after constancy_residual are
+    set by `complete_certificate`.
     """
 
     direction: str
-    lines: List[List[int]]                 # dir-coordinate lines (vertex paths)
-    ribbons: List[List[int]]               # dir-ribbons (face index strips)
+    lines: Incidence                       # dir-coordinate lines (vertex paths)
+    ribbons: Incidence                     # dir-ribbons (face index strips)
     ribbon_lines: List[Tuple[int, int]]    # bounding line ids per ribbon
-    line_ribbons: Dict[int, List[int]]     # two-line ribbons of each line
+    line_ribbons: Incidence                # two-line ribbons of each line
     line_spheres: np.ndarray               # (L, 6) constant enveloped sphere per line
     dplus: np.ndarray                      # (R, 3, 6) Lie cyclide per ribbon,
     dminus: np.ndarray                     # (R, 3, 6)   as two basis stacks
@@ -116,26 +116,6 @@ class ChannelFailure:
     ok = False
 
 
-def _flatten(groups: List[List]) -> Tuple[np.ndarray, np.ndarray]:
-    """The items of all groups (lines or ribbons) in order, and the group of each."""
-    return (np.array([i for group in groups for i in group], dtype=int),
-            np.repeat(np.arange(len(groups)), [len(group) for group in groups]))
-
-
-def _by_length(groups: List[List]) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Per length n: the ids (k,) of the groups of that length and the
-    positions (k, n) of their items in `_flatten` order."""
-    counts = np.array([len(group) for group in groups], dtype=int)
-    return [(ids, (np.cumsum(counts) - counts)[ids, None] + np.arange(n))
-            for n in np.unique(counts) for ids in [np.flatnonzero(counts == n)]]
-
-
-def _sphere_groups(net: LegendreNet, groups) -> Tuple[np.ndarray, np.ndarray]:
-    """Edge spheres (E, 6) of edge id groups in `_flatten` order, and the group of each."""
-    edges, group = _flatten(groups)
-    return net.edge_spheres[edges], group
-
-
 def verify_channel(net: LegendreNet, direction: str = PLUS):
     """Check the channel conditions; return a certificate or failure report.
 
@@ -153,7 +133,7 @@ def verify_channel(net: LegendreNet, direction: str = PLUS):
 
     # (a) projective constancy of the dir-labelled curvature spheres per line:
     # `projective_distance` of each edge sphere to the line's first one
-    spheres, line = _sphere_groups(net, coords.line_edges)
+    spheres, line = net.edge_spheres[coords.line_edges.ids], coords.line_edges.group
     unit = spheres / np.sqrt(lc.dots(spheres, spheres))[:, None]
     first = np.r_[True, line[1:] != line[:-1]][:len(line)]
     rep, rest = unit[first], line[~first]
@@ -167,15 +147,15 @@ def verify_channel(net: LegendreNet, direction: str = PLUS):
     # stable representative: dominant singular direction of each line's stack
     stack = np.sign(lc.dots(unit, rep[line]))[:, None] * unit
     line_spheres = np.empty((len(coords.lines), 6))
-    for ids, rows in _by_length(coords.line_edges):
+    for ids, rows in coords.line_edges.by_length():
         vt = np.linalg.svd(stack[rows], full_matrices=rows.shape[1] <= 6)[2]  # as in `span`
         line_spheres[ids] = canonical_sign(vt[:, 0])
 
     # (b) the opposite-label spheres of each ribbon span a (2,1)-plane
-    spheres = _sphere_groups(net, coords.ribbon_edges)[0]
+    spheres = net.edge_spheres[coords.ribbon_edges.ids]
     dims, n_plus, n_minus = np.zeros((3, len(coords.ribbons)), dtype=int)
     dplus, dminus = np.empty((2, len(coords.ribbons), 3, 6))
-    for ids, rows in _by_length(coords.ribbon_edges):
+    for ids, rows in coords.ribbon_edges.by_length():
         vt, dims[ids] = lc.spans(spheres[rows])
         for r in np.unique(dims[ids][dims[ids] > 0]):
             group = dims[ids] == r
@@ -185,7 +165,7 @@ def verify_channel(net: LegendreNet, direction: str = PLUS):
     dplus[plane] = lc.orthocomplements(dminus[plane])
     # underdetermined ribbon (single face, or all spheres in one pencil)
     under = (dims == 2) & (n_plus == 1) & (n_minus == 1)
-    bounds = np.array([len(b) for b in coords.ribbon_lines], dtype=int)
+    bounds = coords.ribbon_bounds.degrees
     stop = int(np.argmax(np.r_[(bounds != 2) | ~(plane | under), True]))
 
     def ribbon_span(ri, message: str) -> ChannelFailure:
@@ -221,11 +201,11 @@ def certificate_residuals(cert: ChannelCertificate, net: LegendreNet) -> Dict[st
     """Assertable invariants of a certificate (all should be ~ 0): the
     constant sphere of each line against every contact element on the line,
     and the curvature spheres of every face against its ribbon's cyclide."""
-    vertices, line = _flatten(cert.lines)
+    vertices, line = cert.lines.ids, cert.lines.group
     s, gens = cert.line_spheres[line, None], net.bases[vertices]
     env = np.abs(lc.inner_rows(s, gens)) / (np.sqrt(lc.dots(s, s)) * np.sqrt(lc.dots(gens, gens)))
     # face spheres in `face_edge_labels` order: '-', '+', '-', '+'
-    faces, ribbon = _flatten(cert.ribbons)
+    faces, ribbon = cert.ribbons.ids, cert.ribbons.group
     spheres = net.edge_spheres[net.complex.face_edge_ids[faces]]
     plus, minus = (cert.dplus, cert.dminus) if cert.direction == PLUS else (cert.dminus, cert.dplus)
     fc = [lc.residuals(plus[ribbon, None], spheres[:, 1::2]),
@@ -271,9 +251,8 @@ def _circle_spaces(cert: ChannelCertificate, net: LegendreNet) -> Tuple[np.ndarr
     n_lines, s = len(cert.lines), cert.line_spheres
     point = np.abs(lc.inner_rows(s, POINT_COMPLEX)) <= TOL.membership * np.sqrt(lc.dots(s, s))
     # (line, ribbon) pairs by line
-    ribbon, line = _flatten([cert.line_ribbons.get(li, []) for li in range(n_lines)])
-    count = np.bincount(line, minlength=n_lines)
-    first = np.cumsum(count) - count  # pair of each line's first ribbon
+    ribbon, line, count = cert.line_ribbons.ids, cert.line_ribbons.group, cert.line_ribbons.degrees
+    first = cert.line_ribbons.offsets[:-1]  # pair of each line's first ribbon
     live = ~point[line]  # a point sphere has no oriented representative
     # one zero row past the pairs, for the lines that bound no ribbon
     vt, rank = np.zeros((len(line) + 1, 3, 6)), np.zeros(len(line) + 1, dtype=int)
@@ -296,7 +275,8 @@ def _circle_spaces(cert: ChannelCertificate, net: LegendreNet) -> Tuple[np.ndarr
                                       f"(dim {rank[first][li]})")]
     failure = lc.first_failure(checks)
     # every vertex point sphere of the lines checked so far lies on its circle
-    vertices, on = _flatten(cert.lines[:n_lines if failure is None else failure[0]])
+    stop = cert.lines.offsets[n_lines if failure is None else failure[0]]
+    vertices, on = cert.lines.ids[:stop], cert.lines.group[:stop]
     point_sphere, has_point = point_spheres(net.bases[vertices])
     r = lc.residuals(vt[first][on], point_sphere)
     lc.raise_first([(~has_point, NO_POINT_SPHERE), (~(r <= TOL.agreement), lambda k: (
@@ -510,21 +490,26 @@ def cross_ratio_constancy(cert: ChannelCertificate, net: LegendreNet) -> float:
     non-circular lines, evaluated on every generating circle: one
     `cross_ratios` stack, quadruple by quadruple, of every circle that
     meets the quadruple's lines once each."""
-    crossings = net.complex.coordinates(cert.direction).crossings
+    vertices, other = net.complex.coordinates(cert.direction).crossings
     # order the crossing lines consistently along one circle
-    order = list(crossings[0]) if crossings else []
+    crossed, at = np.unique(other.ids[other.group == 0], return_index=True)
+    order = crossed[np.argsort(at)]
     if len(order) < 4:
         raise LieGeometryError("need at least four non-circular lines for cross-ratios")
-    first = cert.lines[0]
-    on_lines = [v for line in cert.lines for v in line]
     pts = np.full((net.complex.n_vertices, 3), np.nan)
-    pts[on_lines] = net.vertex_points(on_lines)
-    wrap = len(first) > 2 and net.complex.has_edge(first[-1], first[0])
+    pts[cert.lines.ids] = net.vertex_points(cert.lines.ids)
+    # line 0 is closed when it has as many edges as vertices
+    wrap = cert.lines.degrees[0] == net.complex.coordinates(cert.direction).line_edges.degrees[0]
     n = len(order)
-    # the one vertex of each circle on each line of `order`, -1 where none
-    hits = np.array([[hit[0] if len(hit) == 1 else -1
-                      for hit in (crossing.get(oi, ()) for oi in order)]
-                     for crossing in crossings])
+    # the one vertex of each circle on each line of `order`, -1 where none;
+    # the other lines go to a spare last column
+    slot = np.full(other.ids.max() + 1, n)
+    slot[order] = np.arange(n)
+    cells, at, count = np.unique(other.group * (n + 1) + slot[other.ids], return_index=True,
+                                 return_counts=True)
+    hits = np.full((len(other), n + 1), -1)
+    hits.flat[cells[count == 1]] = vertices.ids[at[count == 1]]
+    hits = hits[:, :n]
     ids = (np.arange(n if wrap else n - 3)[:, None] + np.arange(4)) % n
     quads = hits[:, ids].transpose(1, 0, 2)  # (quadruple, circle, 4)
     met = np.all(quads >= 0, axis=2)
@@ -623,9 +608,10 @@ def is_multi_circular(net: LegendreNet, direction: str, tol: Optional[float] = N
     concurrent to within tol/3, and O(n^2) rank tests otherwise
     (`_all_circular`).
     """
-    pairs = [(a[:len(b)], b[:len(a)]) for a, b in net.complex.coordinates(direction).line_pairs]
-    xs, ys = (_flatten([pair[k] for pair in pairs])[0] for k in (0, 1))
-    groups = [(ids, xs[rows], ys[rows]) for ids, rows in _by_length([a for a, _ in pairs])]
+    first, second = net.complex.coordinates(direction).line_pairs
+    n = np.minimum(first.degrees, second.degrees)
+    groups = [(ids, first.ids[a], second.ids[b])
+              for (ids, a), (_, b) in zip(first.by_length(n), second.by_length(n))]
     return _all_circular(lc.unit_point_lifts(net.vertex_points()), groups,
                          TOL.membership if tol is None else tol)
 
@@ -634,31 +620,36 @@ def is_multi_circular_net(net: LegendreNet, tol: Optional[float] = None) -> bool
     """Every coordinate quadrilateral of every span, in both directions.
 
     The quadrilaterals of two '+'-lines are those of their crossings with
-    the '-'-lines both meet, so each pair of '+'-lines is one pair of
-    `_all_circular`: O(lines^2 * n) on a multi-circular net instead of
-    O(lines^2 * n^2). The pairs go to `_all_circular` in batches of about
-    `_BATCH` crossings.
+    the '-'-lines both meet, so each pair of '+'-lines that shares a
+    '-'-line is one pair of `_all_circular`, its crossings by ascending
+    '-'-line: a '-'-line crossed by k '+'-lines adds C(k, 2) pairs, and a
+    multi-circular net costs O(pairs * n) instead of O(pairs * n^2). Two
+    lines crossing more than once keep their last crossing along the
+    '+'-line. The pairs go to `_all_circular` in ascending order, in
+    batches of about `_BATCH` crossings.
     """
-    plus, minus = (net.complex.coordinates(label).lines for label in (PLUS, MINUS))
-    (vertices, pline), mline = _flatten(plus), net.complex.coordinates(MINUS).vertex_line
-    on = mline[vertices] >= 0
-    # the vertex of each (plus-line, minus-line) crossing, -1 where none; a
-    # pair of lines crossing more than once keeps its last crossing
-    keys, last = np.unique((pline[on] * len(minus) + mline[vertices[on]])[::-1], return_index=True)
-    grid = np.full(len(plus) * len(minus), -1)
-    grid[keys] = vertices[on][::-1][last]
-    grid = grid.reshape(len(plus), len(minus))
-    p1, p2 = np.triu_indices(len(plus), 1)
-    step = _BATCH // max(len(minus), 1) + 1
+    vertices, minus = net.complex.coordinates(PLUS).crossings
+    n_plus, n_minus = len(minus), len(net.complex.coordinates(MINUS).lines)
+    keys, last = np.unique((minus.group * n_minus + minus.ids)[::-1], return_index=True)
+    (plus, line), vertex = np.divmod(keys, n_minus), vertices.ids[::-1][last]
+    # the crossings on each '-'-line, by ascending '+'-line
+    on_line = Incidence.grouped(line, np.arange(len(keys)), n_minus)
+    # batches of '+'-lines by the crossings gathered for them
+    batch = np.cumsum(np.bincount(plus, on_line.degrees[line], minlength=n_plus)) // _BATCH
+    bounds = np.searchsorted(plus, np.r_[np.flatnonzero(np.diff(batch, prepend=-1)), n_plus])
 
     def groups():
-        for k in range(0, len(p1), step):
-            a, b = grid[p1[k:k + step]], grid[p2[k:k + step]]
-            both = (a >= 0) & (b >= 0)
-            count = both.sum(axis=1)
-            for rows in (np.flatnonzero(count == n) for n in np.unique(count)):
-                cols = np.nonzero(both[rows])[1].reshape(len(rows), -1)
-                yield k + rows, a[rows[:, None], cols], b[rows[:, None], cols]
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            # each crossing with the later '+'-lines' crossings on its '-'-line
+            y, at = on_line.gather(line[a:b])
+            later = plus[y] > plus[at + a]
+            x, y = at[later] + a, y[later]
+            pair = plus[x] * n_plus + plus[y]
+            order = np.argsort(pair, kind="stable")
+            pair, x, y = pair[order], vertex[x[order]], vertex[y[order]]
+            start = np.flatnonzero(np.diff(pair, prepend=-1))
+            for rows, at in Incidence(np.append(start, len(pair)), x).by_length():
+                yield pair[start[rows]], x[at], y[at]
 
     return _all_circular(lc.unit_point_lifts(net.vertex_points()), groups(),
                          TOL.membership if tol is None else tol)

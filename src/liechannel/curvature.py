@@ -180,11 +180,12 @@ def kappa_line_spread(net: LegendreNet, report: CurvatureReport, direction: str)
     relative to the largest curvature magnitude of the net."""
     kappa = report.edge_kappa
     scale = max(float(np.max(np.abs(kappa), initial=0.0)), 1e-12)
-    worst = 0.0
-    for edges in net.complex.coordinates(direction).line_edges:
-        if len(edges) > 1:
-            worst = max(worst, float(np.ptp(kappa[edges])) / scale)
-    return worst
+    lines, worst = net.complex.coordinates(direction).line_edges, 0.0
+    # the running maximum over lines of two or more edges, which a NaN spread never raises
+    for _, at in lines.by_length():
+        if at.shape[1] > 1:
+            worst = np.fmax.reduce(np.ptp(kappa[lines.ids[at]], axis=1) / scale, initial=worst)
+    return float(worst)
 
 
 # ---------------------------------------------------------------------------

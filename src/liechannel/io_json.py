@@ -343,8 +343,8 @@ def certificate_to_dict(cert) -> dict:
     vectors is read as one stack."""
     return {
         "direction": cert.direction,
-        "lines": [list(line) for line in cert.lines],
-        "ribbons": [list(r) for r in cert.ribbons],
+        "lines": cert.lines.tolist(),
+        "ribbons": cert.ribbons.tolist(),
         "ribbon_lines": [list(rl) for rl in cert.ribbon_lines],
         "enveloped_spheres": _lie_descriptors(cert.line_spheres),
         "circles": _circle_descriptors(cert.circle_spaces),

@@ -304,18 +304,16 @@ def net_from_edge_spheres(c: QuadComplex, spheres: Dict[Tuple[int, int], LieVec]
     known = np.array([ij in spheres for ij in pairs], dtype=bool)
     rows = np.array([spheres.get(ij, np.zeros(6)) for ij in pairs], dtype=float).reshape(-1, 6)
     stars = c.vertex_edges_csr
-    size = stars.degrees
     rank, bases = np.zeros(c.n_vertices, dtype=int), np.zeros((c.n_vertices, 2, 6))
-    for n in np.unique(size[size >= 2]).tolist():
-        group = np.flatnonzero(size == n)
-        vt, rank[group] = lc.spans(rows[stars.gather(group)[0].reshape(-1, n)])
-        bases[group] = vt[:, :2]
-    star_vertex = np.repeat(np.arange(c.n_vertices), size)
+    for group, at in stars.by_length():
+        if at.shape[1] >= 2:
+            vt, rank[group] = lc.spans(rows[stars.ids[at]])
+            bases[group] = vt[:, :2]
     message = "vertex-star does not span a contact element (vertex {})"
     lc.raise_first([
-        (np.bincount(star_vertex[~known[stars.ids]], minlength=c.n_vertices) > 0,
+        (np.bincount(stars.group[~known[stars.ids]], minlength=c.n_vertices) > 0,
          lambda v: KeyError(pairs[next(e for e in stars.row(v) if not known[e])])),
-        (size < 2, message),
+        (stars.degrees < 2, message),
         (rank == 0, "span of zero vectors"),
         (rank != 2, message),
         (~(_isotropy(bases) <= TOL.membership), lambda v: f"{message.format(v)}: {_NOT_ISOTROPIC}"),

@@ -3,7 +3,7 @@
 The complex as it was before it kept arrays: a dict from each (smaller,
 larger) vertex pair to its edge id, lists of the edges and faces at each
 vertex, coordinate lines and ribbons walked over neighbour dicts, the
-crossings of each line read from a vertex -> line dict, the grid built
+crossing table read from a vertex -> line dict, the grid built
 vertex by vertex, and the vertex stars and diagnostics read from those
 lists. `QuadComplex`, `Coordinates`, `make_grid`, `validate` and
 `interior_vertex_stars` must give the same values, and raise the same
@@ -146,11 +146,20 @@ def coordinates(c: DictComplex, label) -> dict:
 
 
 def crossings(lines, other_vertex_line):
+    """The crossing table: per line, its vertices on a line of the other
+    label in walk order, and per line the id of that line for each."""
+    vertices = [[v for v in line if v in other_vertex_line] for line in lines]
+    return vertices, [[other_vertex_line[v] for v in row] for row in vertices]
+
+
+def crossing_dicts(vertices, others):
+    """Per line of a crossing table: id of each line it crosses -> the
+    vertices on it, ordered by first crossing along the line."""
     out = []
-    for line in lines:
+    for row, ids in zip(vertices, others):
         crossing: Dict[int, List[int]] = {}
-        for v in (v for v in line if v in other_vertex_line):
-            crossing.setdefault(other_vertex_line[v], []).append(v)
+        for v, oi in zip(row, ids):
+            crossing.setdefault(oi, []).append(v)
         out.append(crossing)
     return out
 

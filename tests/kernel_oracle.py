@@ -6,7 +6,9 @@ circle sample at a time, written as the kernel computed them before it
 worked on stacks: two SVDs per span, three per edge meet, 6x6 operators
 per face, one `unlift` per vertex, one projection per residual, one next
 circle per sample. The batched kernel must reproduce these values bit for
-bit and raise the same errors.
+bit and raise the same errors. Ragged groups (lines, ribbons) are lists of
+lists, flattened and split by length as the kernel did before it kept
+them as `cellcomplex.Incidence` rows.
 """
 
 import math
@@ -290,3 +292,17 @@ def propagate_row(xs, cy, next_sphere_hat):
     """`propagate_point` of each sample in order: stacked (ys, discs)."""
     out = [propagate_point(x, cy, next_sphere_hat) for x in xs]
     return np.array([y for y, _ in out]), np.array([d for _, d in out])
+
+
+def flatten(groups):
+    """The items of all groups (lines or ribbons) in order, and the group of each."""
+    return (np.array([i for group in groups for i in group], dtype=int),
+            np.repeat(np.arange(len(groups)), [len(group) for group in groups]))
+
+
+def by_length(groups):
+    """Per length n: the ids (k,) of the groups of that length and the
+    positions (k, n) of their items in `flatten` order."""
+    counts = np.array([len(group) for group in groups], dtype=int)
+    return [(ids, (np.cumsum(counts) - counts)[ids, None] + np.arange(n))
+            for n in np.unique(counts) for ids in [np.flatnonzero(counts == n)]]

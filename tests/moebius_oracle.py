@@ -17,6 +17,7 @@ from liechannel.liecore import (
     POINT_COMPLEX, LieGeometryError, inner, normalized, orthocomplement, span,
 )
 
+from complex_oracle import crossing_dicts
 from kernel_oracle import unit_point_lift
 
 
@@ -54,12 +55,13 @@ def cross_ratio(points, tol=None):
 def cross_ratio_calls(cert, net):
     """The quadruples `cross_ratio_constancy` passes to `cross_ratio`, in
     call order, grouped by consecutive quadruple of lines."""
-    crossings = net.complex.coordinates(cert.direction).crossings
+    crossings = crossing_dicts(*net.complex.coordinates(cert.direction).crossings)
     order = list(crossings[0]) if crossings else []
     if len(order) < 4:
         raise LieGeometryError("need at least four non-circular lines for cross-ratios")
-    first = cert.lines[0]
-    on_lines = [v for line in cert.lines for v in line]
+    lines = cert.lines.tolist()
+    first = lines[0]
+    on_lines = [v for line in lines for v in line]
     pts = dict(zip(on_lines, net.vertex_points(on_lines)))
     wrap = len(first) > 2 and net.complex.has_edge(first[-1], first[0])
     n = len(order)

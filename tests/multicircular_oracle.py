@@ -18,7 +18,7 @@ def brute_is_multi_circular(net: LegendreNet, direction: str,
                             tol: Optional[float] = None) -> bool:
     """Within each dir-ribbon, every coordinate quadrilateral is circular."""
     t = TOL.membership if tol is None else tol
-    for la, lb in net.complex.coordinates(direction).line_pairs:
+    for la, lb in zip(*net.complex.coordinates(direction).line_pairs):
         m = min(len(la), len(lb))
         pa = [net.vertex_point(v) for v in la[:m]]
         pb = [net.vertex_point(v) for v in lb[:m]]
@@ -32,8 +32,8 @@ def brute_is_multi_circular(net: LegendreNet, direction: str,
 def brute_is_multi_circular_net(net: LegendreNet, tol: Optional[float] = None) -> bool:
     """Every coordinate quadrilateral of every span, in both directions."""
     t = TOL.membership if tol is None else tol
-    plines = plus_lines(net.complex)
-    mlines = minus_lines(net.complex)
+    plines = plus_lines(net.complex).tolist()
+    mlines = minus_lines(net.complex).tolist()
     on_m = {}
     for mi, ml in enumerate(mlines):
         for v in ml:

@@ -121,10 +121,13 @@ def oracle_certificate(net, direction):
                               location=f"edges {diag.failed_edges[:3]}",
                               message="net is not a Legendre map", envelopes=False)
     coords = net.complex.coordinates(direction)
+    lines, line_edges, ribbons, ribbon_edges = (getattr(coords, name).tolist() for name in (
+        "lines", "line_edges", "ribbons", "ribbon_edges"))
+    line_ribbons = {li: rs for li, rs in enumerate(coords.line_ribbons) if rs}
     line_spheres = []
     worst = 0.0
-    for li, line in enumerate(coords.lines):
-        spheres = [net.edge_sphere(*net.complex.edges[e][:2]) for e in coords.line_edges[li]]
+    for li, line in enumerate(lines):
+        spheres = [net.edge_sphere(*net.complex.edges[e][:2]) for e in line_edges[li]]
         rep = normalized(spheres[0])
         for s in spheres[1:]:
             d = lc.projective_distance(rep, s)
@@ -139,14 +142,14 @@ def oracle_certificate(net, direction):
         _, _, vt = np.linalg.svd(stack, full_matrices=len(stack) <= 6)
         line_spheres.append(canonical_sign(vt[0]))
     cyclides = []
-    for ri, strip in enumerate(coords.ribbons):
+    for ri, strip in enumerate(ribbons):
         bounds = coords.ribbon_lines[ri]
         if len(bounds) != 2:
             return ChannelFailure(direction=direction, check="ribbon_span",
                                   location=f"ribbon {ri}",
                                   message=f"ribbon bounded by {len(bounds)} lines",
                                   envelopes=True)
-        sp = span([net.edge_sphere(*net.complex.edges[e][:2]) for e in coords.ribbon_edges[ri]])
+        sp = span([net.edge_sphere(*net.complex.edges[e][:2]) for e in ribbon_edges[ri]])
         if sp.dim == 2 and signature(sp).triple == (1, 1, 0):
             try:
                 cy = face_cyclide_family(net, net.complex.faces[strip[0]])(0.0)
@@ -166,8 +169,8 @@ def oracle_certificate(net, direction):
                 envelopes=True)
         cyclides.append(cy)
     return SimpleNamespace(
-        ok=True, direction=direction, lines=coords.lines, ribbons=coords.ribbons,
-        ribbon_lines=coords.ribbon_lines, line_ribbons=coords.line_ribbons,
+        ok=True, direction=direction, lines=coords.lines, ribbons=ribbons,
+        ribbon_lines=coords.ribbon_lines, line_ribbons=line_ribbons,
         line_spheres=line_spheres, cyclides=cyclides, constancy_residual=worst)
 
 

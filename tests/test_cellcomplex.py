@@ -1,10 +1,14 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import complex_oracle as oracle
+import kernel_oracle
+import liechannel as L
 from liechannel.cellcomplex import (
-    QuadComplex, make_grid, validate, swapped_labels, face_edge_labels, edge_key,
+    Incidence, QuadComplex, make_grid, validate, swapped_labels, face_edge_labels, edge_key,
     plus_lines, minus_lines, plus_ribbons, minus_ribbons, PLUS, MINUS,
 )
 from liechannel.curvature import interior_vertex_stars
@@ -75,8 +79,8 @@ def test_grid_face_count_formula():
 def test_single_face_ribbons():
     c = make_grid(2, 2)
     assert len(c.faces) == 1
-    assert plus_ribbons(c) == [[0]]
-    assert minus_ribbons(c) == [[0]]
+    assert plus_ribbons(c).tolist() == [[0]]
+    assert minus_ribbons(c).tolist() == [[0]]
 
 
 def test_label_swap_exchanges_lines():
@@ -221,15 +225,17 @@ def test_coordinates_match_direct_construction(c):
     for label in (PLUS, MINUS):
         coords = c.coordinates(label)
         for name, value in _direct_coordinates(c, label).items():
-            got = getattr(coords, name)
+            got = as_lists(coords, name)
             if name in ("line_edges", "ribbon_edges"):  # edge ids, read back as vertex pairs
                 got = [[edge_key(*c.edges[e][:2]) for e in ids] for ids in got]
+            if name == "crossings":
+                got = oracle.crossing_dicts(*got)
             assert got == value, (label, name)
 
 
 def test_reversed_rows_are_aligned():
     assert validate(REVERSED_ROWS).ok
-    assert REVERSED_ROWS.coordinates(PLUS).line_pairs == [([0, 1, 2], [5, 4, 3])]
+    assert as_lists(REVERSED_ROWS.coordinates(PLUS), "line_pairs") == [([0, 1, 2], [5, 4, 3])]
 
 
 def test_coordinates_built_once_and_shared():
@@ -258,6 +264,72 @@ def test_edge_index(c):
         c.edge_id(0, c.n_vertices)
 
 
+def pairs_of(groups):
+    """`by_length` results as lists, for comparison."""
+    return [(ids.tolist(), at.tolist()) for ids, at in groups]
+
+
+ROWS = st.lists(st.lists(st.integers(0, 40), max_size=6), max_size=8)
+# rows of one length, zero rows and empty rows included
+SAME_LENGTH = st.integers(0, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 40), min_size=n, max_size=n), max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.one_of(ROWS, SAME_LENGTH), data=st.data())
+def test_rows_match_list_oracle(rows, data):
+    flat, group = kernel_oracle.flatten(rows)
+    got = Incidence.grouped(group, flat, len(rows))
+    assert len(got) == len(rows) and got.tolist() == list(got) == rows
+    assert got.ids.tolist() == flat.tolist() and got.group.tolist() == group.tolist()
+    assert got.degrees.tolist() == [len(row) for row in rows]
+    assert [got[r] for r in range(len(rows))] == [got.row(r) for r in range(len(rows))] == rows
+    for r in (-1, len(rows)):
+        with pytest.raises(KeyError):
+            got.row(r)
+    assert pairs_of(got.by_length()) == pairs_of(kernel_oracle.by_length(rows))
+    # the first n ids of each row, n no longer than the row
+    cut = [data.draw(st.integers(0, len(row))) for row in rows]
+    want = kernel_oracle.by_length([row[:n] for row, n in zip(rows, cut)])
+    head = kernel_oracle.flatten([row[:n] for row, n in zip(rows, cut)])[0]
+    assert [(ids.tolist(), flat[at].tolist()) for ids, at in got.by_length(np.array(cut))] == [
+        (ids.tolist(), head[at].tolist()) for ids, at in want]
+    picked = data.draw(st.lists(st.integers(0, max(len(rows) - 1, 0)), max_size=6)
+                       if rows else st.just([]))
+    ids, at = got.gather(np.array(picked, dtype=int))
+    want_ids, want_at = kernel_oracle.flatten([rows[r] for r in picked])
+    assert (ids.tolist(), at.tolist()) == (want_ids.tolist(), want_at.tolist())
+    # ids given in any order are grouped by row, each row in input order
+    order = np.random.default_rng(len(flat)).permutation(len(flat))
+    shuffled = Incidence.grouped(group[order], order, len(rows))
+    assert [flat[sorted(row)].tolist() for row in shuffled] == rows
+    place = np.argsort(order)  # where each position comes in the input
+    assert all(np.all(np.diff(place[row]) > 0) for row in shuffled)
+
+
+def test_shared_facts_are_read_only():
+    net = L.make_dupin_torus(2.0, 0.8, 6, 5)
+    c = net.complex
+    arrays = [c.edge_vertices, c.edge_labels, c.face_vertices, c.face_edge_ids]
+    rows = [c.vertex_edges_csr, c.vertex_faces_csr]
+    for label in (PLUS, MINUS):
+        coords = c.coordinates(label)
+        arrays += [coords.vertex_line, coords.edge_line]
+        rows += [coords.lines, coords.line_edges, coords.ribbons, coords.ribbon_edges,
+                 coords.ribbon_bounds, coords.line_ribbons, *coords.line_pairs, *coords.crossings]
+    for a in arrays + [a for r in rows for a in (r.offsets, r.ids)]:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = a.copy()
+    with pytest.raises(FrozenInstanceError):
+        rows[0].ids = rows[0].ids.copy()
+    # a certificate holds the same rows
+    cert = L.verify_channel(net, PLUS)
+    coords = c.coordinates(PLUS)
+    assert (cert.lines, cert.ribbons, cert.line_ribbons) == (
+        coords.lines, coords.ribbons, coords.line_ribbons)
+    net.edge_spheres[0] = net.edge_spheres[0]  # stays writable: tests inject NaNs there
+
+
 def test_pair_listed_twice_is_indexed_by_its_last_listing():
     edges = ((0, 1, MINUS), (1, 2, PLUS), (2, 3, MINUS), (3, 0, PLUS), (1, 0, MINUS))
     c = QuadComplex(n_vertices=4, edges=edges, faces=((0, 1, 2, 3),))
@@ -267,6 +339,17 @@ def test_pair_listed_twice_is_indexed_by_its_last_listing():
     # three faces on edge (0, 1): reported once, by vertex pair
     c = QuadComplex(n_vertices=4, edges=edges[:4], faces=((0, 1, 2, 3),) * 3)
     assert validate(c).overfull_edges == [(0, 1), (1, 2), (2, 3), (0, 3)]
+
+
+def as_lists(coords, name):
+    """An attribute of `Coordinates` as lists: rows and arrays by `tolist`,
+    two aligned row sets as a list of pairs of rows."""
+    got = getattr(coords, name)
+    if name == "line_pairs":
+        return list(zip(*(rows.tolist() for rows in got)))
+    if name == "crossings":
+        return tuple(rows.tolist() for rows in got)
+    return got if name == "ribbon_lines" else got.tolist()
 
 
 def outcome(fn, *args):
@@ -324,11 +407,13 @@ def test_complex_matches_dict_oracle(n_plus, n_minus, wrap, seed, twice, repeate
             assert coords == expected[label]
             continue
         for name, value in expected[label].items():
-            got = getattr(coords, name)
+            got = as_lists(coords, name)
             if name in ("edge_line", "vertex_line"):
-                got = {k: li for k, li in enumerate(got.tolist()) if li >= 0}
+                got = {k: li for k, li in enumerate(got) if li >= 0}
+            if name == "line_ribbons":
+                got = {li: ribbons for li, ribbons in enumerate(got) if ribbons}
             assert got == value, (label, name)
         other = expected[MINUS if label == PLUS else PLUS]
-        assert outcome(lambda: coords.crossings) == (
+        assert outcome(as_lists, coords, "crossings") == (
             other if isinstance(other, tuple) else
             oracle.crossings(expected[label]["lines"], other["vertex_line"]))

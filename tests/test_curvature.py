@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from liechannel.curvature import (
     ribbon_cmc_analysis, interior_vertex_stars,
 )
 from liechannel.builder import random_sphere_curve
-from liechannel.cellcomplex import MINUS, PLUS, edge_key, face_edge_labels
+from liechannel.cellcomplex import MINUS, PLUS, QuadComplex, edge_key, face_edge_labels
 
 from geo_helpers import revolution_net, cylinder_net, cone_net
 
@@ -287,6 +288,29 @@ def test_line_spread_and_ribbon_chains_read_each_edge_and_face():
         assert row.residuals == [(chain[t] - chain[t + 2]) * (0.5 * (hs[t] + hs[t + 1])
                                                               - chain[t + 1])
                                  for t in range(len(chain) - 2)]
+
+
+def test_line_spread_skips_short_lines_and_nan_spreads():
+    # a '+'-loop at an extra vertex is a last line of one vertex and no edge;
+    # the curvatures are drawn, with NaNs, against a loop over the lines
+    torus = L.make_dupin_torus(2.0, 0.8, 5, 4)
+    v = torus.complex.n_vertices
+    c = QuadComplex(n_vertices=v + 1, edges=torus.complex.edges + ((v, v, PLUS),),
+                    faces=torus.complex.faces)
+    net = L.LegendreNet(complex=c, bases=np.concatenate([torus.bases, torus.bases[:1]]))
+    assert c.coordinates(PLUS).line_edges.degrees[-1] == 0
+    rng = np.random.default_rng(7)
+    for trial in range(6):
+        kappa = rng.normal(size=len(c.edges))
+        kappa[rng.integers(len(kappa), size=trial)] = np.nan
+        scale = max(float(np.max(np.abs(kappa), initial=0.0)), 1e-12)
+        for direction in (PLUS, MINUS):
+            spread = 0.0
+            for edges in c.coordinates(direction).line_edges:
+                if len(edges) > 1:
+                    spread = max(spread, float(np.ptp(kappa[edges])) / scale)
+            report = SimpleNamespace(edge_kappa=kappa)
+            assert kappa_line_spread(net, report, direction) == spread
 
 
 class TestFlatness:

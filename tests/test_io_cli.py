@@ -359,6 +359,9 @@ class TestMalformedComplexes:
          "faces must be lists of 4 integers"),
         (_explicit_net(4, [[0, 1], *_FACE_EDGES], [[0, 1, 2, 3]]),
          "not enough values to unpack (expected 3, got 2)"),
+        # a face edge that is no edge, also when there is none
+        (_explicit_net(4, _FACE_EDGES, [[0, 1, 2, 3]]), "(0, 1)"),
+        (_explicit_net(4, [], [[0, 1, 2, 3]]), "(0, 1)"),
         (_explicit_net(4, [[0, 1, "-"], *_FACE_EDGES], [[0, 1, 2, 3]], n_vertices=4.0),
          "n_vertices must be an integer"),
         (_explicit_net(4, [[0, 10**12, "-"], *_FACE_EDGES], [[0, 1, 2, 3]]),

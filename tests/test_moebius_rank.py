@@ -270,7 +270,7 @@ def test_no_interior_star():
 def curve_pairs(net, rng, scale):
     """Neighbouring lines of both directions as curve pairs, moved by scale."""
     for d in (PLUS, MINUS):
-        for la, lb in net.complex.coordinates(d).line_pairs:
+        for la, lb in zip(*net.complex.coordinates(d).line_pairs):
             m = min(len(la), len(lb))
             a, b = (net.vertex_points(line[:m]) for line in (la, lb))
             yield (L.DiscreteCurve3D(a + scale * rng.normal(size=a.shape)),

@@ -1,14 +1,17 @@
 """The concurrent-lines multi-circularity tests return exactly the verdicts
 of the brute-force per-quadrilateral definition."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import liechannel as L
-from liechannel import channel
+from liechannel import channel, io_json
 from liechannel.builder import random_sphere_curve
-from liechannel.cli import random_generator_net
+from liechannel.cellcomplex import QuadComplex, face_edge_labels
+from liechannel.cli import main, random_generator_net
 from liechannel.legendre import LegendreNet, contact_from_point_normal
 
 from multicircular_oracle import brute_is_multi_circular, brute_is_multi_circular_net
@@ -40,6 +43,22 @@ def torus(n, big, ratio):
     return L.make_dupin_torus(big, big * ratio, n, n)
 
 
+def torus_rows(m, n):
+    """A Dupin torus of m x (n - 1) faces: its '+'-lines close, its '-'-lines do not."""
+    return L.make_dupin_torus(2.0, 0.8, m, n)
+
+
+def cut_faces(net):
+    """The faces of a net as separate quadrilaterals, each with its own four
+    vertices and their contact elements."""
+    faces = np.array(net.complex.faces)
+    edges = tuple((4 * f + a, 4 * f + b, lab) for f in range(len(faces))
+                  for a, b, lab in face_edge_labels(range(4)))
+    c = QuadComplex(n_vertices=faces.size, edges=edges,
+                    faces=tuple(map(tuple, np.arange(faces.size).reshape(-1, 4).tolist())))
+    return LegendreNet(complex=c, bases=net.bases[faces.ravel()])
+
+
 def moved(net, v, delta, rng):
     """The net with vertex v moved by delta in a random direction."""
     d = rng.normal(size=3)
@@ -54,6 +73,41 @@ def moved(net, v, delta, rng):
 def test_tori(n, big, ratio):
     net = torus(n, big, ratio)
     assert verdicts(net) == split_verdicts(net) == oracle(net) == (True, True, True)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_cut_tori(n):
+    # n x (n - 1) separate faces: every quadrilateral of the net is one face
+    net = cut_faces(torus_rows(n, n))
+    assert verdicts(net) == split_verdicts(net) == oracle(net) == (True, True, True)
+    moved_net = moved(net, 5, 1e-3, np.random.default_rng(n))
+    assert verdicts(moved_net) == split_verdicts(moved_net) == oracle(moved_net)
+    assert verdicts(moved_net)[0] is False
+
+
+def test_cut_torus_forms_one_pair_per_face(monkeypatch):
+    # only '+'-lines that share a '-'-line are paired: on 256 separate faces
+    # the two '+'-lines of each face, not all 130,816 pairs of 512 lines
+    net = cut_faces(torus_rows(16, 17))
+    shapes = []
+
+    def counted(lifts, groups, t):
+        groups = list(groups)
+        shapes.extend(xs.shape for _ids, xs, _ys in groups)
+        return all_circular(lifts, groups, t)
+
+    all_circular = channel._all_circular
+    monkeypatch.setattr(channel, "_all_circular", counted)
+    assert L.is_multi_circular_net(net)
+    assert sum(k for k, _n in shapes) == 256 and {n for _k, n in shapes} == {2}
+
+
+def test_cut_torus_verifies_through_the_cli(tmp_path, capsys):
+    path, report = tmp_path / "cut.net.json", tmp_path / "report.json"
+    io_json.save_net(cut_faces(torus_rows(16, 17)), path)
+    assert main(["verify", "--in", str(path), "--direction", "both",
+                 "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["multi_circular_net"] is True
 
 
 @SETTINGS

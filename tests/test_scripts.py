@@ -39,11 +39,11 @@ def test_output_digest(capsys):
     digests = dict(line.rsplit(" ", 1) for line in lines)
     assert len(digests) == len(lines)           # every output named once
     exits = {name[:-len(" exit")]: d for name, d in digests.items() if name.endswith(" exit")}
-    # generate on 8 settings, 7 commands on each net, the swapped one and the
-    # explicit torus, build, verify, classify, export --circles and blend on
-    # 4 sphere curves and on 2 whose blends fail, verify on the 2 nets that
-    # fail mid-check
-    assert len(exits) == 8 + 10 * 7 + 6 * 5 + 2
+    # generate on 8 settings, 7 commands on each net, the swapped one, the
+    # explicit torus and the cut torus, build, verify, classify, export
+    # --circles and blend on 4 sphere curves and on 2 whose blends fail,
+    # verify on the 2 nets that fail mid-check
+    assert len(exits) == 8 + 11 * 7 + 6 * 5 + 2
     code = {hashlib.sha256(str(c).encode()).hexdigest(): c for c in (0, 1, 2)}
     assert {name: code.get(exits[name]) for name in ("moved-corner verify both",
                                                       "beside verify both")} == {
@@ -56,6 +56,11 @@ def test_output_digest(capsys):
     assert {name: code.get(d) for name, d in exits.items()
             if name.startswith("explicit-torus")} == {
         f"explicit-torus {command}": 0 for command in (
+            "verify +", "verify -", "verify both", "classify", "curvature", "export",
+            "export --circles")}
+    # a Dupin torus cut into separate faces
+    assert {name: code.get(d) for name, d in exits.items() if name.startswith("cut-torus")} == {
+        f"cut-torus {command}": 0 for command in (
             "verify +", "verify -", "verify both", "classify", "curvature", "export",
             "export --circles")}
     failing = {name: code.get(d) for name, d in exits.items()
