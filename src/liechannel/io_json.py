@@ -2,13 +2,16 @@
 
 Formats are documented in docs/schema.md. Floats are serialized with
 Python's shortest round-trip representation (at most 17 significant
-digits), so save/load is lossless.
+digits), so save/load is lossless. Every JSON file is written as one
+line of compact JSON and a newline, by the C encoder of the `json`
+module; readers accept any JSON whitespace.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
 from typing import List, Sequence, Union
 
@@ -35,7 +38,7 @@ class FormatError(ValueError):
 
 
 def _dump(payload: dict, path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(payload, separators=(",", ":")) + "\n", encoding="utf-8")
 
 
 def _load(path: Union[str, Path]) -> dict:
@@ -152,8 +155,11 @@ def net_from_dict(data: dict) -> LegendreNet:
     """Net of a liechannel-net document.
 
     The vertex count is compared with the complex spec before anything is
-    built; all contact elements are then computed as one stack
-    (`legendre.contact_bases`) and all edge spheres by one `is_legendre`.
+    built. The vertex entries are then read as three stacks, each by one
+    `_numbers` call: the `contact` pairs of the hexaspherical entries and
+    the `point`s and `normal`s of the Euclidean ones. All contact elements
+    are computed as one stack (`legendre.contact_bases`) and all edge
+    spheres by one `is_legendre`.
     """
     if data.get("format") != "liechannel-net":
         raise FormatError("not a liechannel-net document")
@@ -164,18 +170,18 @@ def net_from_dict(data: dict) -> LegendreNet:
         raise FormatError(f"expected {n} vertex entries")
     c = complex_from_dict(cdoc)
     gens = np.empty((n, 2, 6))
-    points, normals, euclidean = np.empty((n, 3)), np.empty((n, 3)), np.zeros(n, dtype=bool)
-    for v, doc in enumerate(vdocs):
-        try:
-            if "contact" in doc:
-                gens[v] = _numbers(doc["contact"], (2, 6), "contact must be 2 x 6 numbers")
-            else:
-                points[v] = _numbers(doc["point"], (3,), "point must be 3 numbers")
-                normals[v] = _numbers(doc["normal"], (3,), "normal must be 3 numbers")
-                euclidean[v] = True
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"vertex {v}: {exc}") from exc
-    lifts, bad_normals = point_normal_generators(points[euclidean], normals[euclidean])
+    try:
+        hexa = ["contact" in doc for doc in vdocs]
+        euclidean = ~np.array(hexa, dtype=bool)
+        docs = [doc for doc, h in zip(vdocs, hexa) if not h]
+        gens[~euclidean] = _stack([doc for doc, h in zip(vdocs, hexa) if h], "contact", (2, 6),
+                                  _CONTACT)
+        points = _stack(docs, "point", (3,), _POINT)
+        normals = _stack(docs, "normal", (3,), _NORMAL)
+    except (KeyError, TypeError, ValueError):
+        _raise_first_bad_vertex(vdocs)
+        raise
+    lifts, bad_normals = point_normal_generators(points, normals)
     gens[euclidean] = lifts
     flagged = np.zeros(n, dtype=bool)
     flagged[euclidean] = bad_normals
@@ -189,6 +195,27 @@ def net_from_dict(data: dict) -> LegendreNet:
             f"vertex data does not form a Legendre map; failing edges: "
             f"{diag.failed_edges[:5]}")
     return net
+
+
+def _stack(docs: list, key: str, shape: tuple, message: str) -> np.ndarray:
+    """The `key` entries of the vertex entries as one stack of numbers of
+    the given shape."""
+    # an empty list is read as numbers of no shape
+    return _numbers([doc[key] for doc in docs] or np.empty((0, *shape)), (-1, *shape), message)
+
+
+def _raise_first_bad_vertex(vdocs: list) -> None:
+    """Raise the FormatError of the first vertex entry that does not read,
+    reading the entries one by one: the error path of the stacked reads."""
+    for v, doc in enumerate(vdocs):
+        try:
+            if "contact" in doc:
+                _numbers(doc["contact"], (2, 6), _CONTACT)
+            else:
+                _numbers(doc["point"], (3,), _POINT)
+                _numbers(doc["normal"], (3,), _NORMAL)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"vertex {v}: {exc}") from exc
 
 
 def load_net(path: Union[str, Path]) -> LegendreNet:
@@ -208,17 +235,24 @@ def _sphere_entry(v: np.ndarray) -> dict:
     raise LieGeometryError(f"cannot serialize sphere vector of kind {d.kind}")
 
 
+_CONTACT = "contact must be 2 x 6 numbers"
+_POINT = "point must be 3 numbers"
+_NORMAL = "normal must be 3 numbers"
+
+
 def _numbers(value, shape: tuple, message: str, integral: bool = False) -> np.ndarray:
-    """JSON numbers of the given shape (-1: any length; at most 2 axes) as
-    floats, or with `integral` JSON integers (within int64) as int64.
-    Anything else, a boolean among numbers too, raises ValueError(message);
-    non-finite numbers raise ValueError as well."""
+    """JSON numbers of the given shape (-1: any length) as floats, or with
+    `integral` JSON integers (within int64) as int64. Anything else, a
+    boolean among numbers too, raises ValueError(message); non-finite
+    numbers raise ValueError as well."""
     try:
         a = np.asarray(value)
     except ValueError:  # ragged lists
         raise ValueError(message) from None
     # the numbers one by one, as numpy reads a boolean among numbers as 0 or 1
-    flat = [value] if a.ndim == 0 else [x for row in value for x in row] if a.ndim == 2 else value
+    flat = [value]
+    for _ in range(a.ndim):
+        flat = list(chain.from_iterable(flat))
     if a.dtype.kind not in ("i" if integral else "iuf") or a.ndim != len(shape) or \
             bool in map(type, flat) or (a.shape != shape and any(
                 want not in (-1, got) for want, got in zip(shape, a.shape))):

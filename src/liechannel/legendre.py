@@ -189,16 +189,18 @@ def curvature_spheres(a: np.ndarray, b: np.ndarray
 
     a and b are (E, 2, 6) basis stacks. The meets come from one batched SVD
     of the (E, 6, 4) stack [a_e | -b_e]^T with nullity counted by the cutoff
-    sv > TOL.rank * sv[0], and are normalised by a batched SVD of (E, 1, 6);
-    the result is canonically signed. Returns the (E, 6) spheres and, in
-    pair order, the error of every pair that does not meet in a line (its
-    row is undefined).
+    sv > TOL.rank * sv[0], and are normalised by a batched SVD of (E, 1, 6),
+    both thin; the result is canonically signed. Returns the (E, 6)
+    spheres and, in pair order, the error of every pair that does not meet
+    in a line (its row is undefined).
     """
     m = np.concatenate([a, -b], axis=1).transpose(0, 2, 1)
-    _, sv, vt = np.linalg.svd(m)
+    # thin, no 6x6 U: tests/test_batched_kernel.py checks the spheres bit for bit
+    _, sv, vt = np.linalg.svd(m, full_matrices=False)
     nullity = 4 - np.sum(sv > TOL.rank * sv[:, :1], axis=1)
     meet = (a.transpose(0, 2, 1) @ vt[:, 3, :2, None])[:, :, 0]
-    _, msv, mvt = np.linalg.svd(meet[:, None, :])
+    # thin, no 6x6 Vt to normalise one vector: checked by tests/test_batched_kernel.py
+    _, msv, mvt = np.linalg.svd(meet[:, None, :], full_matrices=False)
     failures: Dict[int, LieGeometryError] = {}
     for e in np.flatnonzero((nullity != 1) | (msv[:, 0] == 0.0)).tolist():
         if nullity[e] >= 2:
