@@ -50,7 +50,7 @@ from liechannel.builder import (  # noqa: E402
     make_dupin_torus, make_reflection_example, random_sphere_curve,
 )
 from liechannel.cellcomplex import (  # noqa: E402
-    QuadComplex, face_edge_labels, make_grid, swapped_labels,
+    FACE_LABELS, QuadComplex, make_grid, swapped_labels,
 )
 from liechannel.cli import main, random_generator_net  # noqa: E402
 from liechannel.legendre import LegendreNet, contact_from_vectors, curvature_sphere  # noqa: E402
@@ -110,8 +110,9 @@ def patch_beside_example() -> dict:
     edges, faces, vertices, base = [], [], [], 0
     for doc in docs:
         c = io_json.complex_from_dict(doc["complex"])
-        edges += [[i + base, j + base, lab] for i, j, lab in c.edges]
-        faces += [[v + base for v in face] for face in c.faces]
+        edges += [[i, j, lab] for (i, j), lab in zip((c.edge_ends + base).tolist(),
+                                                     c.edge_labels.tolist())]
+        faces += (c.face_vertices + base).tolist()
         vertices += doc["vertices"]
         base += c.n_vertices
     return {"format": "liechannel-net", "version": 1,
@@ -127,28 +128,26 @@ def explicit_torus() -> dict:
     doc = io_json.net_to_dict(make_dupin_torus(2.5, 0.9, 6, 5))
     c = io_json.complex_from_dict(doc["complex"])
     rng = np.random.default_rng(6)
-    new = rng.permutation(c.n_vertices).tolist()  # the new id of each vertex
-    edges = [[new[j], new[i], lab] if k % 2 else [new[i], new[j], lab]
-             for k, (i, j, lab) in enumerate(c.edges)]
-    vertices = [None] * c.n_vertices
-    for old, v in enumerate(new):
-        vertices[v] = doc["vertices"][old]
+    new = rng.permutation(c.n_vertices)  # the new id of each vertex
+    ends = new[c.edge_ends]
+    ends[1::2] = ends[1::2, ::-1]
+    edges = [[i, j, lab] for (i, j), lab in zip(ends.tolist(), c.edge_labels.tolist())]
     return {"format": "liechannel-net", "version": 1,
             "complex": {"n_vertices": c.n_vertices,
                         "edges": [edges[k] for k in rng.permutation(len(edges)).tolist()],
-                        "faces": [[new[v] for v in (k, l, i, j)] for i, j, k, l in c.faces]},
-            "vertices": vertices}
+                        "faces": new[c.face_vertices[:, [2, 3, 0, 1]]].tolist()},
+            "vertices": [doc["vertices"][old] for old in np.argsort(new).tolist()]}
 
 
 def cut_torus() -> LegendreNet:
     """The 30 faces of a 6 x 6-vertex Dupin torus (6 x 5 faces) as separate
     quadrilaterals, each with its own four vertices and contact elements."""
     torus = make_dupin_torus(2.5, 0.9, 6, 6)
-    faces = np.array(torus.complex.faces)
-    edges = tuple((4 * f + a, 4 * f + b, lab) for f in range(len(faces))
-                  for a, b, lab in face_edge_labels(range(4)))
-    c = QuadComplex(n_vertices=faces.size, edges=edges,
-                    faces=tuple(map(tuple, np.arange(faces.size).reshape(-1, 4).tolist())))
+    faces = torus.complex.face_vertices
+    corners = np.arange(faces.size).reshape(-1, 4)
+    c = QuadComplex(n_vertices=faces.size,
+                    edge_ends=np.stack((corners, np.roll(corners, -1, axis=1)), -1).reshape(-1, 2),
+                    edge_labels=np.tile(FACE_LABELS, len(faces)), face_vertices=corners)
     return LegendreNet(complex=c, bases=torus.bases[faces.ravel()])
 
 

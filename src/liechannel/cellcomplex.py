@@ -100,43 +100,43 @@ class GridInfo:
     wrap_plus: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadComplex:
-    """Edge e is ``edges[e]``, and every per-edge array is in that order;
-    a vertex pair listed more than once is indexed by its last listing.
-    The tuples are read once into arrays, which every method reads: edges
-    are found by the sorted vertex pair keys ``smaller * V + larger``."""
+    """Edge e joins ``edge_ends[e]``, the vertex pair as listed, and has
+    label ``edge_labels[e]``; every per-edge array is in that order, and a
+    vertex pair listed more than once is indexed by its last listing.
+    ``edge_vertices`` holds each pair as (smaller, larger); edges are found
+    by the sorted vertex pair keys ``smaller * V + larger``. Every array is
+    read-only."""
 
     n_vertices: int
-    edges: Tuple[Tuple[int, int, str], ...]
-    faces: Tuple[Tuple[int, int, int, int], ...]
+    edge_ends: np.ndarray      # (E, 2) as listed
+    edge_labels: np.ndarray    # (E,)
+    face_vertices: np.ndarray  # (F, 4)
     grid: Optional[GridInfo] = None
-    edge_vertices: np.ndarray = field(init=False, repr=False, compare=False)  # (E, 2) (min, max)
-    edge_labels: np.ndarray = field(init=False, repr=False, compare=False)    # (E,)
-    face_vertices: np.ndarray = field(init=False, repr=False, compare=False)  # (F, 4)
-    face_edge_ids: np.ndarray = field(init=False, repr=False, compare=False)  # (F, 4)
-    vertex_edges_csr: Incidence = field(init=False, repr=False, compare=False)
-    vertex_faces_csr: Incidence = field(init=False, repr=False, compare=False)
-    _coordinates: Dict[str, "Coordinates"] = field(default_factory=dict, init=False,
-                                                   repr=False, compare=False)
+    edge_vertices: np.ndarray = field(init=False, repr=False)  # (E, 2) (min, max)
+    face_edge_ids: np.ndarray = field(init=False, repr=False)  # (F, 4)
+    vertex_edges_csr: Incidence = field(init=False, repr=False)
+    vertex_faces_csr: Incidence = field(init=False, repr=False)
+    _coordinates: Dict[str, "Coordinates"] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         n, put = self.n_vertices, partial(object.__setattr__, self)
-        rows = np.array(self.edges, dtype=object).reshape(-1, 3)
-        ends = rows[:, :2].astype(np.int64)
-        faces = np.array(self.faces, dtype=np.int64).reshape(-1, 4)
-        for what, index in (("edge", ends), ("face", faces)):
+        listed = np.array(self.edge_ends, dtype=np.int64).reshape(-1, 2)
+        faces = np.array(self.face_vertices, dtype=np.int64).reshape(-1, 4)
+        for what, index in (("edge", listed), ("face", faces)):
             outside = np.argwhere((index < 0) | (index >= n))  # before any array is sized by one
             if outside.size:
                 k, t = outside[0]
                 raise ValueError(f"{what} {k}: vertex {index[k, t]} is not in [0, {n})")
-        ends.sort(axis=1)
+        ends = np.sort(listed, axis=1)
         keys = ends[:, 0] * n + ends[:, 1]
         order = np.argsort(keys, kind="stable")  # the last of equal keys is the last listing
         put("_keys", np.append(keys[order], np.iinfo(np.int64).max))
         put("_key_edges", np.append(order, -1))
+        put("edge_ends", listed)
         put("edge_vertices", ends)
-        put("edge_labels", rows[:, 2].astype(str))
+        put("edge_labels", np.array(self.edge_labels, dtype=str).reshape(len(ends)))
         put("face_vertices", faces)
         put("vertex_edges_csr", Incidence.grouped(ends.ravel(), np.arange(len(ends)).repeat(2), n))
         # a face lists each vertex it names once
@@ -145,8 +145,8 @@ class QuadComplex:
             Incidence.grouped(faces[once], np.arange(len(faces)).repeat(4)[once.ravel()], n))
         # face_edge_labels order; a face edge that is no edge raises KeyError
         put("face_edge_ids", self.edge_ids(faces, np.roll(faces, -1, axis=1)))
-        for name in ("_keys", "_key_edges", "edge_vertices", "edge_labels", "face_vertices",
-                     "face_edge_ids"):
+        for name in ("_keys", "_key_edges", "edge_ends", "edge_vertices", "edge_labels",
+                     "face_vertices", "face_edge_ids"):
             getattr(self, name).flags.writeable = False  # shared by every reader
 
     def edge_id(self, i: int, j: int) -> int:
@@ -173,7 +173,7 @@ class QuadComplex:
         return ids
 
     def label(self, i: int, j: int) -> str:
-        return self.edges[self.edge_id(i, j)][2]
+        return str(self.edge_labels[self.edge_id(i, j)])
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self._lookup(*edge_key(i, j))[1])
@@ -215,14 +215,12 @@ def make_grid(n_plus: int, n_minus: int, wrap_plus: bool = False) -> QuadComplex
     row = n_plus * np.arange(n_minus)[:, None]
     left, right = row + a, row + (a + 1) % n_plus
     column = np.arange(n_plus * (n_minus - 1))
-    i = np.concatenate((left.ravel(), column)).tolist()
-    j = np.concatenate((right.ravel(), column + n_plus)).tolist()
-    labels = [PLUS] * left.size + [MINUS] * column.size
-    faces = (left[:-1], left[1:], right[1:], right[:-1])
     return QuadComplex(
         n_vertices=n_plus * n_minus,
-        edges=tuple(zip(i, j, labels)),
-        faces=tuple(zip(*(corner.ravel().tolist() for corner in faces))),
+        edge_ends=np.concatenate((np.stack((left, right), -1).reshape(-1, 2),
+                                  np.stack((column, column + n_plus), -1))),
+        edge_labels=np.repeat([PLUS, MINUS], [left.size, column.size]),
+        face_vertices=np.stack((left[:-1], left[1:], right[1:], right[:-1]), -1).reshape(-1, 4),
         grid=GridInfo(n_plus=n_plus, n_minus=n_minus, wrap_plus=wrap_plus),
     )
 
@@ -273,7 +271,7 @@ def _label_ribbons(c: QuadComplex, label: str) -> Incidence:
     """Maximal face strips glued along edges of the opposite label."""
     n_faces = len(c.face_edge_ids)
     faces_of = Incidence.grouped(c.face_edge_ids.ravel(), np.repeat(np.arange(n_faces), 4),
-                                 len(c.edges))
+                                 len(c.edge_ends))
     glue = c.face_edge_ids[:, SLOTS[MINUS if label == PLUS else PLUS]].ravel()
     # the faces on each face's two glue edges, in slot order, the face itself left out
     other, at = faces_of.gather(glue)
@@ -313,8 +311,8 @@ class Coordinates:
         self.opposite = MINUS if label == PLUS else PLUS
         self.lines: Incidence = _label_lines(c, label)             # vertex paths
         self.line_edges: Incidence = _line_edges(c, self.lines)
-        self.edge_line = np.full(len(c.edges), -1)     # line of each edge, -1 if none
-        self.vertex_line = np.full(c.n_vertices, -1)   # line of each vertex, -1 if none
+        self.edge_line = np.full(len(c.edge_ends), -1)  # line of each edge, -1 if none
+        self.vertex_line = np.full(c.n_vertices, -1)    # line of each vertex, -1 if none
         self.edge_line[self.line_edges.ids] = self.line_edges.group
         self.vertex_line[self.lines.ids] = self.lines.group
         self.edge_line.flags.writeable = self.vertex_line.flags.writeable = False
@@ -407,10 +405,10 @@ def minus_ribbons(c: QuadComplex) -> Incidence:
 
 def swapped_labels(c: QuadComplex) -> QuadComplex:
     """Exchange '+' and '-' everywhere (faces re-anchored to keep convention)."""
-    edges = tuple((i, j, PLUS if lab == MINUS else MINUS) for i, j, lab in c.edges)
     # rotating (i,j,k,l) -> (j,k,l,i) swaps the edge-label pattern of a face
-    faces = tuple((j, k, l, i) for i, j, k, l in c.faces)
-    return QuadComplex(n_vertices=c.n_vertices, edges=edges, faces=faces, grid=None)
+    return QuadComplex(n_vertices=c.n_vertices, edge_ends=c.edge_ends,
+                       edge_labels=np.where(c.edge_labels == MINUS, PLUS, MINUS),
+                       face_vertices=np.roll(c.face_vertices, -1, axis=1))
 
 
 @dataclass
@@ -425,7 +423,7 @@ class ComplexDiagnostics:
 def validate(c: QuadComplex) -> ComplexDiagnostics:
     """Diagnostic pass over the complex invariants; never raises."""
     # faces of each edge; every face edge is an edge (the complex refuses others)
-    count = np.bincount(c.face_edge_ids.ravel(), minlength=len(c.edges))
+    count = np.bincount(c.face_edge_ids.ravel(), minlength=len(c.edge_ends))
     # each vertex pair once, at its first listing, with the count of the edge indexing it
     index = c.edge_ids(*c.edge_vertices.T)
     first = np.sort(np.unique(index, return_index=True)[1])

@@ -175,7 +175,7 @@ def verify_channel(net: LegendreNet, direction: str = PLUS):
     # through their first face's cyclide family
     for ri in np.flatnonzero(under[:stop]).tolist():
         try:
-            cy = face_cyclide_family(net, net.complex.faces[coords.ribbons[ri][0]])(0.0)
+            cy = face_cyclide_family(net, net.complex.face_vertices[coords.ribbons[ri][0]])(0.0)
         except DegenerateFaceError as exc:
             return ribbon_span(ri, str(exc))
         if cy.dplus.dim != 3 or cy.dminus.dim != 3:

@@ -88,7 +88,7 @@ def cmd_generate(args) -> int:
         return _fail(str(exc))
     io_json.save_net(net, args.out)
     print(f"wrote {args.out} ({net.complex.n_vertices} vertices, "
-          f"{len(net.complex.faces)} faces)")
+          f"{len(net.complex.face_vertices)} faces)")
     return 0
 
 

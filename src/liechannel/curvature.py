@@ -33,7 +33,7 @@ import numpy as np
 from .config import TOL
 from . import liecore as lc
 from .liecore import LieVec, LieGeometryError, Subspace, GRAM, span, signature
-from .cellcomplex import QuadComplex, PLUS, MINUS, SLOTS
+from .cellcomplex import Incidence, QuadComplex, PLUS, MINUS, SLOTS
 from .legendre import (
     NO_PLANE_LIFT, NO_POINT_SPHERE, LegendreNet, plane_lifts, point_spheres,
 )
@@ -131,7 +131,6 @@ def principal_curvature(f_i: LieVec, f_j: LieVec, n_i: LieVec, n_j: LieVec
 
 @dataclass
 class CurvatureReport:
-    faces: List[Tuple[int, int, int, int]]
     gauss: List[float]
     mean: List[float]
     face_residuals: List[float]
@@ -170,7 +169,7 @@ def curvature_report(net: LegendreNet) -> CurvatureReport:
     scale = np.max([np.abs(lhs), np.abs(rhs), np.abs(kij * kkl), np.abs(kjk * kli),
                     np.full(len(faces), 1e-12)], axis=0)
     ident = np.abs(lhs - rhs) / scale
-    return CurvatureReport(faces=list(c.faces), gauss=gauss.tolist(), mean=mean.tolist(),
+    return CurvatureReport(gauss=gauss.tolist(), mean=mean.tolist(),
                            face_residuals=res.tolist(), edge_kappa=kappa, edge_residuals=k_res,
                            identity_residuals=ident.tolist())
 
@@ -192,16 +191,11 @@ def kappa_line_spread(net: LegendreNet, report: CurvatureReport, direction: str)
 # isothermic tests
 
 
-@dataclass
-class VertexStar:
-    vertex: int
-    edge_neighbors: List[int]
-    diagonal_neighbors: List[int]
-    patch: List[int]  # nine vertices of the four adjacent faces
-
-
-def interior_vertex_stars(c: QuadComplex) -> List[VertexStar]:
-    """Degree-4 interior vertices with their edge and diagonal neighbours."""
+def interior_vertex_stars(c: QuadComplex
+                          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Incidence]:
+    """Degree-4 interior vertices (S,), their edge neighbours (S, 4) and
+    diagonal neighbours (S, 4), and their patches: the ascending distinct
+    vertices of the four faces at each."""
     star_edges, star_faces = c.vertex_edges_csr, c.vertex_faces_csr
     v = np.flatnonzero((star_edges.degrees == 4) & (star_faces.degrees == 4))
     ends = c.edge_vertices[star_edges.gather(v)[0]].reshape(-1, 4, 2)
@@ -212,9 +206,8 @@ def interior_vertex_stars(c: QuadComplex) -> List[VertexStar]:
     diagonal = np.take_along_axis(faces, ((at + 2) % 4)[..., None], axis=2)[..., 0]
     corners = np.sort(faces.reshape(-1, 16), axis=1)
     distinct = np.diff(corners, axis=1, prepend=-1) != 0
-    return [VertexStar(vertex=w, edge_neighbors=e, diagonal_neighbors=d, patch=p[m].tolist())
-            for w, e, d, p, m in zip(v.tolist(), edge_neighbors.tolist(), diagonal.tolist(),
-                                     corners, distinct)]
+    return (v, edge_neighbors, diagonal,
+            Incidence(np.concatenate(([0], np.cumsum(distinct.sum(axis=1)))), corners[distinct]))
 
 
 @dataclass
@@ -241,14 +234,13 @@ def is_isothermic_5point(points: np.ndarray, c: QuadComplex) -> IsothermicReport
     """
     pts = np.asarray(points, dtype=float)
     lifts = lc.unit_point_lifts(pts)
-    stars = interior_vertex_stars(c)
-    five = np.array([[s.vertex] + s.diagonal_neighbors for s in stars], dtype=int).reshape(-1, 5)
-    applicable, passed = np.zeros((2, len(stars)), dtype=bool)
-    for size in {len(s.patch) for s in stars}:
-        group = [k for k, s in enumerate(stars) if len(s.patch) == size]
+    vertices, edge_neighbors, diagonal, patches = interior_vertex_stars(c)
+    five = np.column_stack((vertices, diagonal))
+    applicable, passed = np.zeros((2, len(vertices)), dtype=bool)
+    for group, at in patches.by_length():
         # point lifts have no e6 component, so rank <= 5 always; cospherical
         # patches drop to rank <= 4
-        sv = np.linalg.svd(lifts[[stars[k].patch for k in group]], compute_uv=False)
+        sv = np.linalg.svd(lifts[patches.ids[at]], compute_uv=False)
         applicable[group] = ~(sv[:, 4] / sv[:, 0] <= TOL.cosphericity)
     # the spheres through the vertex and its diagonals are the Moebius
     # complement of their span: one sphere at rank 4, the pencil of their
@@ -259,7 +251,7 @@ def is_isothermic_5point(points: np.ndarray, c: QuadComplex) -> IsothermicReport
         group = np.flatnonzero(applicable)[rank == r]
         # an edge neighbour's largest distance from the unit spheres through
         # the points: the norm of its products with the orthonormal complement
-        ip = lc.inner_rows(lifts[[stars[k].edge_neighbors for k in group]][:, :, None],
+        ip = lc.inner_rows(lifts[edge_neighbors[group]][:, :, None],
                            lc.orthocomplements(vt[rank == r, :r])[:, None])
         # a patch that passed the nowhere-spherical gate keeps its edge neighbours
         # off the 5-point sphere by at least the order of the gate cutoff

@@ -64,8 +64,9 @@ def net_to_dict(net: LegendreNet, form: str = "auto") -> dict:
     else:
         complex_doc = {
             "n_vertices": c.n_vertices,
-            "edges": [[i, j, lab] for i, j, lab in c.edges],
-            "faces": [list(f) for f in c.faces],
+            "edges": [[i, j, lab] for (i, j), lab in zip(c.edge_ends.tolist(),
+                                                          c.edge_labels.tolist())],
+            "faces": c.face_vertices.tolist(),
         }
     euclidean = np.zeros(c.n_vertices, dtype=bool)
     if form in ("auto", "euclidean"):
@@ -130,9 +131,11 @@ def complex_from_dict(doc: dict) -> QuadComplex:
                         "edge vertices must be integers", integral=True)
         corners = _numbers(faces or np.empty((0, 4), dtype=int), (-1, 4),
                            "faces must be lists of 4 integers", integral=True)
-        c = QuadComplex(n_vertices=n, edges=tuple(zip(*ends.T.tolist(), (e[2] for e in edges))),
-                        faces=tuple(zip(*corners.T.tolist())))
         unknown = [lab for _i, _j, lab in edges if lab not in (PLUS, MINUS)]
+        # an unknown label is refused below, so it is held as '?': one long
+        # label would widen the label array of every edge
+        c = QuadComplex(n, ends, [lab if lab in (PLUS, MINUS) else "?" for _i, _j, lab in edges],
+                        corners)
         bad_faces = validate(c).bad_faces
         if not faces:
             raise ValueError("no faces")
@@ -141,7 +144,7 @@ def complex_from_dict(doc: dict) -> QuadComplex:
         if bad_faces:
             raise ValueError(f"faces with inconsistent edge labels: {bad_faces[:5]}")
         # the first listing of a pair listed again is not the one it indexes
-        twice = np.flatnonzero(c.edge_ids(*c.edge_vertices.T) != np.arange(len(c.edges)))
+        twice = np.flatnonzero(c.edge_ids(*c.edge_vertices.T) != np.arange(len(ends)))
         if twice.size:
             raise ValueError(f"edge {c.edge_vertices[twice[0]].tolist()} listed more than once")
         for label in (PLUS, MINUS):
@@ -456,15 +459,16 @@ def verify_report(net: LegendreNet, directions: Sequence[str] = (PLUS, MINUS)) -
 
 
 def curvature_report_json(net: LegendreNet) -> dict:
-    rep = curvature_report(net)
+    rep, c = curvature_report(net), net.complex
     kappa, residuals = rep.edge_kappa.tolist(), rep.edge_residuals.tolist()
     return {
         "format": "liechannel-curvature-report", "version": 1,
-        "faces": [{"face": list(face), "K": rep.gauss[i], "H": rep.mean[i],
+        "faces": [{"face": face, "K": rep.gauss[i], "H": rep.mean[i],
                    "residual": rep.face_residuals[i]}
-                  for i, face in enumerate(rep.faces)],
-        "edges": [{"edge": [i, j], "label": lab, "kappa": kappa[e], "residual": residuals[e]}
-                  for e, (i, j, lab) in enumerate(net.complex.edges)],
+                  for i, face in enumerate(c.face_vertices.tolist())],
+        "edges": [{"edge": ends, "label": lab, "kappa": kappa[e], "residual": residuals[e]}
+                  for e, (ends, lab) in enumerate(zip(c.edge_ends.tolist(),
+                                                      c.edge_labels.tolist()))],
         "identity_max_residual": rep.identity_max,
         "kappa_spread_plus": kappa_line_spread(net, rep, PLUS),
         "kappa_spread_minus": kappa_line_spread(net, rep, MINUS),

@@ -284,7 +284,8 @@ class LegendreDiagnostics:
 
 def is_legendre(net: LegendreNet) -> LegendreDiagnostics:
     """Check every edge for a shared curvature sphere (`LegendreNet.edge_spheres`)."""
-    failed = [(*net.complex.edges[e][:2], str(exc)) for e, exc in net.edge_failures.items()]
+    ends = net.complex.edge_ends
+    failed = [(*ends[e].tolist(), str(exc)) for e, exc in net.edge_failures.items()]
     return LegendreDiagnostics(ok=not failed, failed_edges=failed)
 
 

@@ -7,13 +7,24 @@ crossing table read from a vertex -> line dict, the grid built
 vertex by vertex, and the vertex stars and diagnostics read from those
 lists. `QuadComplex`, `Coordinates`, `make_grid`, `validate` and
 `interior_vertex_stars` must give the same values, and raise the same
-errors with the same messages.
+errors with the same messages. `quad_complex` builds a `QuadComplex` from
+the tuples the reference reads.
 """
 
 from itertools import accumulate
 from typing import Dict, List
 
-from liechannel.cellcomplex import FACE_LABELS, MINUS, PLUS, SLOTS, edge_key, face_edge_labels
+import numpy as np
+
+from liechannel.cellcomplex import (
+    FACE_LABELS, MINUS, PLUS, SLOTS, QuadComplex, edge_key, face_edge_labels,
+)
+
+
+def quad_complex(n_vertices, edges, faces) -> QuadComplex:
+    """The complex of (i, j, label) edge and (i, j, k, l) face tuples."""
+    return QuadComplex(n_vertices, np.array([e[:2] for e in edges], dtype=np.int64),
+                       [e[2] for e in edges], np.array(faces, dtype=np.int64))
 
 
 def grid_cells(n_plus: int, n_minus: int, wrap_plus: bool):

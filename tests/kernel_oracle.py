@@ -119,7 +119,7 @@ def curvature_sphere(a, b):
 def edge_spheres(bases, complex_):
     """(spheres by edge key, failed edges) as the per-edge loop found them."""
     spheres, failed = {}, []
-    for i, j, _lab in complex_.edges:
+    for i, j in complex_.edge_ends.tolist():
         k = edge_key(i, j)
         if k in spheres:
             continue
@@ -139,7 +139,7 @@ def net_from_edge_spheres(c, spheres):
             raise LieGeometryError(f"edge sphere on {k} is not null")
     bases = []
     for v in range(c.n_vertices):
-        star = [spheres[edge_key(*c.edges[e][:2])] for e in c.vertex_edges(v)]
+        star = [spheres[edge_key(*c.edge_ends[e].tolist())] for e in c.vertex_edges(v)]
         message = f"vertex-star does not span a contact element (vertex {v})"
         if len(star) < 2:
             raise LieGeometryError(message)
@@ -233,12 +233,12 @@ def curvature_report(bases, c):
             raise LieGeometryError(f"vertex {v} has no tangent plane lift")
         n_lift[v] = n / n[5]
     kappa, k_res = {}, {}
-    for i, j, _lab in c.edges:
+    for i, j in c.edge_ends.tolist():
         k, r = principal_curvature(f_lift[i], f_lift[j], n_lift[i], n_lift[j])
         kappa[edge_key(i, j)] = k
         k_res[edge_key(i, j)] = r
     gauss, mean, res, ident = [], [], [], []
-    for face in c.faces:
+    for face in c.face_vertices.tolist():
         i, j, k, l = face
         kk, hh, rr = gauss_mean([f_lift[v] for v in face], [n_lift[v] for v in face])
         gauss.append(kk)

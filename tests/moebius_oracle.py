@@ -97,30 +97,31 @@ def cross_ratio_constancy(cert, net):
 def is_isothermic_5point(points, c):
     lifts = np.array([unit_point_lift(p) for p in points])
     applicable, passed, diag_circ = {}, {}, {}
-    for star in interior_vertex_stars(c):
-        v = star.vertex
-        sv = np.linalg.svd(lifts[star.patch], compute_uv=False)
+    vertices, edge_neighbors, diagonal, patches = interior_vertex_stars(c)
+    for v, edges, diagonals, patch in zip(vertices.tolist(), edge_neighbors.tolist(),
+                                          diagonal.tolist(), patches):
+        sv = np.linalg.svd(lifts[patch], compute_uv=False)
         applicable[v] = not sv[4] / sv[0] <= TOL.cosphericity
         passed[v] = False
-        dsv = np.linalg.svd(lifts[star.diagonal_neighbors], compute_uv=False)
+        dsv = np.linalg.svd(lifts[diagonals], compute_uv=False)
         diag_circ[v] = int(np.sum(dsv > TOL.rank * dsv[0])) <= 3
         if not applicable[v]:
             continue
-        sp = span(lifts[[v] + star.diagonal_neighbors])
+        sp = span(lifts[[v] + diagonals])
         if sp.dim <= 3:
             # a circle (or less): some sphere through it avoids an edge
             # neighbour exactly when one lies off it; the distance is the
             # largest over the unit members of the spheres through it
             comp = orthocomplement(span(list(sp.basis) + [POINT_COMPLEX])).basis
             off = [math.sqrt(sum(inner(lifts[e], q) * inner(lifts[e], q) for q in comp))
-                   for e in star.edge_neighbors]
+                   for e in edges]
             passed[v] = len(comp) == 5 - sp.dim and max(off) > 0.1 * TOL.cosphericity
         elif sp.dim <= 4:
             comp = orthocomplement(sp)
             c1, c2 = comp.basis[0], comp.basis[1]
             sphere = c2[5] * c1 - c1[5] * c2
             if np.linalg.norm(sphere) > TOL.membership:
-                off = [abs(inner(lifts[e], normalized(sphere))) for e in star.edge_neighbors]
+                off = [abs(inner(lifts[e], normalized(sphere))) for e in edges]
                 passed[v] = max(off) > 0.1 * TOL.cosphericity
     return IsothermicReport(applicable=applicable, passed=passed, diagonal_circular=diag_circ)
 

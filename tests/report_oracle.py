@@ -127,7 +127,7 @@ def oracle_certificate(net, direction):
     line_spheres = []
     worst = 0.0
     for li, line in enumerate(lines):
-        spheres = [net.edge_sphere(*net.complex.edges[e][:2]) for e in line_edges[li]]
+        spheres = [net.edge_sphere(*net.complex.edge_ends[e].tolist()) for e in line_edges[li]]
         rep = normalized(spheres[0])
         for s in spheres[1:]:
             d = lc.projective_distance(rep, s)
@@ -149,10 +149,10 @@ def oracle_certificate(net, direction):
                                   location=f"ribbon {ri}",
                                   message=f"ribbon bounded by {len(bounds)} lines",
                                   envelopes=True)
-        sp = span([net.edge_sphere(*net.complex.edges[e][:2]) for e in ribbon_edges[ri]])
+        sp = span([net.edge_sphere(*net.complex.edge_ends[e].tolist()) for e in ribbon_edges[ri]])
         if sp.dim == 2 and signature(sp).triple == (1, 1, 0):
             try:
-                cy = face_cyclide_family(net, net.complex.faces[strip[0]])(0.0)
+                cy = face_cyclide_family(net, net.complex.face_vertices[strip[0]].tolist())(0.0)
             except DegenerateFaceError as exc:
                 return ChannelFailure(direction=direction, check="ribbon_span",
                                       location=f"ribbon {ri}", message=str(exc),
@@ -186,7 +186,7 @@ def oracle_residuals(cert, net):
     for ri, strip in enumerate(cert.ribbons):
         cy = cert.cyclides[ri] if cert.direction == PLUS else cert.cyclides[ri].swapped()
         for fi in strip:
-            plusv, minusv = face_spheres_of(net, net.complex.faces[fi])
+            plusv, minusv = face_spheres_of(net, net.complex.face_vertices[fi].tolist())
             for s in plusv:
                 fc = max(fc, cy.dplus.residual(s))
             for s in minusv:

@@ -70,7 +70,7 @@ def test_02_dupin_cyclide():
     spread_m = max(subspace_distance(cy.dplus, other.dminus)
                    for other in cert_m.cyclides)
     assert spread_m <= 1e-8
-    for i, j, lab in net.complex.edges:
+    for (i, j), lab in zip(net.complex.edge_ends.tolist(), net.complex.edge_labels.tolist()):
         s = net.edge_sphere(i, j)
         target = cy.dplus if lab == "+" else cy.dminus
         assert target.residual(s) <= 1e-8

@@ -16,11 +16,12 @@ from hypothesis import given, settings, strategies as st
 
 import liechannel as L
 from liechannel import builder, cellcomplex, io_json
-from liechannel.cellcomplex import QuadComplex, edge_key, make_grid
+from liechannel.cellcomplex import edge_key, make_grid
 from liechannel.cli import random_generator_net
 from liechannel.curvature import curvature_report
 from liechannel.legendre import LegendreNet, contact_from_vectors
 
+import complex_oracle
 import kernel_oracle as oracle
 
 
@@ -45,8 +46,8 @@ def assert_edge_spheres_match_oracle(net, bases):
     spheres, failed = oracle.edge_spheres(bases, net.complex)
     assert L.is_legendre(net).failed_edges == failed
     messages = {edge_key(i, j): msg for i, j, msg in failed}
-    assert net.edge_spheres.shape == (len(net.complex.edges), 6)
-    for e, (i, j, _lab) in enumerate(net.complex.edges):
+    assert net.edge_spheres.shape == (len(net.complex.edge_ends), 6)
+    for e, (i, j) in enumerate(net.complex.edge_ends.tolist()):
         k = edge_key(i, j)
         if k in spheres:
             assert e not in net.edge_failures
@@ -71,7 +72,7 @@ def assert_matches_oracle(net, points, normals):
     assert same_bits(rep.gauss, gauss) and same_bits(rep.mean, mean)
     assert same_bits(rep.face_residuals, res)
     assert same_bits(rep.identity_residuals, ident)
-    keys = [edge_key(i, j) for i, j, _lab in net.complex.edges]
+    keys = [edge_key(i, j) for i, j in net.complex.edge_ends.tolist()]
     assert same_bits(rep.edge_kappa, [kappa[k] for k in keys])
     assert same_bits(rep.edge_residuals, [k_res[k] for k in keys])
 
@@ -201,7 +202,7 @@ def test_curvature_errors_match_oracle(replace):
 
 def test_degenerate_face_error_matches_oracle():
     # face (0, 1, 0, 1): both diagonals vanish, the edges do not
-    c = QuadComplex(n_vertices=2, edges=((0, 1, "-"),), faces=((0, 1, 0, 1),))
+    c = complex_oracle.quad_complex(2, ((0, 1, "-"),), ((0, 1, 0, 1),))
     elements = (L.contact_from_point_normal((0, 0, 0), (0, 0, 1.0)),
                 L.contact_from_point_normal((1, 0, 0), (0, 0, 1.0)))
     net = LegendreNet(complex=c, bases=np.array([el.basis for el in elements]))
@@ -225,7 +226,7 @@ def test_single_item_functions_are_stacks_of_one():
 def test_report_paths_make_no_per_edge_call():
     # the complex indexes its edges when it is built; the reports index arrays
     net = builder.make_dupin_torus(2.0, 0.8, 16, 16)
-    net_edges = len(net.complex.edges)
+    net_edges = len(net.complex.edge_ends)
     with mock.patch.object(LegendreNet, "edge_sphere", side_effect=AssertionError), \
             mock.patch.object(cellcomplex, "edge_key", wraps=cellcomplex.edge_key) as key:
         io_json.verify_report(net)
@@ -240,11 +241,12 @@ def test_report_paths_make_no_per_edge_call():
 def test_interior_vertex_stars_use_the_vertex_face_index():
     c = make_grid(5, 4, wrap_plus=True)
     for v in range(c.n_vertices):
-        assert c.vertex_faces(v) == [fi for fi, face in enumerate(c.faces) if v in face]
+        assert c.vertex_faces(v) == [fi for fi, face in enumerate(c.face_vertices.tolist())
+                                     if v in face]
     # a face naming a vertex twice lists it once
-    twice = QuadComplex(n_vertices=2, edges=((0, 1, "-"),), faces=((0, 1, 0, 1),))
+    twice = complex_oracle.quad_complex(2, ((0, 1, "-"),), ((0, 1, 0, 1),))
     assert twice.vertex_faces(0) == [0]
-    assert len(L.curvature.interior_vertex_stars(c)) == 5 * 2
+    assert len(L.curvature.interior_vertex_stars(c)[0]) == 5 * 2
 
 
 # ---------------------------------------------------------------------------

@@ -7,27 +7,29 @@ from hypothesis import given, settings, strategies as st
 import complex_oracle as oracle
 import kernel_oracle
 import liechannel as L
+from liechannel import io_json
 from liechannel.cellcomplex import (
-    Incidence, QuadComplex, make_grid, validate, swapped_labels, face_edge_labels, edge_key,
+    Incidence, make_grid, validate, swapped_labels, face_edge_labels, edge_key,
     plus_lines, minus_lines, plus_ribbons, minus_ribbons, PLUS, MINUS,
 )
 from liechannel.curvature import interior_vertex_stars
+from liechannel.legendre import is_legendre, net_from_points_normals
 
 
 def test_grid_3x3_counts():
     c = make_grid(3, 3)
     assert c.n_vertices == 9
-    assert len(c.edges) == 12
-    assert sum(1 for *_e, lab in c.edges if lab == PLUS) == 6
-    assert sum(1 for *_e, lab in c.edges if lab == MINUS) == 6
-    assert len(c.faces) == 4
+    assert len(c.edge_ends) == 12
+    assert sum(1 for lab in c.edge_labels.tolist() if lab == PLUS) == 6
+    assert sum(1 for lab in c.edge_labels.tolist() if lab == MINUS) == 6
+    assert len(c.face_vertices) == 4
 
 
 def test_wrapped_grid_counts():
     c = make_grid(4, 2, wrap_plus=True)
     assert c.n_vertices == 8
-    assert len(c.edges) == 12
-    assert len(c.faces) == 4
+    assert len(c.edge_ends) == 12
+    assert len(c.face_vertices) == 4
     lines = plus_lines(c)
     assert len(lines) == 2 and all(len(l) == 4 for l in lines)
     # closed: the wrap edge exists
@@ -46,7 +48,7 @@ def test_grid_minimum_sizes():
 
 def test_face_label_convention():
     c = make_grid(4, 3)
-    for face in c.faces:
+    for face in c.face_vertices.tolist():
         labels = [lab for *_e, lab in face_edge_labels(face)]
         assert labels == [MINUS, PLUS, MINUS, PLUS]
         for a, b, lab in face_edge_labels(face):
@@ -68,17 +70,17 @@ def test_ribbons_partition_faces():
         c = make_grid(5, 4, wrap_plus=wrap)
         for ribbons in (plus_ribbons(c), minus_ribbons(c)):
             seen = sorted(f for strip in ribbons for f in strip)
-            assert seen == list(range(len(c.faces)))
+            assert seen == list(range(len(c.face_vertices)))
 
 
 def test_grid_face_count_formula():
-    assert len(make_grid(6, 5).faces) == 5 * 4
-    assert len(make_grid(6, 5, wrap_plus=True).faces) == 6 * 4
+    assert len(make_grid(6, 5).face_vertices) == 5 * 4
+    assert len(make_grid(6, 5, wrap_plus=True).face_vertices) == 6 * 4
 
 
 def test_single_face_ribbons():
     c = make_grid(2, 2)
-    assert len(c.faces) == 1
+    assert len(c.face_vertices) == 1
     assert plus_ribbons(c).tolist() == [[0]]
     assert minus_ribbons(c).tolist() == [[0]]
 
@@ -98,8 +100,9 @@ def test_validate_clean_grid():
 def test_validate_flags_bad_labelling():
     # flip one column edge to '+': its faces get two adjacent '+' edges
     c = make_grid(3, 3)
-    edges = tuple((i, j, PLUS if (i, j) == (0, 3) else lab) for i, j, lab in c.edges)
-    bad = QuadComplex(n_vertices=c.n_vertices, edges=edges, faces=c.faces)
+    edges = tuple((i, j, PLUS if (i, j) == (0, 3) else lab)
+                  for (i, j), lab in zip(c.edge_ends.tolist(), c.edge_labels.tolist()))
+    bad = oracle.quad_complex(c.n_vertices, edges, c.face_vertices)
     diag = validate(bad)
     assert not diag.ok and diag.bad_faces
 
@@ -115,7 +118,7 @@ def test_validate_flags_odd_interior_vertex():
             if k not in seen:
                 seen.add(k)
                 edges.append((k[0], k[1], lab))
-    fan = QuadComplex(n_vertices=7, edges=tuple(edges), faces=faces)
+    fan = oracle.quad_complex(7, edges, faces)
     diag = validate(fan)
     assert 0 in diag.odd_interior_vertices
 
@@ -139,7 +142,7 @@ def _direct_coordinates(c, label):
     for strip in c.coordinates(label).ribbons:
         glued, bounds = [], set()
         for fi in strip:
-            for a, b, lab in face_edge_labels(c.faces[fi]):
+            for a, b, lab in face_edge_labels(c.face_vertices[fi].tolist()):
                 k = edge_key(a, b)
                 if lab == opp and k not in glued:
                     glued.append(k)
@@ -168,10 +171,9 @@ def _direct_coordinates(c, label):
 
 # two '+'-lines 0-1-2 and 3-4-5 whose vertex ids run in opposite directions
 # along the '-' edges 0-5, 1-4, 2-3, so one pair needs reordering
-REVERSED_ROWS = QuadComplex(
-    n_vertices=6, faces=((0, 5, 4, 1), (1, 4, 3, 2)),
-    edges=((0, 1, PLUS), (1, 2, PLUS), (3, 4, PLUS), (4, 5, PLUS),
-           (0, 5, MINUS), (1, 4, MINUS), (2, 3, MINUS)))
+REVERSED_ROWS_EDGES = ((0, 1, PLUS), (1, 2, PLUS), (3, 4, PLUS), (4, 5, PLUS),
+                       (0, 5, MINUS), (1, 4, MINUS), (2, 3, MINUS))
+REVERSED_ROWS = oracle.quad_complex(6, REVERSED_ROWS_EDGES, ((0, 5, 4, 1), (1, 4, 3, 2)))
 
 
 def shuffled_grid(n_plus, n_minus, wrap_plus, seed, twice=0, repeated=0, three=False,
@@ -210,15 +212,11 @@ def shuffled_grid(n_plus, n_minus, wrap_plus, seed, twice=0, repeated=0, three=F
     return n, tuple(edges), tuple(faces)
 
 
-def explicit(n, edges, faces):
-    return QuadComplex(n_vertices=n, edges=edges, faces=faces)
-
-
 @pytest.mark.parametrize("c", [
     make_grid(2, 2), make_grid(3, 3), make_grid(5, 4), make_grid(5, 4, wrap_plus=True),
     swapped_labels(make_grid(4, 3, wrap_plus=True)), swapped_labels(make_grid(6, 2)),
-    REVERSED_ROWS, explicit(*shuffled_grid(6, 5, True, 1)),
-    explicit(*shuffled_grid(5, 4, False, 2, repeated=2)),
+    REVERSED_ROWS, oracle.quad_complex(*shuffled_grid(6, 5, True, 1)),
+    oracle.quad_complex(*shuffled_grid(5, 4, False, 2, repeated=2)),
 ], ids=["2x2", "3x3", "5x4", "5x4-wrapped", "swapped-wrapped", "swapped-6x2", "reversed-rows",
         "shuffled-6x5-wrapped", "shuffled-5x4-repeated-faces"])
 def test_coordinates_match_direct_construction(c):
@@ -227,7 +225,7 @@ def test_coordinates_match_direct_construction(c):
         for name, value in _direct_coordinates(c, label).items():
             got = as_lists(coords, name)
             if name in ("line_edges", "ribbon_edges"):  # edge ids, read back as vertex pairs
-                got = [[edge_key(*c.edges[e][:2]) for e in ids] for ids in got]
+                got = [[edge_key(*c.edge_ends[e].tolist()) for e in ids] for ids in got]
             if name == "crossings":
                 got = oracle.crossing_dicts(*got)
             assert got == value, (label, name)
@@ -247,21 +245,40 @@ def test_coordinates_built_once_and_shared():
         c.coordinates("x")
 
 
-@pytest.mark.parametrize("c", [
-    make_grid(5, 4, wrap_plus=True), swapped_labels(make_grid(4, 3)), REVERSED_ROWS,
-], ids=["5x4-wrapped", "swapped-4x3", "reversed-rows"])
-def test_edge_index(c):
-    assert c.edge_vertices.tolist() == [sorted((i, j)) for i, j, _lab in c.edges]
-    for e, (i, j, lab) in enumerate(c.edges):
+SHUFFLED = shuffled_grid(5, 4, True, 3)  # about half of the pairs listed (larger, smaller)
+
+
+@pytest.mark.parametrize("c, listed", [
+    # the closing edge of each row is listed (row + 4, row)
+    (make_grid(5, 4, wrap_plus=True), oracle.grid_cells(5, 4, True)[0]),
+    (swapped_labels(make_grid(4, 3)), [(i, j, MINUS if lab == PLUS else PLUS)
+                                       for i, j, lab in oracle.grid_cells(4, 3, False)[0]]),
+    (REVERSED_ROWS, REVERSED_ROWS_EDGES),
+    (oracle.quad_complex(*SHUFFLED), SHUFFLED[1]),
+], ids=["5x4-wrapped", "swapped-4x3", "reversed-rows", "reversed-pairs"])
+def test_edge_index(c, listed):
+    ends = [[i, j] for i, j, _lab in listed]
+    assert c.edge_ends.tolist() == ends
+    assert c.edge_labels.tolist() == [lab for *_e, lab in listed]
+    assert c.edge_vertices.tolist() == [sorted((i, j)) for i, j, _lab in listed]
+    for e, (i, j, lab) in enumerate(listed):
         assert c.edge_id(i, j) == c.edge_id(j, i) == e and c.label(j, i) == lab
     assert c.face_edge_ids.tolist() == [[c.edge_id(a, b) for a, b, _lab in face_edge_labels(f)]
-                                        for f in c.faces]
+                                        for f in c.face_vertices.tolist()]
     a, b = c.edge_vertices.T
-    assert c.edge_ids(b, a).tolist() == list(range(len(c.edges)))
+    assert c.edge_ids(b, a).tolist() == list(range(len(listed)))
     for v in range(c.n_vertices):
-        assert c.vertex_edges(v) == [e for e, (i, j, _lab) in enumerate(c.edges) if v in (i, j)]
+        assert c.vertex_edges(v) == [e for e, (i, j, _lab) in enumerate(listed) if v in (i, j)]
     with pytest.raises(KeyError):
         c.edge_id(0, c.n_vertices)
+    # net files, curvature reports and Legendre failures print each pair as
+    # listed: a net on random points and normals, written as an explicit complex
+    points, normals = np.random.default_rng(c.n_vertices).normal(size=(2, c.n_vertices, 3))
+    net = net_from_points_normals(oracle.quad_complex(c.n_vertices, listed, c.face_vertices),
+                                  points, normals / np.linalg.norm(normals, axis=1)[:, None])
+    assert io_json.net_to_dict(net)["complex"]["edges"] == [list(e) for e in listed]
+    assert [e["edge"] for e in io_json.curvature_report_json(net)["edges"]] == ends
+    assert [[i, j] for i, j, _msg in is_legendre(net).failed_edges] == ends
 
 
 def pairs_of(groups):
@@ -310,7 +327,7 @@ def test_rows_match_list_oracle(rows, data):
 def test_shared_facts_are_read_only():
     net = L.make_dupin_torus(2.0, 0.8, 6, 5)
     c = net.complex
-    arrays = [c.edge_vertices, c.edge_labels, c.face_vertices, c.face_edge_ids]
+    arrays = [c.edge_ends, c.edge_vertices, c.edge_labels, c.face_vertices, c.face_edge_ids]
     rows = [c.vertex_edges_csr, c.vertex_faces_csr]
     for label in (PLUS, MINUS):
         coords = c.coordinates(label)
@@ -332,12 +349,12 @@ def test_shared_facts_are_read_only():
 
 def test_pair_listed_twice_is_indexed_by_its_last_listing():
     edges = ((0, 1, MINUS), (1, 2, PLUS), (2, 3, MINUS), (3, 0, PLUS), (1, 0, MINUS))
-    c = QuadComplex(n_vertices=4, edges=edges, faces=((0, 1, 2, 3),))
+    c = oracle.quad_complex(4, edges, ((0, 1, 2, 3),))
     assert c.edge_id(0, 1) == 4 and c.face_edge_ids.tolist() == [[4, 1, 2, 3]]
     assert c.vertex_edges(0) == [0, 3, 4]
     assert validate(c).bad_faces == []
     # three faces on edge (0, 1): reported once, by vertex pair
-    c = QuadComplex(n_vertices=4, edges=edges[:4], faces=((0, 1, 2, 3),) * 3)
+    c = oracle.quad_complex(4, edges[:4], ((0, 1, 2, 3),) * 3)
     assert validate(c).overfull_edges == [(0, 1), (1, 2), (2, 3), (0, 3)]
 
 
@@ -367,17 +384,19 @@ def outcome(fn, *args):
 def test_complex_matches_dict_oracle(n_plus, n_minus, wrap, seed, twice, repeated, three,
                                      pinched, drop):
     wrap = wrap and n_plus >= 3
-    assert (make_grid(n_plus, n_minus, wrap).edges,
-            make_grid(n_plus, n_minus, wrap).faces) == oracle.grid_cells(n_plus, n_minus, wrap)
+    grid = make_grid(n_plus, n_minus, wrap)
+    assert (tuple(zip(*grid.edge_ends.T.tolist(), grid.edge_labels.tolist())),
+            tuple(map(tuple, grid.face_vertices.tolist()))
+            ) == oracle.grid_cells(n_plus, n_minus, wrap)
     n, edges, faces = shuffled_grid(n_plus, n_minus, wrap, seed, twice, repeated, three, pinched)
     if drop:  # a face edge that may be no edge
         k = seed % len(edges)
         edges = edges[:k] + edges[k + 1:]
-        got = outcome(explicit, n, edges, faces)
+        got = outcome(oracle.quad_complex, n, edges, faces)
         if isinstance(got, tuple):
             assert got == outcome(oracle.DictComplex, n, edges, faces)
             return
-    c, ref = explicit(n, edges, faces), oracle.DictComplex(n, edges, faces)
+    c, ref = oracle.quad_complex(n, edges, faces), oracle.DictComplex(n, edges, faces)
 
     assert c.face_edge_ids.tolist() == ref.face_edge_ids
     for v in range(-1, n + 1):  # a vertex off the complex raises the oracle's KeyError
@@ -397,8 +416,9 @@ def test_complex_matches_dict_oracle(n_plus, n_minus, wrap, seed, twice, repeate
 
     diag = validate(c)
     assert {key: getattr(diag, key) for key in oracle.validate(ref)} == oracle.validate(ref)
-    assert [(s.vertex, s.edge_neighbors, s.diagonal_neighbors, s.patch)
-            for s in interior_vertex_stars(c)] == oracle.interior_vertex_stars(ref)
+    vertices, edge_neighbors, diagonal, patches = interior_vertex_stars(c)
+    assert list(zip(vertices.tolist(), edge_neighbors.tolist(), diagonal.tolist(),
+                    patches.tolist())) == oracle.interior_vertex_stars(ref)
 
     expected = {label: outcome(oracle.coordinates, ref, label) for label in (PLUS, MINUS)}
     for label in (PLUS, MINUS):

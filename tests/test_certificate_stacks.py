@@ -122,7 +122,7 @@ def moved_spheres(data, net):
     if coords.lines and data.draw(st.booleans(), label="moved line spheres"):
         li = data.draw(st.integers(0, len(coords.lines) - 1), label="line")
         v = data.draw(st.sampled_from(coords.lines[li]), label="line vertex")
-        moved += [e for e in coords.line_edges[li] if v in net.complex.edges[e][:2]]
+        moved += [e for e in coords.line_edges[li] if v in net.complex.edge_ends[e]]
     if coords.ribbons and data.draw(st.booleans(), label="moved ribbon sphere"):
         ri = data.draw(st.integers(0, len(coords.ribbons) - 1), label="ribbon")
         moved.append(data.draw(st.sampled_from(coords.ribbon_edges[ri]), label="ribbon edge"))

@@ -239,8 +239,9 @@ class TestQuerSpheres:
             q = torus_cert.quer_spheres[li]
             v = line[0]
             tube = None
-            for a, b, lab in (torus.complex.edges[e] for e in torus.complex.vertex_edges(v)):
-                if lab == "-":
+            for e in torus.complex.vertex_edges(v):
+                a, b = torus.complex.edge_ends[e].tolist()
+                if torus.complex.edge_labels[e] == "-":
                     tube = torus.edge_sphere(a, b)
                     break
             val = abs(L.inner(q, tube)) / np.linalg.norm(tube)
@@ -283,8 +284,8 @@ class TestDupin:
     def test_torus_is_dupin(self, torus):
         ok, cy, _info = L.is_dupin_cyclide(torus)
         assert ok
-        spheres_p = [torus.edge_sphere(i, j) for i, j, lab in torus.complex.edges
-                     if lab == "+"]
+        spheres_p = [torus.edge_sphere(i, j) for (i, j), lab in zip(
+            torus.complex.edge_ends.tolist(), torus.complex.edge_labels.tolist()) if lab == "+"]
         assert all(cy.dplus.contains(s) for s in spheres_p)
 
     def test_revolution_is_not_dupin(self):
@@ -302,7 +303,7 @@ class TestDupin:
         # build contact elements that pairwise share spheres via a cyclide:
         # sample one torus face instead, keeping it honestly Legendre
         torus = L.make_dupin_torus(2.0, 1.0, 12, 10)
-        face = torus.complex.faces[0]
+        face = torus.complex.face_vertices[0].tolist()
         sub = L.make_grid(2, 2)
         els = tuple(torus.element(v) for v in face)
         # face order (i,j,k,l) -> grid ids: i=0, j=2, k=3, l=1

@@ -110,7 +110,7 @@ def _doubled_face():
     edges = [[0, 1, "-"], [1, 2, "+"], [2, 3, "-"], [3, 0, "+"]]
     return {"format": "liechannel-net", "version": 1,
             "complex": {"n_vertices": 4, "edges": edges * 2, "faces": [[0, 1, 2, 3]] * 4},
-            "vertices": [vertices[v] for v in torus.complex.faces[0]]}
+            "vertices": [vertices[v] for v in torus.complex.face_vertices[0].tolist()]}
 
 
 # complexes that used to end in a traceback
@@ -186,8 +186,10 @@ def _respecified(field, value):
     doc = copy.deepcopy(TORUS["euclidean"])
     if field == "n_vertices" or isinstance(field, tuple):
         c = io_json.complex_from_dict(doc["complex"])
-        doc["complex"] = {"n_vertices": c.n_vertices, "edges": [list(e) for e in c.edges],
-                          "faces": [list(f) for f in c.faces]}
+        doc["complex"] = {"n_vertices": c.n_vertices,
+                          "edges": [[i, j, lab] for (i, j), lab in zip(c.edge_ends.tolist(),
+                                                                       c.edge_labels.tolist())],
+                          "faces": c.face_vertices.tolist()}
     if isinstance(field, tuple):
         doc["complex"]["edges"][field[1]] = value
     else:

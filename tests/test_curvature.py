@@ -13,8 +13,9 @@ from liechannel.curvature import (
     ribbon_cmc_analysis, interior_vertex_stars,
 )
 from liechannel.builder import random_sphere_curve
-from liechannel.cellcomplex import MINUS, PLUS, QuadComplex, edge_key, face_edge_labels
+from liechannel.cellcomplex import MINUS, PLUS, edge_key, face_edge_labels
 
+import complex_oracle
 from geo_helpers import revolution_net, cylinder_net, cone_net
 
 
@@ -111,7 +112,7 @@ class TestGaussMean:
     def test_torus_against_entrywise_oracle(self):
         net = L.make_dupin_torus(2.0, 1.0, 16, 16)
         from liechannel.curvature import euclidean_lifts
-        face = list(net.complex.faces[20])
+        face = net.complex.face_vertices[20].tolist()
         f_lift, n_lift = euclidean_lifts(net)
         f, n = list(f_lift[face]), list(n_lift[face])
         k, h, res = gauss_mean(f, n)
@@ -134,7 +135,7 @@ class TestPrincipalCurvatures:
     def test_ruling_edges_flat(self):
         net = regular_polygon_cylinder()
         rep = curvature_report(net)
-        for (i, j, lab), k in zip(net.complex.edges, rep.edge_kappa):
+        for lab, k in zip(net.complex.edge_labels.tolist(), rep.edge_kappa):
             if lab == "+":
                 assert k == pytest.approx(0.0, abs=1e-12)
 
@@ -142,7 +143,7 @@ class TestPrincipalCurvatures:
         rho = 1.5
         net = regular_polygon_cylinder(rho=rho)
         rep = curvature_report(net)
-        for (i, j, lab), k in zip(net.complex.edges, rep.edge_kappa):
+        for lab, k in zip(net.complex.edge_labels.tolist(), rep.edge_kappa):
             if lab == "-":
                 assert k == pytest.approx(-1.0 / rho, rel=1e-12)
 
@@ -192,7 +193,7 @@ class TestIsothermic:
     def test_boundary_vertices_skipped(self):
         net = revolution_net(seed=55, n_profile=5, m=8)
         iso = is_isothermic_5point(net.vertex_points(), net.complex)
-        stars = {s.vertex for s in interior_vertex_stars(net.complex)}
+        stars = set(interior_vertex_stars(net.complex)[0].tolist())
         # wrapped direction: interior vertices are the non-boundary rows
         assert stars == set(iso.applicable.keys())
         assert len(stars) == 8 * 3
@@ -265,7 +266,7 @@ def test_line_spread_and_ribbon_chains_read_each_edge_and_face():
                                       samples_per_circle=9)
     net, cert, c = res.net, res.certificate, res.net.complex
     rep = curvature_report(net)
-    kappa = {edge_key(i, j): k for (i, j, _lab), k in zip(c.edges, rep.edge_kappa.tolist())}
+    kappa = {edge_key(i, j): k for (i, j), k in zip(c.edge_ends.tolist(), rep.edge_kappa.tolist())}
     scale = max(max(abs(k) for k in kappa.values()), 1e-12)
     for direction in (PLUS, MINUS):
         spread = 0.0
@@ -280,7 +281,8 @@ def test_line_spread_and_ribbon_chains_read_each_edge_and_face():
     for row, strip in zip(rows, cert.ribbons):
         chain, hs = [], [rep.mean[fi] for fi in strip]
         for fi in strip:
-            ks = [kappa[edge_key(a, b)] for a, b, lab in face_edge_labels(c.faces[fi])
+            ks = [kappa[edge_key(a, b)]
+                  for a, b, lab in face_edge_labels(c.face_vertices[fi].tolist())
                   if lab == MINUS]
             chain += ks if not chain else \
                 [ks[1] if abs(ks[0] - chain[-1]) < abs(ks[1] - chain[-1]) else ks[0]]
@@ -295,13 +297,13 @@ def test_line_spread_skips_short_lines_and_nan_spreads():
     # the curvatures are drawn, with NaNs, against a loop over the lines
     torus = L.make_dupin_torus(2.0, 0.8, 5, 4)
     v = torus.complex.n_vertices
-    c = QuadComplex(n_vertices=v + 1, edges=torus.complex.edges + ((v, v, PLUS),),
-                    faces=torus.complex.faces)
+    edges = list(zip(*torus.complex.edge_ends.T.tolist(), torus.complex.edge_labels.tolist()))
+    c = complex_oracle.quad_complex(v + 1, edges + [(v, v, PLUS)], torus.complex.face_vertices)
     net = L.LegendreNet(complex=c, bases=np.concatenate([torus.bases, torus.bases[:1]]))
     assert c.coordinates(PLUS).line_edges.degrees[-1] == 0
     rng = np.random.default_rng(7)
     for trial in range(6):
-        kappa = rng.normal(size=len(c.edges))
+        kappa = rng.normal(size=len(c.edge_ends))
         kappa[rng.integers(len(kappa), size=trial)] = np.nan
         scale = max(float(np.max(np.abs(kappa), initial=0.0)), 1e-12)
         for direction in (PLUS, MINUS):

@@ -42,8 +42,9 @@ class TestNetFiles:
         doc = io_json.net_to_dict(net)
         c = net.complex
         doc["complex"] = {"n_vertices": c.n_vertices,
-                          "edges": [[i, j, lab] for i, j, lab in c.edges],
-                          "faces": [list(f) for f in c.faces]}
+                          "edges": [[i, j, lab] for (i, j), lab in zip(c.edge_ends.tolist(),
+                                                                       c.edge_labels.tolist())],
+                          "faces": c.face_vertices.tolist()}
         path = tmp_path / "explicit.json"
         path.write_text(json.dumps(doc))
         loaded = io_json.load_net(path)
@@ -322,6 +323,18 @@ def _explicit_net(n, edges, faces, n_vertices=None):
 _FACE_EDGES = [[1, 2, "+"], [2, 3, "-"], [3, 0, "+"]]
 
 
+def _verify_peak(tmp_path, doc):
+    """Exit code and traced peak allocation of `verify` on a net file."""
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--in", str(path)])
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _torus_grid(**spec):
     """A 4^2 torus file whose grid spec has the given entries."""
     doc = io_json.net_to_dict(L.make_dupin_torus(2.0, 1.0, 4, 4))
@@ -391,25 +404,29 @@ class TestMalformedComplexes:
     def test_far_vertex_index_is_refused_before_anything_is_sized(self, tmp_path):
         # an index is checked against the vertex count before an array is
         # sized from it: loading the file allocates as little as a valid one
-        def peak(doc):
-            path = tmp_path / "net.json"
-            path.write_text(json.dumps(doc))
-            tracemalloc.start()
-            try:
-                code = main(["verify", "--in", str(path)])
-                return code, tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        valid = peak(_explicit_net(4, [[0, 1, "-"], *_FACE_EDGES], [[0, 1, 2, 3]]))
-        far = peak(_explicit_net(4, [[0, 10**7, "-"], *_FACE_EDGES], [[0, 1, 2, 3]]))
+        valid = _verify_peak(tmp_path, _explicit_net(4, [[0, 1, "-"], *_FACE_EDGES],
+                                                     [[0, 1, 2, 3]]))
+        far = _verify_peak(tmp_path, _explicit_net(4, [[0, 10**7, "-"], *_FACE_EDGES],
+                                                   [[0, 1, 2, 3]]))
         assert far[0] == 2 and far[1] < valid[1] + 2**20
+
+    def test_long_label_is_refused_before_anything_is_sized(self, tmp_path, capsys):
+        # a label array as wide as one 100,000-character label would take
+        # 40 MB for these 100 edges; the refused label is not stored
+        valid = _verify_peak(tmp_path, _explicit_net(4, [[0, 1, "-"], *_FACE_EDGES],
+                                                     [[0, 1, 2, 3]]))
+        edges = [[0, 1, "-"], *_FACE_EDGES] * 25
+        edges[-1] = [3, 0, "x" * 10**5]
+        capsys.readouterr()
+        long = _verify_peak(tmp_path, _explicit_net(4, edges, [[0, 1, 2, 3]]))
+        assert long[0] == 2 and long[1] < valid[1] + 2**20
+        assert capsys.readouterr().err.startswith("error: bad complex spec: edge label 'xxx")
 
     def test_repeated_faces_with_single_edges_load_and_verify(self, tmp_path, capsys):
         path = tmp_path / "net.json"
         path.write_text(json.dumps(_explicit_net(
             4, [[0, 1, "-"], [1, 2, "+"], [2, 3, "-"], [3, 0, "+"]], [[0, 1, 2, 3]] * 4)))
-        assert io_json.load_net(path).complex.faces == ((0, 1, 2, 3),) * 4
+        assert io_json.load_net(path).complex.face_vertices.tolist() == [[0, 1, 2, 3]] * 4
         assert main(["verify", "--in", str(path), "--direction", "both"]) in (0, 1)
         assert "Traceback" not in capsys.readouterr().err
 
@@ -417,7 +434,7 @@ class TestMalformedComplexes:
         path = tmp_path / "net.json"
         path.write_text(json.dumps(_explicit_net(
             4, [[0, 1, "-"], [1, 2, "+"], [2, 3, "-"], [3, 0, "+"]], [[0, 1, 2, 3]])))
-        assert io_json.load_net(path).complex.faces == ((0, 1, 2, 3),)
+        assert io_json.load_net(path).complex.face_vertices.tolist() == [[0, 1, 2, 3]]
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys):

@@ -105,7 +105,7 @@ class TestLegendreNets:
 
     def test_net_from_edge_spheres_roundtrip(self, torus):
         spheres = {}
-        for i, j, _lab in torus.complex.edges:
+        for i, j in torus.complex.edge_ends.tolist():
             spheres[edge_key(i, j)] = torus.edge_sphere(i, j)
         rebuilt = L.net_from_edge_spheres(torus.complex, spheres)
         for v in range(torus.complex.n_vertices):
@@ -115,7 +115,7 @@ class TestLegendreNets:
     def test_net_from_constant_sphere_fails(self):
         c = L.make_grid(3, 3)
         s = L.lift_sphere((0, 0, 0), 1.0)
-        spheres = {edge_key(i, j): s for i, j, _lab in c.edges}
+        spheres = {edge_key(i, j): s for i, j in c.edge_ends.tolist()}
         with pytest.raises(L.LieGeometryError, match="vertex-star"):
             L.net_from_edge_spheres(c, spheres)
 
@@ -123,7 +123,7 @@ class TestLegendreNets:
         c = L.make_grid(3, 3)
         rng = np.random.default_rng(7)
         spheres = {edge_key(i, j): L.lift_sphere(rng.normal(size=3), rng.uniform(0.5, 1))
-                   for i, j, _lab in c.edges}
+                   for i, j in c.edge_ends.tolist()}
         with pytest.raises(L.LieGeometryError, match="vertex-star"):
             L.net_from_edge_spheres(c, spheres)
 
@@ -137,7 +137,7 @@ def _outcome(fn, *args):
 
 
 def _torus_spheres(torus):
-    return {edge_key(i, j): torus.edge_sphere(i, j) for i, j, _lab in torus.complex.edges}
+    return {edge_key(i, j): torus.edge_sphere(i, j) for i, j in torus.complex.edge_ends.tolist()}
 
 
 def _with(spheres, **changes):
@@ -179,7 +179,7 @@ def test_net_from_edge_spheres_refusals_match_oracle(seed):
     c = L.make_grid(2 + seed % 3, 2 + seed // 3, wrap_plus=seed % 3 == 1)
     rng = np.random.default_rng(seed)
     spheres = {edge_key(i, j): L.lift_sphere(rng.normal(size=3), rng.uniform(0.5, 1))
-               for i, j, _lab in c.edges}
+               for i, j in c.edge_ends.tolist()}
     assert _outcome(lambda: L.net_from_edge_spheres(c, spheres).bases) == \
         _outcome(oracle.net_from_edge_spheres, c, spheres)
 
@@ -214,7 +214,7 @@ class TestNanFailsClosed:
 
 class TestFaceCyclides:
     def test_sphere_pairs_orthogonal(self, torus):
-        for face in torus.complex.faces[:20]:
+        for face in torus.complex.face_vertices[:20].tolist():
             plus, minus = face_spheres_of(torus, face)
             for sp in plus:
                 for sm in minus:
@@ -223,7 +223,7 @@ class TestFaceCyclides:
                     assert val < 1e-12
 
     def test_family_members_are_face_cyclides(self, torus):
-        face = torus.complex.faces[5]
+        face = torus.complex.face_vertices[5].tolist()
         fam = L.face_cyclide_family(torus, face)
         for t in np.linspace(-1.5, 1.5, 9):
             cy = fam(t)
@@ -233,23 +233,23 @@ class TestFaceCyclides:
     def test_family_contains_ambient_cyclide(self, torus):
         cert = L.verify_channel(torus, "+")
         assert cert.ok
-        face = torus.complex.faces[0]
+        face = torus.complex.face_vertices[0].tolist()
         fam = L.face_cyclide_family(torus, face)
         t = fam.parameter_of(cert.cyclides[0])
         assert subspace_distance(fam(t).dminus, cert.cyclides[0].dminus) < 1e-9
 
     def test_family_dplus_intersections_recover_u(self, torus):
-        fam = L.face_cyclide_family(torus, torus.complex.faces[3])
+        fam = L.face_cyclide_family(torus, torus.complex.face_vertices[3].tolist())
         for t1, t2 in [(0.0, 0.6), (-1.2, 0.4), (0.2, 1.4)]:
             meet = intersect(fam(t1).dplus, fam(t2).dplus)
             assert meet.dim == 2
             assert subspace_distance(meet, fam.u) < 1e-9
 
     def test_family_swap_symmetry(self, torus):
-        face = torus.complex.faces[4]
+        face = torus.complex.face_vertices[4].tolist()
         swapped = L.swapped_labels(torus.complex)
         net2 = L.LegendreNet(complex=swapped, bases=torus.bases)
-        face2 = swapped.faces[4]
+        face2 = swapped.face_vertices[4].tolist()
         fam = L.face_cyclide_family(torus, face)
         fam2 = L.face_cyclide_family(net2, face2)
         # roles of the sphere pairs exchange
@@ -264,7 +264,7 @@ class TestFaceCyclides:
         net = revolution_net(seed=2, n_profile=6, m=8)
         cert = L.verify_channel(net, "+")
         assert cert.ok
-        faces = net.complex.faces
+        faces = net.complex.face_vertices.tolist()
         # a face from a different ribbon has different curvature spheres
         assert L.is_face_cyclide(net, faces[0], cert.cyclides[0])
         other = cert.ribbons[2][0]
@@ -281,4 +281,4 @@ class TestFaceCyclides:
         net = L.LegendreNet(complex=c, bases=np.array([f.basis for f in (f1, f2, f3, f4)]))
         assert L.is_legendre(net).ok
         with pytest.raises(L.DegenerateFaceError):
-            L.face_cyclide_family(net, c.faces[0])
+            L.face_cyclide_family(net, c.face_vertices[0].tolist())

@@ -21,11 +21,12 @@ from liechannel import channel, liecore
 from liechannel.builder import (
     channel_from_sphere_curve, make_dupin_torus, make_reflection_example, random_sphere_curve,
 )
-from liechannel.cellcomplex import MINUS, PLUS, QuadComplex, make_grid
+from liechannel.cellcomplex import MINUS, PLUS, make_grid
 from liechannel.cli import random_generator_net
 from liechannel.curvature import euclidean_lifts, interior_vertex_stars, is_isothermic_5point
 
 import moebius_oracle as oracle
+from complex_oracle import quad_complex
 
 KINDS = ["revolution", "cylinder", "cone"]
 
@@ -212,19 +213,26 @@ def test_cross_ratios_stack_errors():
 
 def test_patches_of_different_sizes():
     """Identifying vertex 12 of a 5x5 grid with vertex 0 leaves vertex 6 a
-    star whose patch has 8 vertices; the other stars keep 9."""
+    star whose patch has 8 vertices; the other stars keep 9. The last
+    points put the first three rows on a sphere, so some 9-vertex patches
+    are cospherical and some are not."""
     grid = make_grid(5, 5)
     ren = {12: 0}
-    c = QuadComplex(n_vertices=25,
-                    edges=tuple((ren.get(i, i), ren.get(j, j), lab) for i, j, lab in grid.edges),
-                    faces=tuple(tuple(ren.get(v, v) for v in f) for f in grid.faces))
-    stars = interior_vertex_stars(c)
-    assert sorted({len(s.patch) for s in stars}) == [8, 9]
+    c = quad_complex(25, [(ren.get(i, i), ren.get(j, j), lab) for (i, j), lab in zip(
+                         grid.edge_ends.tolist(), grid.edge_labels.tolist())],
+                     [[ren.get(v, v) for v in f] for f in grid.face_vertices.tolist()])
+    vertices, _edge_neighbors, _diagonal, patches = interior_vertex_stars(c)
+    assert sorted(set(patches.degrees.tolist())) == [8, 9]
     rng = np.random.default_rng(5)
     torus = make_dupin_torus(2.0, 0.8, 5, 5).vertex_points()
-    for points in (torus, torus + 1e-4 * rng.normal(size=torus.shape), rng.normal(size=(25, 3))):
+    on_sphere = np.random.default_rng(6).normal(size=(25, 3))
+    on_sphere[:15] /= np.linalg.norm(on_sphere[:15], axis=1)[:, None]
+    for points in (torus, torus + 1e-4 * rng.normal(size=torus.shape), rng.normal(size=(25, 3)),
+                   on_sphere):
         assert_isothermic_matches(points, c)
-        assert set(is_isothermic_5point(points, c).applicable) == {s.vertex for s in stars}
+        assert set(is_isothermic_5point(points, c).applicable) == set(vertices.tolist())
+    applicable = is_isothermic_5point(on_sphere, c).applicable
+    assert [applicable[v] for v in (7, 8, 13, 17)] == [False, False, True, True]
 
 
 @given(seed=st.integers(0, 2**32 - 1), on=st.sampled_from(["sphere", "circle"]),
@@ -260,7 +268,7 @@ def test_concircular_star_passes():
 
 def test_no_interior_star():
     net = random_generator_net("revolution", 0, 2, 3)
-    assert interior_vertex_stars(net.complex) == []
+    assert interior_vertex_stars(net.complex)[0].tolist() == []
     report = is_isothermic_5point(net.vertex_points(), net.complex)
     assert report == oracle.is_isothermic_5point(net.vertex_points(), net.complex)
     assert report.applicable == report.passed == report.diagonal_circular == {}

@@ -10,10 +10,11 @@ from hypothesis import assume, given, settings, strategies as st
 import liechannel as L
 from liechannel import channel, io_json
 from liechannel.builder import random_sphere_curve
-from liechannel.cellcomplex import QuadComplex, face_edge_labels
+from liechannel.cellcomplex import face_edge_labels
 from liechannel.cli import main, random_generator_net
 from liechannel.legendre import LegendreNet, contact_from_point_normal
 
+from complex_oracle import quad_complex
 from multicircular_oracle import brute_is_multi_circular, brute_is_multi_circular_net
 
 SETTINGS = settings(max_examples=12, deadline=None)
@@ -51,11 +52,10 @@ def torus_rows(m, n):
 def cut_faces(net):
     """The faces of a net as separate quadrilaterals, each with its own four
     vertices and their contact elements."""
-    faces = np.array(net.complex.faces)
+    faces = net.complex.face_vertices
     edges = tuple((4 * f + a, 4 * f + b, lab) for f in range(len(faces))
                   for a, b, lab in face_edge_labels(range(4)))
-    c = QuadComplex(n_vertices=faces.size, edges=edges,
-                    faces=tuple(map(tuple, np.arange(faces.size).reshape(-1, 4).tolist())))
+    c = quad_complex(faces.size, edges, np.arange(faces.size).reshape(-1, 4))
     return LegendreNet(complex=c, bases=net.bases[faces.ravel()])
 
 
