@@ -557,19 +557,20 @@ def _planes_concurrent(x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
     c = (alpha_s, -alpha_u, -beta_u, beta_s) to w_s - w_u, so
     |M^T c| <= 2 eps while |c| >= 1 - eps; with unit rows sigma_1 >= 1, hence
     sigma_4 / sigma_1 <= 2 eps / (1 - eps) < t for eps <= t/3 and t < 1
-    (for t >= 1 the cutoff passes every quadrilateral anyway). Non-finite
-    pairs are refused: the exact test fails them as the SVD does.
+    (for t >= 1 the cutoff passes every quadrilateral anyway). The planes
+    are factored by `liecore.gram_schmidt2`; where x_a is parallel to y_a,
+    beta_a is NaN and the pair is refused. Non-finite pairs are refused: the
+    exact test fails them as the SVD does.
     """
     accept = np.zeros(len(x), dtype=bool)
     finite = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(y).all(axis=(1, 2))
     x, y = x[finite], y[finite]
-    q, r = np.linalg.qr(np.stack([x, y], axis=3))
-    flat = q.transpose(0, 2, 1, 3).reshape(len(q), 6, 2 * q.shape[1])
-    z = np.linalg.eigh(flat @ flat.transpose(0, 2, 1))[1][..., -1]
-    c = (np.swapaxes(q, -1, -2) @ z[:, None, :, None])[..., 0]
+    q1, q2, r11, r12, r22 = lc.gram_schmidt2(x, y)
+    # z: top eigenvector of the summed projectors onto the planes
+    z = np.linalg.eigh(np.swapaxes(q1, 1, 2) @ q1 + np.swapaxes(q2, 1, 2) @ q2)[1][..., -1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        beta = c[..., 1] / r[..., 1, 1]
-        alpha = (c[..., 0] - r[..., 0, 1] * beta) / r[..., 0, 0]
+        beta = lc.dots(q2, z[:, None]) / r22
+        alpha = (lc.dots(q1, z[:, None]) - r12 * beta) / r11
         w = z[:, None] - alpha[..., None] * x - beta[..., None] * y
         eps = np.sqrt(lc.dots(w, w)) + _ROUNDING * (1.0 + np.abs(alpha) + np.abs(beta))
     accept[finite] = np.max(eps, axis=1) <= t / 3

@@ -161,8 +161,9 @@ def net_from_dict(data: dict) -> LegendreNet:
     built. The vertex entries are then read as three stacks, each by one
     `_numbers` call: the `contact` pairs of the hexaspherical entries and
     the `point`s and `normal`s of the Euclidean ones. All contact elements
-    are computed as one stack (`legendre.contact_bases`) and all edge
-    spheres by one `is_legendre`.
+    are computed as one stack (`legendre.contact_bases`) and every edge is
+    tested by one `is_legendre`, whose closed-form contact test computes no
+    sphere: the edge spheres are computed when a command first reads them.
     """
     if data.get("format") != "liechannel-net":
         raise FormatError("not a liechannel-net document")

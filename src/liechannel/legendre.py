@@ -183,33 +183,65 @@ def contact_from_vectors(a: LieVec, b: LieVec) -> ContactElement:
     return _element(contact_bases(np.array([[a, b]], dtype=float))[0])
 
 
-def curvature_spheres(a: np.ndarray, b: np.ndarray
-                      ) -> Tuple[np.ndarray, Dict[int, LieGeometryError]]:
-    """Common null directions of the contact element pairs (a[e], b[e]).
+def contact_failures(a: np.ndarray, b: np.ndarray) -> Dict[int, LieGeometryError]:
+    """Error, in pair order, of every pair (a[e], b[e]) of contact elements
+    that does not meet in a line, decided in closed form.
 
-    a and b are (E, 2, 6) basis stacks. The meets come from one batched SVD
-    of the (E, 6, 4) stack [a_e | -b_e]^T with nullity counted by the cutoff
-    sv > TOL.rank * sv[0], and are normalised by a batched SVD of (E, 1, 6),
-    both thin; the result is canonically signed. Returns the (E, 6)
-    spheres and, in pair order, the error of every pair that does not meet
-    in a line (its row is undefined).
+    a and b are (E, 2, 6) stacks of aux-orthonormal bases (as `contact_bases`
+    and `ContactElement` hold them). For the principal angles
+    theta_1 <= theta_2 of the two planes, the singular values of
+    [a_e | -b_e]^T are sqrt(1 +- cos theta_i); the pair meets in a line when
+    exactly one of them is at most TOL.rank times the largest (the rank
+    cutoff sv > TOL.rank * sv[0] of `span`), is identical when two are and
+    is not in contact when none is. The sines are those of the residual rows
+    R = b - (b a^T) a: sin theta_2 = sigma_max(R), and
+    sin theta_1 = r11 r22 / sigma_max(R) from a Gram-Schmidt of the rows of
+    R, longer first, both to an absolute error of a few eps (the determinant
+    of R R^T would lose half the digits, about TOL.rank, to cancellation).
+    A pair with a non-finite coordinate is not in contact.
+    """
+    r = b - (b @ a.transpose(0, 2, 1)) @ a
+    g11, g22, g12 = *lc.dots(r, r).T, lc.dots(r[:, 0], r[:, 1])
+    swap = (g22 > g11)[:, None]
+    _, _, r11, _, r22 = lc.gram_schmidt2(np.where(swap, r[:, 1], r[:, 0]),
+                                         np.where(swap, r[:, 0], r[:, 1]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sin_max = np.sqrt(0.5 * (g11 + g22) + np.hypot(0.5 * (g11 - g22), g12))
+        sin_min = np.where(sin_max == 0.0, 0.0, r11 * r22 / sin_max)
+    sines = np.stack([sin_min, sin_max], axis=1)
+    # sqrt(1 + cos theta_i), and sqrt(1 - cos theta_i) = sin theta_i / sqrt(1 + cos theta_i)
+    plus = np.sqrt(1.0 + np.sqrt(np.maximum(1.0 - sines * sines, 0.0)))
+    nullity = np.sum(sines / plus <= TOL.rank * plus[:, :1], axis=1)
+    return {e: IdenticalContactElementsError("identical contact elements") if nullity[e] == 2
+            else NotInContactError("not in contact: contact elements do not intersect")
+            for e in np.flatnonzero(nullity != 1).tolist()}
+
+
+def meet_spheres(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Common null direction (E, 6) of each pair (a[e], b[e]) of (E, 2, 6)
+    aux-orthonormal bases, canonically signed; the row of a pair that does
+    not meet in a line (`contact_failures`) is undefined.
+
+    The meet is the last right singular vector of one batched SVD of the
+    (E, 6, 4) stack [a_e | -b_e]^T, read in a_e and normalised by a batched
+    SVD of (E, 1, 6), both thin.
     """
     m = np.concatenate([a, -b], axis=1).transpose(0, 2, 1)
     # thin, no 6x6 U: tests/test_batched_kernel.py checks the spheres bit for bit
-    _, sv, vt = np.linalg.svd(m, full_matrices=False)
-    nullity = 4 - np.sum(sv > TOL.rank * sv[:, :1], axis=1)
+    vt = np.linalg.svd(m, full_matrices=False)[2]
     meet = (a.transpose(0, 2, 1) @ vt[:, 3, :2, None])[:, :, 0]
     # thin, no 6x6 Vt to normalise one vector: checked by tests/test_batched_kernel.py
-    _, msv, mvt = np.linalg.svd(meet[:, None, :], full_matrices=False)
-    failures: Dict[int, LieGeometryError] = {}
-    for e in np.flatnonzero((nullity != 1) | (msv[:, 0] == 0.0)).tolist():
-        if nullity[e] >= 2:
-            failures[e] = IdenticalContactElementsError("identical contact elements")
-        elif nullity[e] == 0:
-            failures[e] = NotInContactError("not in contact: contact elements do not intersect")
-        else:
-            failures[e] = LieGeometryError("span of zero vectors")
-    return canonical_sign(mvt[:, 0]), failures
+    return canonical_sign(np.linalg.svd(meet[:, None, :], full_matrices=False)[2][:, 0])
+
+
+def curvature_spheres(a: np.ndarray, b: np.ndarray
+                      ) -> Tuple[np.ndarray, Dict[int, LieGeometryError]]:
+    """Common null directions of the contact element pairs (a[e], b[e]) of
+    two (E, 2, 6) stacks of aux-orthonormal bases: the (E, 6) spheres of
+    `meet_spheres` and, in pair order, the error of every pair that does not
+    meet in a line (`contact_failures`; its row is undefined).
+    """
+    return meet_spheres(a, b), contact_failures(a, b)
 
 
 def curvature_sphere(f_i: ContactElement, f_j: ContactElement) -> LieVec:
@@ -222,30 +254,33 @@ def curvature_sphere(f_i: ContactElement, f_j: ContactElement) -> LieVec:
 
 @dataclass
 class LegendreNet:
-    """Contact element bases (V, 2, 6), one per vertex of a quad complex.
+    """Contact element bases (V, 2, 6), one per vertex of a quad complex,
+    each aux-orthonormal (as `contact_bases` makes them).
 
-    The curvature spheres of the edges are computed once, on first use, by
-    one `curvature_spheres` call: each as the meet of the elements of its
-    (smaller, larger) vertex pair, in the order of the complex's edges.
+    The edges' facts are computed once, on first use, each for the
+    elements of the edge's (smaller, larger) vertex pair in the order of
+    the complex's edges: which edges fail to meet in a line by one
+    `contact_failures` (`is_legendre`, run when a net is loaded), and their
+    curvature spheres by one `meet_spheres` (its SVDs run only for a
+    command that reads them).
     """
 
     complex: QuadComplex
     bases: np.ndarray
 
-    @cached_property
-    def _meets(self) -> Tuple[np.ndarray, Dict[int, LieGeometryError]]:
+    def _edge_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
         ends = self.complex.edge_vertices
-        return curvature_spheres(self.bases[ends[:, 0]], self.bases[ends[:, 1]])
+        return self.bases[ends[:, 0]], self.bases[ends[:, 1]]
 
-    @property
+    @cached_property
     def edge_spheres(self) -> np.ndarray:
         """(E, 6) curvature sphere of each edge; rows of failed edges are undefined."""
-        return self._meets[0]
+        return meet_spheres(*self._edge_pairs())
 
-    @property
+    @cached_property
     def edge_failures(self) -> Dict[int, LieGeometryError]:
         """Error of each edge whose elements do not meet in a line, by edge id."""
-        return self._meets[1]
+        return contact_failures(*self._edge_pairs())
 
     def spheres_of(self, edges) -> np.ndarray:
         """Rows of `edge_spheres` of an edge id or an array of them; raises
@@ -267,13 +302,23 @@ class LegendreNet:
 
     def vertex_points(self, vertices: Optional[Sequence[int]] = None) -> np.ndarray:
         """Positions (n, 3) of the vertex point spheres (all by default), read by unlift."""
-        vs = list(range(self.complex.n_vertices) if vertices is None else vertices)
+        if vertices is None:
+            return self._all_points.copy()
+        vs = list(vertices)
         s, ok = point_spheres(self.bases[vs])
         kind, w = lc.unlifts(s)
         lc.raise_first([(~ok, NO_POINT_SPHERE),
                         (kind == -1, lambda _: lc.NotALieSphereError(lc.NOT_A_LIE_SPHERE)),
                         (kind != 0, lambda k: f"vertex {vs[k]} has no finite Euclidean position")])
         return w[:, :3].copy()
+
+    @cached_property
+    def _all_points(self) -> np.ndarray:
+        """`vertex_points` of all vertices, computed once and read-only; a
+        net with a vertex that has no position raises on every read."""
+        points = self.vertex_points(range(self.complex.n_vertices))
+        points.flags.writeable = False
+        return points
 
 
 @dataclass
@@ -283,7 +328,7 @@ class LegendreDiagnostics:
 
 
 def is_legendre(net: LegendreNet) -> LegendreDiagnostics:
-    """Check every edge for a shared curvature sphere (`LegendreNet.edge_spheres`)."""
+    """Check every edge for a shared curvature sphere (`LegendreNet.edge_failures`)."""
     ends = net.complex.edge_ends
     failed = [(*ends[e].tolist(), str(exc)) for e, exc in net.edge_failures.items()]
     return LegendreDiagnostics(ok=not failed, failed_edges=failed)
@@ -294,8 +339,9 @@ def net_from_edge_spheres(c: QuadComplex, spheres: Dict[Tuple[int, int], LieVec]
     (smaller, larger) vertex.
 
     The spheres of each vertex star must span a contact element. The stars
-    are spanned by one batched SVD per star size; the errors are those of a
-    loop over the vertices and then over the given spheres.
+    are spanned by one batched SVD per star size, whose right singular
+    vectors are the aux-orthonormal bases; the errors are those of a loop
+    over the vertices and then over the given spheres.
     """
     keys = list(spheres)
     given = np.array([spheres[k] for k in keys], dtype=float).reshape(-1, 6)

@@ -122,6 +122,22 @@ def dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def gram_schmidt2(x: np.ndarray, y: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Two-vector Gram-Schmidt of the rows of two stacks (..., n): unit q1,
+    q2 (..., n) and r11, r12, r22 (...) with x = r11 q1 and
+    y = r12 q1 + r22 q2. q2 is zero where y is parallel to x (r22 = 0).
+    r22 is |y| sin(x, y) to an absolute error of a few eps |y|."""
+    r11 = np.sqrt(dots(x, x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q1 = x / r11[..., None]
+        r12 = dots(q1, y)
+        y2 = y - r12[..., None] * q1
+        r22 = np.sqrt(dots(y2, y2))
+        q2 = np.where(r22[..., None] > 0.0, y2 / r22[..., None], 0.0)
+    return q1, q2, r11, r12, r22
+
+
 def first_failure(checks) -> Optional[Tuple[int, object]]:
     """Lowest index flagged by any of the (mask, message) checks, with the
     message of the first check flagging it: a str, in which "{}" is filled

@@ -1,0 +1,162 @@
+"""The closed-form contact test decides every edge as the SVD definition
+does, and the meet SVDs run only for commands that read the edge spheres.
+
+`legendre.contact_failures` is compared with `kernel_oracle.curvature_sphere`
+on aux-orthonormal pairs of planes with prescribed principal angles;
+the CLI commands are run in-process with every `np.linalg.svd` call and
+every contact test counted.
+"""
+
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import liechannel as L
+from liechannel import builder, cli, io_json, legendre
+from liechannel.config import TOL
+
+import kernel_oracle as oracle
+
+
+def _pair(seed: int, sin1: float, sin2: float):
+    """Aux-orthonormal bases (2, 6) of two planes with principal angles
+    asin(sin1) and asin(sin2), each basis turned within its plane."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.normal(size=(6, 6)))[0].T
+    t1, t2 = math.asin(sin1), math.asin(sin2)
+    a = q[:2]
+    b = np.array([math.cos(t1) * q[0] + math.sin(t1) * q[2],
+                  math.cos(t2) * q[1] + math.sin(t2) * q[3]])
+
+    def turned(m):
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        return np.array([[math.cos(phi), math.sin(phi)], [-math.sin(phi), math.cos(phi)]]) @ m
+
+    return turned(a), turned(b)
+
+
+def _assert_decided_as_oracle(a, b):
+    sv = np.linalg.svd(np.vstack([a, -b]).T, compute_uv=False)
+    cut = TOL.rank * sv[0]
+    assume(abs(sv[-1] - cut) > 1e-12 * cut)
+    failures = legendre.contact_failures(a[None], b[None])
+    try:
+        oracle.curvature_sphere(a, b)
+    except L.LieGeometryError as exc:
+        assert list(failures) == [0]
+        assert isinstance(failures[0], type(exc)) and str(failures[0]) == str(exc)
+        assert isinstance(failures[0], L.IdenticalContactElementsError if "identical" in str(exc)
+                          else L.NotInContactError)
+    else:
+        assert failures == {}
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@given(seed=SEEDS)
+@settings(max_examples=60, deadline=None)
+def test_identical_elements(seed):
+    _assert_decided_as_oracle(*_pair(seed, 0.0, 0.0))
+
+
+@given(seed=SEEDS, log_sin2=st.floats(-6.0, 0.0))
+@settings(max_examples=150, deadline=None)
+def test_exact_meets(seed, log_sin2):
+    _assert_decided_as_oracle(*_pair(seed, 0.0, 10.0 ** log_sin2))
+
+
+@given(seed=SEEDS, log_sin1=st.floats(-12.0, -4.0), log_sin2=st.floats(-6.0, 0.0))
+@settings(max_examples=300, deadline=None)
+def test_near_meets_straddle_the_cutoff(seed, log_sin1, log_sin2):
+    # sin theta_1 from 1e-12 to 1e-4 around the cutoff TOL.rank = 1e-8: below
+    # it the planes meet in a line, above it they are not in contact
+    _assert_decided_as_oracle(*_pair(seed, 10.0 ** log_sin1, 10.0 ** log_sin2))
+
+
+@given(seed=SEEDS, log_sin1=st.floats(-12.0, 0.0), row=st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_nan_row_fails_and_never_meets(seed, log_sin1, row):
+    a, b = _pair(seed, 10.0 ** log_sin1, 1.0)
+    (a if row < 2 else b)[row % 2] = math.nan
+    # the oracle's SVD does not converge on a NaN; the test fails the pair closed
+    with pytest.raises(np.linalg.LinAlgError):
+        oracle.curvature_sphere(a, b)
+    failures = legendre.contact_failures(a[None], b[None])
+    assert list(failures) == [0] and isinstance(failures[0], L.NotInContactError)
+
+
+def test_curvature_spheres_take_their_failures_from_the_test():
+    pairs = [_pair(1, 0.0, 0.5), _pair(2, 0.0, 0.0), _pair(3, 1e-3, 0.5), _pair(4, 1e-10, 0.2)]
+    a, b = (np.array(m) for m in zip(*pairs))
+    spheres, failures = L.curvature_spheres(a, b)
+    assert [(e, type(exc)) for e, exc in failures.items()] == \
+        [(1, L.IdenticalContactElementsError), (2, L.NotInContactError)]
+    for e in (0, 3):
+        assert np.array_equal(spheres[e], oracle.curvature_sphere(a[e], b[e]))
+
+
+# ---------------------------------------------------------------------------
+# the meet SVDs run only where the spheres are read
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts of `np.linalg.svd` calls by input shape and of contact tests."""
+    calls = Counter()
+    svd, test = np.linalg.svd, legendre.contact_failures
+
+    def counted_svd(m, *args, **kwargs):
+        calls[np.shape(m)] += 1
+        return svd(m, *args, **kwargs)
+
+    def counted_test(a, b):
+        calls["contact_failures"] += 1
+        return test(a, b)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(legendre, "contact_failures", counted_test)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def net_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("nets")
+    nets = {"torus": builder.make_dupin_torus(2.0, 1.0, 8, 6),
+            "revolution": cli.random_generator_net("revolution", 3, 6, 8)}
+    for name, net in nets.items():
+        io_json.save_net(net, root / f"{name}.json")
+    return {name: (root / f"{name}.json", len(net.complex.edge_ends))
+            for name, net in nets.items()}
+
+
+def _meet_stacks(calls, n_edges):
+    return calls[(n_edges, 6, 4)], calls[(n_edges, 1, 6)]
+
+
+@pytest.mark.parametrize("name", ["torus", "revolution"])
+def test_loading_runs_the_contact_test_once_and_no_meet_svd(counted, net_files, name):
+    path, n_edges = net_files[name]
+    io_json.load_net(path)
+    assert counted["contact_failures"] == 1
+    assert _meet_stacks(counted, n_edges) == (0, 0)
+
+
+@pytest.mark.parametrize("name", ["torus", "revolution"])
+@pytest.mark.parametrize("command, meets", [
+    (["curvature", "--report", "{out}/curvature.json"], 0),
+    (["export", "--obj", "{out}/net.obj"], 0),
+    (["classify"], 1),
+    (["verify", "--direction", "both", "--report", "{out}/verify.json"], 1),
+])
+def test_meet_svds_run_once_for_commands_that_read_the_spheres(
+        counted, net_files, tmp_path, capsys, name, command, meets):
+    path, n_edges = net_files[name]
+    argv = [command[0], "--in", str(path)] + [arg.format(out=tmp_path) for arg in command[1:]]
+    assert cli.main(argv) in (0, 1)
+    capsys.readouterr()
+    assert counted["contact_failures"] == 1
+    assert _meet_stacks(counted, n_edges) == (meets, meets)

@@ -206,8 +206,8 @@ class TestNanFailsClosed:
 
     def test_edge_sphere_reproduction(self, torus):
         spheres = _torus_spheres(torus)
-        with mock.patch.object(L.legendre, "curvature_spheres",
-                               lambda a, b: (np.full((len(a), 6), math.nan), {})):
+        with mock.patch.object(L.legendre, "meet_spheres",
+                               lambda a, b: np.full((len(a), 6), math.nan)):
             with pytest.raises(L.LieGeometryError, match=r"edge sphere on \(0,1\) not reproduced"):
                 L.net_from_edge_spheres(torus.complex, spheres)
 
