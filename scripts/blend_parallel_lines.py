@@ -49,9 +49,9 @@ if __name__ == "__main__":
         res = L.blend_channel(c1, c2, f0, t0=t_cyl + dt, samples_per_circle=10)
         ok, _, _ = L.is_dupin_cyclide(res.net)
         kind = L.vessiot_classify(res.certificate).kind
-        tilts = []
-        for circle in res.certificate.circles:
-            _, _, normal = L.circle_euclidean(circle.dplus)
-            tilts.append(math.degrees(math.acos(min(1.0, abs(normal[2])))))
+        circles, _, _, normals = L.circles_euclidean(res.certificate.circle_spaces)
+        if not circles.all():
+            raise L.LieGeometryError("circle passes through the point at infinity")
+        tilts = [math.degrees(math.acos(min(1.0, abs(normal[2])))) for normal in normals]
         print(f"t0 = t_cyl + {dt:<4}: dupin={str(ok):5s} class={kind:10s} "
               f"circle tilt range = {min(tilts):5.1f}..{max(tilts):5.1f} deg")

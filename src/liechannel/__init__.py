@@ -10,11 +10,10 @@ from .config import TOL, Tolerances
 from .liecore import (
     GRAM, E1, E2, E3, E0, EINF, E6, POINT_COMPLEX, SPACE_FORM,
     LieGeometryError, NotALieSphereError, DegenerateGramError,
-    SignatureReport, Subspace, SphereDescriptor,
-    inner, lift_sphere, lift_plane, lift_point, unlift, in_oriented_contact,
-    span, signature, orthocomplement, project_onto, intersect,
-    moebius_sphere, moebius_plane, points_concircular, points_cospherical,
-    gram_reflection,
+    SignatureReport, Subspace,
+    inner, lift_sphere, lift_plane, lift_point, unlifts,
+    span, signature, orthocomplement, project_onto,
+    moebius_sphere, moebius_plane, points_concircular,
 )
 from .cellcomplex import (
     QuadComplex, GridInfo, make_grid, validate, swapped_labels,
@@ -33,9 +32,9 @@ from .channel import (
     ChannelCertificate, ChannelFailure, DiscreteCurve3D,
     verify_channel, complete_certificate, full_certificate, first_full_certificate,
     certificate_residuals,
-    is_dupin_cyclide, cross_ratio, cross_ratio_constancy,
+    is_dupin_cyclide, cross_ratios, cross_ratio_constancy,
     is_ribaucour_pair, is_multi_circular, is_multi_circular_net,
-    touching_circle_space, sample_circle, circle_point, circle_euclidean,
+    touching_circle_spaces, circle_bases, circle_points, circles_euclidean,
 )
 from .builder import (
     SphereCurve, BuildResult, validate_sphere_curve, channel_from_sphere_curve,
@@ -46,8 +45,7 @@ from .builder import (
 )
 from .curvature import (
     CurvatureReport, IsothermicReport, VessiotClass, RibbonCmcReport,
-    mixed_area, wedge, gauss_mean, gauss_means, principal_curvature,
-    principal_curvatures, curvature_report,
-    kappa_line_spread, is_isothermic_5point, diagonal_concircular,
+    mixed_area, wedge, gauss_means, principal_curvatures, curvature_report,
+    kappa_line_spread, is_isothermic_5point,
     vessiot_classify, ribbon_cmc_analysis,
 )

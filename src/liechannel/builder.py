@@ -40,7 +40,7 @@ import numpy as np
 from .config import TOL
 from . import liecore as lc
 from .liecore import (
-    LieVec, LieGeometryError, Subspace, POINT_COMPLEX, E6, inner, inner_rows,
+    LieVec, LieGeometryError, POINT_COMPLEX, E6, inner, inner_rows,
     normalized, canonical_sign, span, signature, orthocomplement,
     subspace_distance, project_onto, oriented_representative, moebius_part,
 )
@@ -52,7 +52,8 @@ from .legendre import (
 )
 from .channel import (
     ChannelCertificate, DiscreteCurve3D, full_certificate, is_ribaucour_pair,
-    touching_circle_space, sample_circle, circle_chart_angle, circle_point,
+    touching_circle_spaces, moebius_complements, circle_bases, circle_points,
+    circle_chart_angle, equal_angles,
 )
 
 
@@ -196,13 +197,14 @@ def random_sphere_curve(rng: np.random.Generator, n: int,
 OFF_CYCLIDE = "point does not lie on the cyclide"
 
 
-def blend_cyclide(circle_space: Subspace, a_hat: LieVec, b_hat: LieVec) -> DupinCyclide:
-    """Unique Dupin cyclide touching the circle, with oriented curvature
-    spheres a_hat (enveloped along the circle) and b_hat."""
+def blend_cyclide(circle: np.ndarray, a_hat: LieVec, b_hat: LieVec) -> DupinCyclide:
+    """Unique Dupin cyclide touching the circle, a (3, 6) point-sphere
+    space, with oriented curvature spheres a_hat (enveloped along the
+    circle) and b_hat."""
     ab = inner(a_hat, b_hat)
     if abs(ab) <= TOL.membership * lc.aux_norm(a_hat) * lc.aux_norm(b_hat):
         raise LieGeometryError("tangent spheres: Ribaucour correspondence degenerates")
-    dminus = span([tau - inner(tau, b_hat) / ab * a_hat for tau in circle_space.basis])
+    dminus = span(circle - (inner_rows(circle, b_hat) / ab)[:, None] * a_hat)
     dplus = orthocomplement(dminus)
     cy = DupinCyclide(dplus=dplus, dminus=dminus)
     cy.validate()
@@ -212,9 +214,24 @@ def blend_cyclide(circle_space: Subspace, a_hat: LieVec, b_hat: LieVec) -> Dupin
     return cy
 
 
-def correspondence_candidates(circle_i: Subspace, circle_j: Subspace,
+def _touching_circle(sphere_hat: LieVec, cy: DupinCyclide) -> np.ndarray:
+    """Basis (rank, 6) of the curvature line of the cyclide enveloping the
+    sphere: `touching_circle_spaces` of a stack of one."""
+    vt, rank = touching_circle_spaces(sphere_hat[None], cy.dminus.basis[None])
+    return vt[0, :rank[0]]
+
+
+def _link(sphere_hat: LieVec, cy: DupinCyclide, circle: np.ndarray) -> float:
+    """Subspace distance of the cyclide's curvature line enveloping the
+    sphere from a circle (3, 6); 1 where that line degenerates."""
+    line = _touching_circle(sphere_hat, cy)
+    return float(lc.subspace_distances(line, circle)) if len(line) == 3 else 1.0
+
+
+def correspondence_candidates(circle_i: np.ndarray, circle_j: np.ndarray,
                               s_i: LieVec, s_j: LieVec) -> List[Tuple[int, int, DupinCyclide]]:
-    """Admissible oriented cyclides linking two cospherical circles.
+    """Admissible oriented cyclides linking two cospherical circles, each
+    a (3, 6) point-sphere space.
 
     Tries all four orientation combinations of the unoriented sphere data;
     a combination is admissible when the constructed cyclide's curvature
@@ -230,7 +247,7 @@ def correspondence_candidates(circle_i: Subspace, circle_j: Subspace,
                 cy = blend_cyclide(circle_i, a, b)
             except LieGeometryError:
                 continue
-            if subspace_distance(touching_circle_space(b, cy.dminus), circle_j) <= TOL.agreement:
+            if _link(b, cy, circle_j) <= TOL.agreement:
                 out.append((ei, ej, cy))
     return out
 
@@ -256,16 +273,16 @@ def propagate_point(x: np.ndarray, cy: DupinCyclide, next_sphere_hat: LieVec):
     off = ~((np.abs(inner_rows(xm, xm)) <= tol) & (np.abs(inner_rows(xp, xp)) <= tol))
     if off[0]:
         raise LieGeometryError(OFF_CYCLIDE)
-    c_next = touching_circle_space(next_sphere_hat, cy.dminus)
-    if c_next.dim != 3:
-        raise LieGeometryError(f"circle of the next sphere degenerates (dim {c_next.dim})")
+    c_next = _touching_circle(next_sphere_hat, cy)
+    if len(c_next) != 3:
+        raise LieGeometryError(f"circle of the next sphere degenerates (dim {len(c_next)})")
 
     # quadratic: null vectors of {Y in C_next : (Y, X-) = 0}
-    cond = inner_rows(c_next.basis, xm[:, None])  # (m, 3)
+    cond = inner_rows(c_next, xm[:, None])  # (m, 3)
     degenerate = ~(np.sqrt(lc.dots(cond, cond)) > 1e-12 * np.sqrt(lc.dots(xm, xm)))
     cond[off | degenerate] = 1.0  # these samples fail already; keep NaN out of LAPACK
     _, _, vt = np.linalg.svd(cond[:, None, :])
-    plane = c_next.basis.T @ vt[:, 1:].transpose(0, 2, 1)  # (m, 6, 2)
+    plane = c_next.T @ vt[:, 1:].transpose(0, 2, 1)  # (m, 6, 2)
     eig, vecs = np.linalg.eigh(plane.transpose(0, 2, 1) @ lc.GRAM @ plane)
     k = np.arange(len(xs))
     root = (np.abs(eig[:, 1]) < np.abs(eig[:, 0])).astype(int)  # smaller |eigenvalue|
@@ -292,9 +309,6 @@ def propagate_point(x: np.ndarray, cy: DupinCyclide, next_sphere_hat: LieVec):
 class BuildResult:
     net: LegendreNet
     certificate: ChannelCertificate
-    cyclides: List[DupinCyclide]
-    circle_spaces: List[Subspace]
-    line_sphere_lifts: List[LieVec]
     discriminant_max: float
     monodromy_defect: Optional[float] = None
 
@@ -318,30 +332,33 @@ def _oriented_chain(sc: SphereCurve) -> List[LieVec]:
     return [eps[j] * sc.vertex_spheres[j] + E6 for j in range(n)]
 
 
-def _curve_circle_spaces(sc: SphereCurve, hats: List[LieVec]) -> List[Subspace]:
-    """Point-sphere space of the generating circle at every curve vertex."""
+def _curve_circle_spaces(sc: SphereCurve, hats: List[LieVec]) -> np.ndarray:
+    """Point-sphere space (n, 3, 6) of the generating circle at every curve
+    vertex: the Moebius complement of the pencil of the vertex sphere and
+    its edge spheres, one stacked span per pencil size. Raises the error of
+    the first vertex whose pencil or circle degenerates."""
     edges = sc.edge_indices()
-    out = []
-    for j in range(len(sc)):
-        vecs = [moebius_part(hats[j])]
-        for e, (a, b) in enumerate(edges):
-            if j in (a, b):
-                vecs.append(sc.edge_spheres[e])
-        pencil = span(vecs)
-        if pencil.dim != 2 or signature(pencil).triple != (2, 0, 0):
-            raise LieGeometryError(
-                f"degenerate pencil at vertex {j} (dim {pencil.dim}, "
-                f"signature {signature(pencil).triple})")
-        c = orthocomplement(span(list(pencil.basis) + [POINT_COMPLEX]))
-        if signature(c).triple != (2, 1, 0):
-            raise LieGeometryError(f"degenerate circle at vertex {j}")
-        out.append(c)
-    return out
+    vecs = [[moebius_part(hats[j])] + [sc.edge_spheres[e] for e, ends in enumerate(edges)
+                                       if j in ends] for j in range(len(sc))]
+    rank, pencils = np.zeros(len(sc), dtype=int), np.zeros((len(sc), 2, 6))
+    for size in sorted({len(v) for v in vecs}):
+        ids = np.flatnonzero([len(v) == size for v in vecs])
+        vt, rank[ids] = lc.spans(np.array([vecs[j] for j in ids]))
+        pencils[ids] = vt[:, :2]
+    _, n_plus, _ = lc.signatures(pencils)
+    circles, circle_rank = moebius_complements(pencils, 3)
+    _, c_plus, c_minus = lc.signatures(circles)
+    lc.raise_first([
+        # the pencil of any rank as `span` reads it, or its error
+        ((rank != 2) | (n_plus != 2), lambda j: f"degenerate pencil at vertex {j} (dim {rank[j]}, "
+                                                f"signature {signature(span(vecs[j])).triple})"),
+        ((circle_rank != 3) | (c_plus != 2) | (c_minus != 1), "degenerate circle at vertex {}"),
+    ])
+    return circles
 
 
-def _assemble_channel_net(circle_spaces: List[Subspace], hats: List[LieVec],
-                          cyclides: List[DupinCyclide], row0: List[LieVec],
-                          closed_curve: bool) -> BuildResult:
+def _assemble_channel_net(hats: List[LieVec], cyclides: List[DupinCyclide],
+                          row0: np.ndarray, closed_curve: bool) -> BuildResult:
     """Propagate a sampled first circle through a cyclide chain and build
     the net; rows follow the curve, columns wrap around the circles."""
     rows = [np.array(row0, dtype=float)]
@@ -358,7 +375,7 @@ def _assemble_channel_net(circle_spaces: List[Subspace], hats: List[LieVec],
         cosines = lc.dots(last / np.sqrt(lc.dots(last, last))[:, None],
                           first / np.sqrt(lc.dots(first, first))[:, None])
         monodromy = max(0.0, float(np.max(1.0 - np.abs(cosines))))
-        rows = rows[:-1] if len(rows) > len(circle_spaces) else rows
+        rows = rows[:-1]
 
     points = np.array(rows)  # (rows, m, 6)
     lines = np.array([hats[b % len(hats)] for b in range(len(rows))])
@@ -368,9 +385,8 @@ def _assemble_channel_net(circle_spaces: List[Subspace], hats: List[LieVec],
     cert = full_certificate(net, PLUS)
     if not cert.ok:
         raise LieGeometryError(f"constructed net fails verification: {cert.message}")
-    return BuildResult(net=net, certificate=cert, cyclides=cyclides,
-                       circle_spaces=circle_spaces, line_sphere_lifts=hats,
-                       discriminant_max=disc_max, monodromy_defect=monodromy)
+    return BuildResult(net=net, certificate=cert, discriminant_max=disc_max,
+                       monodromy_defect=monodromy)
 
 
 def channel_from_sphere_curve(sc: SphereCurve, samples_per_circle: int,
@@ -386,16 +402,17 @@ def channel_from_sphere_curve(sc: SphereCurve, samples_per_circle: int,
     hats = _oriented_chain(sc)
     circles = _curve_circle_spaces(sc, hats)
     cyclides = []
-    for e, (i, j) in enumerate(sc.edge_indices()):
+    for i, j in sc.edge_indices():
         cy = blend_cyclide(circles[i], hats[i], hats[j])
-        link = subspace_distance(touching_circle_space(hats[j], cy.dminus), circles[j])
+        link = _link(hats[j], cy, circles[j])
         if not link <= TOL.agreement:
             raise LieGeometryError(f"cyclide chain does not close at vertex {j} "
                                    f"(residual {link:.3e})")
         cyclides.append(cy)
 
-    row0 = sample_circle(circles[0], samples_per_circle, phase)
-    return _assemble_channel_net(circles, hats, cyclides, row0, sc.closed)
+    g1, g2, g3, _ = circle_bases(circles[:1])  # of signature (2,1), as checked
+    row0 = circle_points(g1[0], g2[0], g3[0], equal_angles(samples_per_circle, phase))
+    return _assemble_channel_net(hats, cyclides, row0, sc.closed)
 
 
 def sphere_curve_from_certificate(cert: ChannelCertificate) -> SphereCurve:
@@ -454,16 +471,18 @@ def _extend_element(f: ContactElement, x_new: LieVec) -> Tuple[ContactElement, L
 
 
 def _family_parameter_solve(family: FaceCyclideFamily, sphere_hat: LieVec,
-                            target_circle: Subspace) -> float:
-    """Member of the family whose curvature line at sphere_hat is the target."""
+                            target_circle: np.ndarray) -> float:
+    """Member of the family whose curvature line at sphere_hat is the
+    target circle, a (rank, 6) point-sphere space; its Moebius complement
+    is zero unless the rank is 3, and the condition then degenerates."""
     s = oriented_representative(sphere_hat)
-    comp = orthocomplement(span(list(target_circle.basis) + [POINT_COMPLEX]))
+    comp = moebius_complements(target_circle[None], 4)[0][0]
 
     def psi(y: LieVec) -> LieVec:
         return y + inner(y, POINT_COMPLEX) * s
 
     rows = []
-    for q in comp.basis:
+    for q in comp:
         a_r = inner(psi(family.w1), q)
         b_r = inner(psi(family.w2), q)
         rows.append((b_r, -a_r))
@@ -525,27 +544,24 @@ def blend_channel(c1: DiscreteCurve3D, c2: DiscreteCurve3D, f0: ContactElement,
 
     # face-cyclide chain along the prescribed strip
     cyclides: List[DupinCyclide] = []
-    circles: List[Subspace] = []
     for t in range(n - 1):
         try:
             fam = FaceCyclideFamily.from_spheres([cross[t], cross[t + 1]],
                                                  [s1_edges[t], s2_edges[t]])
         except DegenerateFaceError as exc:
             raise LieGeometryError(f"degenerate strip face at step {t}") from exc
-        if t > 0:
-            circles.append(touching_circle_space(cross[t], cyclides[-1].dminus))
-        param = _family_parameter_solve(fam, cross[t], circles[-1]) if t > 0 else t0
+        param = _family_parameter_solve(
+            fam, cross[t], _touching_circle(cross[t], cyclides[-1])) if t > 0 else t0
         cy = fam(param)
         if cy.dplus.dim != 3 or cy.dminus.dim != 3:
             raise LieGeometryError(f"degenerate face-cyclide member at step {t} "
                                    f"(t = {param!r}): dims {cy.dplus.dim}, {cy.dminus.dim}")
         cyclides.append(cy)
-    circles = [touching_circle_space(cross[0], cyclides[0].dminus), *circles,
-               touching_circle_space(cross[-1], cyclides[-1].dminus)]
 
     # sample the first circle, keeping the two prescribed points as vertices
-    th1 = circle_chart_angle(circles[0], x1[0])
-    th2 = circle_chart_angle(circles[0], x2[0])
+    circle = _touching_circle(cross[0], cyclides[0])
+    th1 = circle_chart_angle(circle, x1[0])
+    th2 = circle_chart_angle(circle, x2[0])
     arc1 = (th2 - th1) % (2 * math.pi)
     free = samples_per_circle - 2
     n1 = min(max(int(round(free * arc1 / (2 * math.pi))), 0), free)
@@ -554,11 +570,12 @@ def blend_channel(c1: DiscreteCurve3D, c2: DiscreteCurve3D, f0: ContactElement,
     thetas += [th1 + arc1 * (k + 1) / (n1 + 1) for k in range(n1)]
     thetas.append(th2)
     thetas += [th2 + (2 * math.pi - arc1) * (k + 1) / (n2 + 1) for k in range(n2)]
-    row0 = [circle_point(circles[0], th) for th in thetas]
+    g1, g2, g3, _ = circle_bases(circle[None])  # of signature (2,1): circle_chart_angle checks
+    row0 = circle_points(g1[0], g2[0], g3[0], thetas)
     row0[0] = normalized(x1[0])
     row0[n1 + 1] = normalized(x2[0])
 
-    result = _assemble_channel_net(circles, cross, cyclides, row0, closed_curve=False)
+    result = _assemble_channel_net(cross, cyclides, row0, closed_curve=False)
 
     # the prescribed curves must be columns of the net
     pts = result.net.vertex_points()

@@ -35,7 +35,7 @@ from .config import TOL
 from . import liecore as lc
 from .liecore import (
     LieVec, LieGeometryError, DegenerateGramError, Subspace, POINT_COMPLEX, inner,
-    canonical_sign, span, signature, orthocomplement, subspace_distance, oriented_representative,
+    canonical_sign, span, signature, orthocomplement, subspace_distance,
 )
 from .cellcomplex import PLUS, MINUS, Incidence
 from .legendre import (
@@ -132,7 +132,7 @@ def verify_channel(net: LegendreNet, direction: str = PLUS):
     coords = net.complex.coordinates(direction)
 
     # (a) projective constancy of the dir-labelled curvature spheres per line:
-    # `projective_distance` of each edge sphere to the line's first one
+    # 1 - |cos| of each unit edge sphere against the line's first one
     spheres, line = net.edge_spheres[coords.line_edges.ids], coords.line_edges.group
     unit = spheres / np.sqrt(lc.dots(spheres, spheres))[:, None]
     first = np.r_[True, line[1:] != line[:-1]][:len(line)]
@@ -221,22 +221,18 @@ def certificate_residuals(cert: ChannelCertificate, net: LegendreNet) -> Dict[st
 
 def touching_circle_spaces(spheres: np.ndarray, dminus: np.ndarray
                            ) -> Tuple[np.ndarray, np.ndarray]:
-    """`touching_circle_space` of each sphere (P, 6) and D- basis (P, 3, 6),
-    as `spans` of the images: (P, 3, 6) rows and ranks (P,)."""
+    """Point-sphere 3-space of the cyclide curvature line enveloping each
+    sphere (P, 6), given the cyclide's D- basis (P, 3, 6): the `spans` of
+    the images, (P, 3, 6) rows whose first rank rows are the basis, and the
+    ranks (P,).
+
+    Each sphere must be a null vector with (sphere, p) != 0, orthogonal to
+    its D-; the map y -> y + (y,p) s with s the sphere rescaled to
+    (s,p) = -1 is an isometry of D- onto the circle's space.
+    """
     s = spheres / -lc.inner_rows(spheres, POINT_COMPLEX)[:, None]  # oriented_representative
     vt, rank = lc.spans(dminus + lc.inner_rows(dminus, POINT_COMPLEX)[..., None] * s[:, None])
     return vt[:, :3], rank
-
-
-def touching_circle_space(sphere: LieVec, dminus: Subspace) -> Subspace:
-    """Point-sphere 3-space of the cyclide curvature line enveloping `sphere`.
-
-    `sphere` must be a null vector with (sphere, p) != 0, orthogonal to
-    dminus; the map y -> y + (y,p) s with (s,p) = -1 is an isometry of
-    dminus onto the circle's space.
-    """
-    s = oriented_representative(sphere)
-    return span(dminus.basis + lc.inner_rows(dminus.basis, POINT_COMPLEX)[:, None] * s)
 
 
 def _circle_spaces(cert: ChannelCertificate, net: LegendreNet) -> Tuple[np.ndarray, float]:
@@ -299,7 +295,8 @@ def moebius_complements(rows: np.ndarray, rank: int) -> Tuple[np.ndarray, np.nda
 
 def _unit_spheres(v: np.ndarray, checks) -> np.ndarray:
     """Canonically signed unit Moebius spheres of the rows of v; raises the
-    first error of the (mask, message) checks and `unit_moebius_sphere`."""
+    first error of the (mask, message) checks and of a row that has no
+    real unoriented sphere part."""
     units, ok = lc.unit_moebius_spheres(v)
     lc.raise_first([*checks, (~ok, "vector has no real unoriented sphere part")])
     return canonical_sign(units)
@@ -344,7 +341,7 @@ def _face_quer_spheres(circles: np.ndarray, face_spheres: np.ndarray, ribbon_lin
     m = np.stack([a - b, a + b], axis=1)  # the two candidates
     mm = lc.inner_rows(m, m)
     live = sound[:, None] & ~(mm <= TOL.membership)
-    null = live & (np.abs(mm) <= 1e-14 * np.sqrt(lc.dots(m, m)) ** 2)  # `gram_reflection` refuses
+    null = live & (np.abs(mm) <= 1e-14 * np.sqrt(lc.dots(m, m)) ** 2)  # no reflection in a null m
     live &= ~null
     # circle la reflected in each live candidate, against circle lb
     rows, cols = np.nonzero(live)
@@ -441,11 +438,6 @@ def dupin_verdict(net: LegendreNet, res_p, res_m):
 
 # ---------------------------------------------------------------------------
 # cross-ratio
-
-
-def cross_ratio(points: Sequence[Sequence[float]], tol: Optional[float] = None) -> float:
-    """Real cross-ratio of four concircular points (`cross_ratios` of one)."""
-    return float(cross_ratios(np.asarray(points, dtype=float)[None], tol)[0])
 
 
 def cross_ratios(points: np.ndarray, tol: Optional[float] = None) -> np.ndarray:
@@ -657,8 +649,9 @@ def is_multi_circular_net(net: LegendreNet, tol: Optional[float] = None) -> bool
 
 
 def circle_bases(spaces: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`circle_basis` (g1, g2, g3) of each space of a stack (L, 3, 6), and
-    the mask of the spaces of signature (2,1) (elsewhere undefined)."""
+    """Pseudo-orthonormal basis (g1, g2 spacelike, g3 timelike) of each
+    space of a stack (L, 3, 6), and the mask of the spaces of signature
+    (2,1) (elsewhere undefined)."""
     eig, vecs = np.linalg.eigh(spaces @ lc.GRAM @ np.swapaxes(spaces, -1, -2))
     with np.errstate(invalid="ignore"):
         g3, g1, g2 = ((np.swapaxes(spaces, -1, -2) @ vecs[:, :, k, None])[..., 0]
@@ -666,37 +659,24 @@ def circle_bases(spaces: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray
     return g1, g2, g3, (eig[:, 0] < 0) & (0 < eig[:, 1])
 
 
-def circle_basis(space: Subspace) -> Tuple[LieVec, LieVec, LieVec]:
-    """Pseudo-orthonormal basis (g1, g2 spacelike, g3 timelike) of a (2,1)-space."""
-    g1, g2, g3, ok = circle_bases(space.basis[None])
-    if not ok[0]:
-        raise LieGeometryError("circle space must have signature (2,1)")
-    return g1[0], g2[0], g3[0]
+def equal_angles(m: int, phase: float = 0.0) -> List[float]:
+    """m equal chart angles 2 pi k / m, offset by phase."""
+    return [phase + 2 * math.pi * k / m for k in range(m)]
 
 
-def circle_point(space: Subspace, theta: float) -> LieVec:
-    """Null direction of the circle space at chart angle theta."""
-    g1, g2, g3 = circle_basis(space)
-    return g3 + math.cos(theta) * g1 + math.sin(theta) * g2
-
-
-def circle_points(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray, m: int,
-                  phase: float = 0.0) -> np.ndarray:
-    """m points (..., m, 6) at equal chart angles, offset by phase, of the
+def circle_points(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray,
+                  angles: Sequence[float]) -> np.ndarray:
+    """Null directions (..., len(angles), 6) at the chart angles of the
     circle bases (g1, g2, g3), each (..., 6)."""
-    angles = [phase + 2 * math.pi * k / m for k in range(m)]
     cos, sin = (np.array([f(a) for a in angles])[:, None] for f in (math.cos, math.sin))
     return g3[..., None, :] + cos * g1[..., None, :] + sin * g2[..., None, :]
 
 
-def sample_circle(space: Subspace, m: int, phase: float = 0.0) -> List[LieVec]:
-    """m point spheres at equal chart angles, offset by phase."""
-    return list(circle_points(*circle_basis(space), m, phase))
-
-
-def circle_chart_angle(space: Subspace, point_sphere: LieVec) -> float:
-    """Chart angle of a point sphere lying on the circle."""
-    g1, g2, g3 = circle_basis(space)
+def circle_chart_angle(space: np.ndarray, point_sphere: LieVec) -> float:
+    """Chart angle of a point sphere lying on the circle of a (3, 6) space."""
+    g1, g2, g3, ok = (g[0] for g in circle_bases(space[None]))
+    if not ok:
+        raise LieGeometryError("circle space must have signature (2,1)")
     alpha = -inner(point_sphere, g3)
     if abs(alpha) <= 1e-13 * lc.aux_norm(point_sphere):
         raise LieGeometryError("point sphere has no timelike component in the circle chart")
@@ -713,7 +693,7 @@ def circles_euclidean(spaces: np.ndarray, n_probe: int = 12):
     and one least-squares circle per circle.
     """
     g1, g2, g3, ok = circle_bases(spaces)
-    kind, w = lc.unlifts(circle_points(g1, g2, g3, n_probe))
+    kind, w = lc.unlifts(circle_points(g1, g2, g3, equal_angles(n_probe)))
     ok &= np.all(kind == 0, axis=1)
     pts = w[ok, :, :3]
     centroid = pts.mean(axis=1)
@@ -727,15 +707,3 @@ def circles_euclidean(spaces: np.ndarray, n_probe: int = 12):
     r2 = sol[:, 2] + lc.dots(sol[:, :2], sol[:, :2])
     center = centroid + sol[:, :1] * u[..., 0] + sol[:, 1:2] * v[..., 0]
     return ok, center, np.sqrt(np.where(0.0 > r2, 0.0, r2)), vt[:, 2]
-
-
-def circle_euclidean(space: Subspace, n_probe: int = 12):
-    """Euclidean (center, radius, plane normal) of a circle space.
-
-    Fails if the circle passes through the point at infinity (a line).
-    """
-    ok, center, radius, normal = circles_euclidean(space.basis[None], n_probe)
-    if not ok[0]:
-        circle_basis(space)  # a space that is no circle fails as such
-        raise LieGeometryError("circle passes through the point at infinity")
-    return center[0], float(radius[0]), normal[0]

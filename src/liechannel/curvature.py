@@ -96,14 +96,6 @@ def gauss_means(f_quads: np.ndarray, n_quads: np.ndarray
     return k, -h_neg, np.where(r2 > r1, r2, r1)
 
 
-def gauss_mean(f_quad: Sequence[LieVec], n_quad: Sequence[LieVec]
-               ) -> Tuple[float, float, float]:
-    """(K, H, collinearity residual) of one face from its lifts."""
-    k, h, r = gauss_means(np.asarray(f_quad, dtype=float)[None],
-                          np.asarray(n_quad, dtype=float)[None])
-    return float(k[0]), float(h[0]), float(r[0])
-
-
 def principal_curvatures(f_i: np.ndarray, f_j: np.ndarray, n_i: np.ndarray,
                          n_j: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Edge principal curvatures from dn = -kappa df, least squares, and
@@ -119,14 +111,6 @@ def principal_curvatures(f_i: np.ndarray, f_j: np.ndarray, n_i: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         res = np.where(nn == 0.0, 0.0, np.sqrt(lc.dots(r, r)) / np.sqrt(nn))
     return kappa, res
-
-
-def principal_curvature(f_i: LieVec, f_j: LieVec, n_i: LieVec, n_j: LieVec
-                        ) -> Tuple[float, float]:
-    """Edge principal curvature from dn = -kappa df, least squares."""
-    kappa, res = principal_curvatures(*(np.asarray(x, dtype=float)[None]
-                                        for x in (f_i, f_j, n_i, n_j)))
-    return float(kappa[0]), float(res[0])
 
 
 @dataclass
@@ -259,11 +243,6 @@ def is_isothermic_5point(points: np.ndarray, c: QuadComplex) -> IsothermicReport
     diagonal_circular = lc.moebius_point_rank(pts[five[:, 1:]]) <= 3
     return IsothermicReport(*(dict(zip(five[:, 0].tolist(), verdicts.tolist()))
                               for verdicts in (applicable, passed, diagonal_circular)))
-
-
-def diagonal_concircular(points: np.ndarray, c: QuadComplex) -> Dict[int, bool]:
-    """Concircularity of the four diagonal neighbours per interior vertex."""
-    return is_isothermic_5point(points, c).diagonal_circular
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import List, Sequence, Union
 import numpy as np
 
 from . import liecore as lc
-from .liecore import LieGeometryError, unlift_moebius
+from .liecore import LieGeometryError
 from .cellcomplex import QuadComplex, make_grid, validate, PLUS, MINUS
 from .legendre import (
     NO_PLANE_LIFT, NO_POINT_SPHERE, ContactElementError, LegendreNet, contact_bases,
@@ -27,7 +27,7 @@ from .legendre import (
 from .channel import (
     DiscreteCurve3D, certified, first_full_certificate, certificate_residuals,
     cross_ratio_constancy, is_multi_circular, is_multi_circular_net, dupin_verdict,
-    circle_bases, circle_points, circles_euclidean,
+    circle_bases, circle_points, circles_euclidean, equal_angles,
 )
 from .builder import SphereCurve
 from .curvature import curvature_report, kappa_line_spread, is_isothermic_5point
@@ -230,13 +230,21 @@ def load_net(path: Union[str, Path]) -> LegendreNet:
 # sphere curves and plain curves
 
 
-def _sphere_entry(v: np.ndarray) -> dict:
-    d = unlift_moebius(v)
-    if d.kind == "plane":
-        return {"normal": list(d.normal), "offset": d.offset}
-    if d.kind == "sphere":
-        return {"center": list(d.center), "radius": d.radius}
-    raise LieGeometryError(f"cannot serialize sphere vector of kind {d.kind}")
+def _sphere_entries(vectors: np.ndarray) -> List[dict]:
+    """Center and radius, or normal and offset, of each Moebius sphere
+    vector of a stack (one orientation); raises the error of the first
+    vector that has no real unoriented sphere part, is off the Lie quadric
+    or reads as neither a sphere nor a plane."""
+    units, ok = lc.unit_moebius_spheres(vectors)
+    kind, w = lc.unlifts(units + lc.E6)  # never zero: its u6 is 1
+    lc.raise_first([
+        (~ok, "vector has no real unoriented sphere part"),
+        (kind == -1, lambda _: lc.NotALieSphereError(lc.NOT_A_LIE_SPHERE)),
+        (~np.isin(kind, (1, 2)),
+         lambda k: f"cannot serialize sphere vector of kind {lc.KINDS[kind[k]]}"),
+    ])
+    return [{"normal": row[:3], "offset": row[4]} if k == 2 else
+            {"center": row[:3], "radius": row[5]} for k, row in zip(kind.tolist(), w.tolist())]
 
 
 _CONTACT = "contact must be 2 x 6 numbers"
@@ -285,11 +293,13 @@ def _sphere_vector(doc: dict, where: str) -> np.ndarray:
 
 
 def save_sphere_curve(sc: SphereCurve, path: Union[str, Path]) -> None:
+    entries = _sphere_entries(np.concatenate([sc.vertex_spheres.reshape(-1, 6),
+                                              sc.edge_spheres.reshape(-1, 6)]))
     payload = {
         "format": "liechannel-sphere-curve", "version": 1,
         "closed": sc.closed,
-        "vertex_spheres": [_sphere_entry(v) for v in sc.vertex_spheres],
-        "edge_spheres": [_sphere_entry(v) for v in sc.edge_spheres],
+        "vertex_spheres": entries[:len(sc)],
+        "edge_spheres": entries[len(sc):],
     }
     _dump(payload, path)
 
@@ -337,7 +347,7 @@ def load_curve(path: Union[str, Path]) -> DiscreteCurve3D:
 
 
 def _lie_descriptors(vectors: np.ndarray) -> List[dict]:
-    """Euclidean reading of each null vector of a stack (`unlift`)."""
+    """Euclidean reading of each null vector of a stack (`liecore.unlifts`)."""
     kind, w = lc.unlifts(vectors)
     lc.raise_first([(kind == -2, "cannot normalize the zero vector"),
                     (kind == -1, lambda _: lc.NotALieSphereError(lc.NOT_A_LIE_SPHERE))])
@@ -357,7 +367,7 @@ def _descriptor(kind: str, w: list) -> dict:
 
 def _moebius_descriptors(vectors: np.ndarray) -> List[dict]:
     """Euclidean reading of each Moebius sphere vector of a stack
-    (`unlift_moebius`, one orientation), a point as a sphere of radius
+    (as `_sphere_entries`, one orientation), a point as a sphere of radius
     null; "unrepresentable" where it fails."""
     units, ok = lc.unit_moebius_spheres(vectors)
     kind, w = lc.unlifts(units + lc.E6)
@@ -493,7 +503,7 @@ def export_obj(net: LegendreNet, path: Union[str, Path], circles: bool = False,
         if not cert.ok:
             raise LieGeometryError("cannot export circles: net is not a channel surface")
         g1, g2, g3, ok = circle_bases(cert.circle_spaces)
-        kind, w = lc.unlifts(circle_points(g1, g2, g3, circle_samples))
+        kind, w = lc.unlifts(circle_points(g1, g2, g3, equal_angles(circle_samples)))
         # a circle through infinity is left out; its samples are read in order
         stop = kind[np.arange(len(kind)), np.argmax(kind != 0, axis=1)]
         lc.raise_first([(~ok, "circle space must have signature (2,1)"),

@@ -107,20 +107,6 @@ class ContactElement:
     def contains(self, v: LieVec, tol: Optional[float] = None) -> bool:
         return self.space.contains(v, tol)
 
-    def point_sphere(self) -> LieVec:
-        """The unique direction orthogonal to the point sphere complex."""
-        p, ok = point_spheres(self.basis[None])
-        if not ok[0]:
-            raise LieGeometryError(NO_POINT_SPHERE)
-        return p[0]
-
-    def plane_lift(self) -> LieVec:
-        """The unique direction with vanishing e0 coordinate (tangent plane lift)."""
-        pl, ok = plane_lifts(self.basis[None])
-        if not ok[0]:
-            raise LieGeometryError(NO_PLANE_LIFT)
-        return pl[0]
-
 
 def point_normal_generators(points: np.ndarray, normals: np.ndarray
                             ) -> Tuple[np.ndarray, np.ndarray]:
@@ -224,8 +210,12 @@ def meet_spheres(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The meet is the last right singular vector of one batched SVD of the
     (E, 6, 4) stack [a_e | -b_e]^T, read in a_e and normalised by a batched
-    SVD of (E, 1, 6), both thin.
+    SVD of (E, 1, 6), both thin. A pair with a non-finite coordinate is
+    zeroed first, so that it cannot stop the SVDs of the others.
     """
+    finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b).all(axis=(1, 2))
+    if not finite.all():
+        a, b = (np.where(finite[:, None, None], x, 0.0) for x in (a, b))
     m = np.concatenate([a, -b], axis=1).transpose(0, 2, 1)
     # thin, no 6x6 U: tests/test_batched_kernel.py checks the spheres bit for bit
     vt = np.linalg.svd(m, full_matrices=False)[2]
@@ -290,18 +280,11 @@ class LegendreNet:
             raise self.edge_failures[failed[0]]
         return self.edge_spheres[edges]
 
-    def edge_sphere(self, i: int, j: int) -> LieVec:
-        return self.spheres_of(self.complex.edge_id(i, j))
-
     def element(self, v: int) -> ContactElement:
         return _element(self.bases[v])
 
-    def vertex_point(self, v: int) -> np.ndarray:
-        """Euclidean position of the vertex point sphere."""
-        return self.vertex_points([v])[0]
-
     def vertex_points(self, vertices: Optional[Sequence[int]] = None) -> np.ndarray:
-        """Positions (n, 3) of the vertex point spheres (all by default), read by unlift."""
+        """Positions (n, 3) of the vertex point spheres (all by default), read by `unlifts`."""
         if vertices is None:
             return self._all_points.copy()
         vs = list(vertices)
@@ -371,7 +354,7 @@ def net_from_edge_spheres(c: QuadComplex, spheres: Dict[Tuple[int, int], LieVec]
     net = LegendreNet(complex=c, bases=bases)
     ids = c.edge_ids(*np.array(keys, dtype=int).reshape(-1, 2).T)
     got, failures = net.edge_spheres[ids], net.edge_failures
-    with np.errstate(divide="ignore", invalid="ignore"):  # `projective_distance` of each
+    with np.errstate(divide="ignore", invalid="ignore"):  # 1 - |cos| of the unit spheres
         d = 1.0 - np.abs(lc.dots(got / np.sqrt(lc.dots(got, got))[:, None], given / norm[:, None]))
     lc.raise_first([
         (np.isin(ids, list(failures)), lambda k: failures[ids[k]]),

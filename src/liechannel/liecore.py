@@ -64,7 +64,7 @@ E6 = np.array([0, 0, 0, 0, 0, 1.0])
 
 POINT_COMPLEX = E6   # p: lifts orthogonal to it are point spheres
 SPACE_FORM = EINF    # q: Euclidean space form
-NOT_A_LIE_SPHERE = "not a Lie sphere: (v,v) != 0"  # unlift off the Lie quadric
+NOT_A_LIE_SPHERE = "not a Lie sphere: (v,v) != 0"  # `unlifts` off the Lie quadric
 
 
 class LieGeometryError(ValueError):
@@ -163,20 +163,6 @@ def raise_first(checks) -> None:
         raise failure[1] if isinstance(failure[1], Exception) else LieGeometryError(failure[1])
 
 
-def projective_distance(a: LieVec, b: LieVec) -> float:
-    """1 - |<a^, b^>| on auxiliary-normalized representatives; 0 iff parallel."""
-    an, bn = normalized(a), normalized(b)
-    return float(1.0 - abs(np.dot(an, bn)))
-
-
-def is_null(v: LieVec, tol: Optional[float] = None) -> bool:
-    t = TOL.null if tol is None else tol
-    n = aux_norm(v)
-    if n == 0.0:
-        return True
-    return abs(inner(v, v)) <= t * n * n
-
-
 # ---------------------------------------------------------------------------
 # lifts and their inverse
 
@@ -211,26 +197,16 @@ def unit_point_lifts(x: np.ndarray) -> np.ndarray:
     return lifts / np.sqrt(dots(lifts, lifts))[:, None]
 
 
-@dataclass(frozen=True)
-class SphereDescriptor:
-    """Euclidean reading of a null vector: point, sphere, plane or infinity."""
-
-    kind: str  # "point" | "sphere" | "plane" | "point_at_infinity"
-    center: Optional[np.ndarray] = None
-    radius: Optional[float] = None
-    normal: Optional[np.ndarray] = None
-    offset: Optional[float] = None
-
-
 KINDS = ("point", "sphere", "plane", "point_at_infinity")  # the codes of `unlifts`
 
 
 def unlifts(vectors: np.ndarray, tol: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """`unlift` of each row of a stack (..., 6): the index into KINDS of its
-    kind (-1 off the Lie quadric, -2 for a zero row: both refused by
-    `unlift`) and the row scaled to u0 = 1 (points and spheres) or u6 = 1
-    (planes), whose coordinates are the center and radius or the normal
-    and offset. Each row is `unlift` of it alone, bit for bit."""
+    """Euclidean reading of each null vector of a stack (..., 6), the
+    inverse of the lifts up to projective scale: the index into KINDS of
+    its kind (-1 off the Lie quadric, where the unit n = v/|v| has
+    |(n,n)| > tol |n|^2, and -2 for a zero row) and the row scaled to
+    u0 = 1 (points and spheres) or u6 = 1 (planes), whose coordinates are
+    the center and radius or the normal and offset."""
     t = TOL.null if tol is None else tol
     v = np.asarray(vectors, dtype=float)
     norm = np.sqrt(dots(v, v))
@@ -246,27 +222,6 @@ def unlifts(vectors: np.ndarray, tol: Optional[float] = None) -> Tuple[np.ndarra
         point = np.abs(w[..., 5]) <= t * (1.0 + np.sqrt(dots(center, center)))
     kind = np.where(at_infinity, np.where(np.abs(n[..., 5]) <= t, 3, 2), np.where(point, 0, 1))
     return np.where(norm == 0.0, -2, np.where(null, kind, -1)), w
-
-
-def unlift(v: LieVec, tol: Optional[float] = None) -> SphereDescriptor:
-    """Classify a null vector; inverse of the lifts up to projective scale."""
-    kind, w = unlifts(np.asarray(v, dtype=float)[None], tol)
-    raise_first([(kind == -2, "cannot normalize the zero vector"),
-                 (kind == -1, lambda _: NotALieSphereError(NOT_A_LIE_SPHERE))])
-    k, w = KINDS[kind[0]], w[0].copy()
-    return SphereDescriptor(kind=k, center=w[:3] if k in ("point", "sphere") else None,
-                            radius=float(w[5]) if k == "sphere" else None,
-                            normal=w[:3] if k == "plane" else None,
-                            offset=float(w[4]) if k == "plane" else None)
-
-
-def in_oriented_contact(a: LieVec, b: LieVec, tol: Optional[float] = None) -> bool:
-    """Orthogonality of two null vectors, scale-invariant."""
-    t = TOL.contact if tol is None else tol
-    for v in (a, b):
-        if not is_null(v):
-            raise NotALieSphereError("in_oriented_contact expects null vectors")
-    return abs(inner(a, b)) <= t * aux_norm(a) * aux_norm(b)
 
 
 # ---------------------------------------------------------------------------
@@ -394,19 +349,6 @@ def subspace_distance(a: Subspace, b: Subspace) -> float:
     return float(subspace_distances(a.basis, b.basis))
 
 
-def intersect(a: Subspace, b: Subspace, tol: Optional[float] = None) -> Subspace:
-    """Intersection of two subspaces via the joint nullspace."""
-    t = TOL.rank if tol is None else tol
-    m = np.vstack([a.basis, -b.basis]).T  # (6, ka+kb)
-    u, sv, vt = np.linalg.svd(m)
-    cutoff = t * (sv[0] if sv.size else 0.0)
-    null = vt[np.sum(sv > cutoff):]
-    vecs = [a.basis.T @ x[: a.dim] for x in null]
-    if not vecs:
-        return Subspace(basis=np.zeros((0, 6)))
-    return span(vecs, tol=t)
-
-
 # ---------------------------------------------------------------------------
 # Moebius subgeometry helpers (vectors orthogonal to the point sphere complex)
 
@@ -418,20 +360,13 @@ def moebius_part(v: LieVec) -> LieVec:
 
 
 def unit_moebius_spheres(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """`unit_moebius_sphere` of each row of a stack (..., 6), and the mask
-    of rows that have a real unoriented sphere part (elsewhere undefined)."""
+    """Moebius part of each row of a stack (..., 6) normalized to
+    (s,s) = +1 (a real, unoriented sphere), and the mask of rows that have
+    one (elsewhere undefined)."""
     s = moebius_part(v)
     q = inner_rows(s, s)
     with np.errstate(divide="ignore", invalid="ignore"):
         return s / np.sqrt(q)[..., None], ~(q <= 0.0)
-
-
-def unit_moebius_sphere(v: LieVec) -> LieVec:
-    """Moebius part normalized to (s,s) = +1 (real, unoriented sphere)."""
-    s, ok = unit_moebius_spheres(np.asarray(v, dtype=float)[None])
-    if not ok[0]:
-        raise LieGeometryError("vector has no real unoriented sphere part")
-    return s[0]
 
 
 def oriented_representative(v: LieVec) -> LieVec:
@@ -459,12 +394,6 @@ def moebius_plane(normal: Sequence[float], offset: float) -> LieVec:
     return v
 
 
-def unlift_moebius(v: LieVec, tol: Optional[float] = None) -> SphereDescriptor:
-    """Euclidean reading of a unit Moebius sphere vector (one orientation)."""
-    u = unit_moebius_sphere(v)
-    return unlift(u + E6, tol)
-
-
 def unit_lift_rank(lifts: np.ndarray, tol: Optional[float] = None) -> np.ndarray:
     """Ranks (...) of a stack (..., k, 6) of unit lifts, one batched SVD:
     the count of singular values above tol times the largest."""
@@ -485,16 +414,3 @@ def moebius_point_rank(points: Sequence[Sequence[float]],
 def points_concircular(points: Sequence[Sequence[float]], tol: Optional[float] = None) -> bool:
     """Four or more points lie on a common circle (or line)."""
     return moebius_point_rank(points, tol) <= 3
-
-
-def points_cospherical(points: Sequence[Sequence[float]], tol: Optional[float] = None) -> bool:
-    """Points lie on a common sphere (or plane)."""
-    return moebius_point_rank(points, tol) <= 4
-
-
-def gram_reflection(m: LieVec, v: LieVec) -> LieVec:
-    """Reflection in the hyperplane orthogonal to m (m non-null)."""
-    mm = inner(m, m)
-    if abs(mm) <= 1e-14 * aux_norm(m) ** 2:
-        raise DegenerateGramError("cannot reflect in a null vector")
-    return v - 2.0 * inner(v, m) / mm * m

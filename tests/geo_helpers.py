@@ -1,4 +1,5 @@
-"""Shared geometry fixtures: seeded random profiles and generator nets."""
+"""Shared geometry fixtures: seeded random profiles and generator nets, and
+the stacked readings of one vector that the tests check facts with."""
 
 import math
 
@@ -6,9 +7,31 @@ import numpy as np
 
 from liechannel import builder
 from liechannel.builder import _extend_element
+from liechannel.channel import cross_ratios
 from liechannel.cli import random_generator_net
 from liechannel.legendre import FaceCyclideFamily, curvature_sphere
-from liechannel.liecore import lift_point, oriented_representative
+from liechannel.liecore import (
+    E6, KINDS, lift_point, oriented_representative, unit_moebius_spheres, unlifts,
+)
+
+
+def unlift(v):
+    """`unlifts` of a stack of one: the kind's name (or the code -1 off the
+    Lie quadric, -2 of a zero vector) and the scaled vector."""
+    kind, w = unlifts(np.asarray(v, dtype=float)[None])
+    return (KINDS[kind[0]] if kind[0] >= 0 else int(kind[0])), w[0]
+
+
+def unlift_moebius(v):
+    """`unlift` of a Moebius sphere vector made unit, in one orientation."""
+    unit, ok = unit_moebius_spheres(np.asarray(v, dtype=float)[None])
+    assert ok[0], "vector has no real unoriented sphere part"
+    return unlift(unit[0] + E6)
+
+
+def cross_ratio(points):
+    """`cross_ratios` of a stack of one quadruple."""
+    return float(cross_ratios(np.asarray(points, dtype=float)[None])[0])
 
 
 def random_revolution_profile(rng: np.random.Generator, n: int):

@@ -15,13 +15,12 @@ import math
 
 import numpy as np
 
-from liechannel import legendre, liecore
+from liechannel import io_json, legendre, liecore
 from liechannel.cellcomplex import edge_key
-from liechannel.channel import touching_circle_space
 from liechannel.config import TOL
 from liechannel.liecore import (
-    GRAM, POINT_COMPLEX, DegenerateGramError, LieGeometryError, aux_norm, inner, is_null,
-    normalized, oriented_representative, projective_distance, unlift,
+    GRAM, POINT_COMPLEX, DegenerateGramError, LieGeometryError, NotALieSphereError,
+    NOT_A_LIE_SPHERE, aux_norm, inner, moebius_part, normalized, oriented_representative,
 )
 
 
@@ -39,6 +38,81 @@ def span(vectors, tol=None):
     rank = int(np.sum(sv > t * sv[0]))
     _, _, vt = np.linalg.svd(m)
     return vt[:rank].copy()
+
+
+def is_null(v, tol=None):
+    t = TOL.null if tol is None else tol
+    n = aux_norm(v)
+    if n == 0.0:
+        return True
+    return abs(inner(v, v)) <= t * n * n
+
+
+def projective_distance(a, b):
+    """1 - |<a^, b^>| on auxiliary-normalized representatives; 0 iff parallel."""
+    an, bn = normalized(a), normalized(b)
+    return float(1.0 - abs(np.dot(an, bn)))
+
+
+def in_oriented_contact(a, b, tol=None):
+    """Orthogonality of two null vectors, scale-invariant."""
+    t = TOL.contact if tol is None else tol
+    for v in (a, b):
+        if not is_null(v):
+            raise NotALieSphereError("in_oriented_contact expects null vectors")
+    return abs(inner(a, b)) <= t * aux_norm(a) * aux_norm(b)
+
+
+def unlift(v, tol=None):
+    """Euclidean reading of one null vector: (kind, center, radius, normal, offset)."""
+    t = TOL.null if tol is None else tol
+    n = normalized(v)
+    if not is_null(n, t):
+        raise NotALieSphereError(NOT_A_LIE_SPHERE)
+    u0 = n[3]
+    if abs(u0) <= t:
+        if abs(n[5]) <= t:
+            return "point_at_infinity", None, None, None, None
+        w = n / n[5]
+        return "plane", None, None, w[:3].copy(), float(w[4])
+    w = n / u0
+    center, radius = w[:3].copy(), float(w[5])
+    if abs(radius) <= t * (1.0 + np.linalg.norm(center)):
+        return "point", center, None, None, None
+    return "sphere", center, radius, None, None
+
+
+def unit_moebius_sphere(v):
+    """Moebius part normalized to (s,s) = +1 (real, unoriented sphere)."""
+    s = moebius_part(v)
+    q = inner(s, s)
+    if q <= 0.0:
+        raise LieGeometryError("vector has no real unoriented sphere part")
+    return s / np.sqrt(q)
+
+
+def gram_reflection(m, v):
+    """Reflection in the hyperplane orthogonal to m (m non-null)."""
+    mm = inner(m, m)
+    if abs(mm) <= 1e-14 * aux_norm(m) ** 2:
+        raise DegenerateGramError("cannot reflect in a null vector")
+    return v - 2.0 * inner(v, m) / mm * m
+
+
+def intersect(a, b, tol=None):
+    """Intersection of two subspaces via the joint nullspace."""
+    t = TOL.rank if tol is None else tol
+    _, sv, vt = np.linalg.svd(np.vstack([a.basis, -b.basis]).T)
+    null = vt[np.sum(sv > t * (sv[0] if sv.size else 0.0)):]
+    vecs = [a.basis.T @ x[: a.dim] for x in null]
+    return liecore.Subspace(span(vecs, tol=t) if vecs else np.zeros((0, 6)))
+
+
+def touching_circle_space(sphere, dminus):
+    """Point-sphere 3-space of the cyclide curvature line enveloping the
+    sphere, the image of dminus under y -> y + (y,p) s, (s,p) = -1."""
+    s = oriented_representative(sphere)
+    return liecore.Subspace(span([y + inner(y, POINT_COMPLEX) * s for y in dminus.basis]))
 
 
 def subspace_residual(basis, v):
@@ -77,10 +151,10 @@ def vertex_points(net, vertices=None):
     for v, s, has_point in zip(vs, spheres, ok):
         if not has_point:
             raise LieGeometryError("contact element orthogonal to the point sphere complex")
-        d = unlift(s)
-        if d.kind != "point":
+        kind, center, *_ = unlift(s)
+        if kind != "point":
             raise LieGeometryError(f"vertex {v} has no finite Euclidean position")
-        out.append(d.center)
+        out.append(center)
     return np.array(out)
 
 
@@ -286,6 +360,48 @@ def propagate_point(x, cy, next_sphere_hat):
     if not projective_distance(y, y_quad) <= 1e-5:
         raise LieGeometryError("propagation roots disagree with the tangency direction")
     return normalized(y), disc
+
+
+def curve_circle_spaces(sc, hats):
+    """Point-sphere space of the generating circle at every curve vertex,
+    one vertex pencil at a time."""
+    edges = sc.edge_indices()
+    out = []
+    for j in range(len(sc)):
+        vecs = [liecore.moebius_part(hats[j])]
+        for e, (a, b) in enumerate(edges):
+            if j in (a, b):
+                vecs.append(sc.edge_spheres[e])
+        pencil = liecore.span(vecs)
+        if pencil.dim != 2 or liecore.signature(pencil).triple != (2, 0, 0):
+            raise LieGeometryError(
+                f"degenerate pencil at vertex {j} (dim {pencil.dim}, "
+                f"signature {liecore.signature(pencil).triple})")
+        c = liecore.orthocomplement(liecore.span(list(pencil.basis) + [POINT_COMPLEX]))
+        if liecore.signature(c).triple != (2, 1, 0):
+            raise LieGeometryError(f"degenerate circle at vertex {j}")
+        out.append(c)
+    return out
+
+
+def sphere_entry(v):
+    """Center and radius, or normal and offset, of one Moebius sphere vector."""
+    kind, center, radius, normal, offset = unlift(unit_moebius_sphere(v) + liecore.E6)
+    if kind == "plane":
+        return {"normal": list(normal), "offset": offset}
+    if kind == "sphere":
+        return {"center": list(center), "radius": radius}
+    raise LieGeometryError(f"cannot serialize sphere vector of kind {kind}")
+
+
+def save_sphere_curve(sc, path):
+    """The sphere curve file, written one sphere entry at a time."""
+    io_json._dump({
+        "format": "liechannel-sphere-curve", "version": 1,
+        "closed": sc.closed,
+        "vertex_spheres": [sphere_entry(v) for v in sc.vertex_spheres],
+        "edge_spheres": [sphere_entry(v) for v in sc.edge_spheres],
+    }, path)
 
 
 def propagate_row(xs, cy, next_sphere_hat):

@@ -20,8 +20,8 @@ def brute_is_multi_circular(net: LegendreNet, direction: str,
     t = TOL.membership if tol is None else tol
     for la, lb in zip(*net.complex.coordinates(direction).line_pairs):
         m = min(len(la), len(lb))
-        pa = [net.vertex_point(v) for v in la[:m]]
-        pb = [net.vertex_point(v) for v in lb[:m]]
+        pa = [net.vertex_points([v])[0] for v in la[:m]]
+        pb = [net.vertex_points([v])[0] for v in lb[:m]]
         for s in range(m):
             for u in range(s + 1, m):
                 if not points_concircular([pa[s], pa[u], pb[u], pb[s]], t):

@@ -8,9 +8,9 @@ the derived sphere families one item at a time (`oracle_certificate`,
 from their own public functions: `cross_ratio_constancy`,
 `is_multi_circular`, `is_multi_circular_net`, `is_isothermic_5point` and
 `is_dupin_cyclide` (which completes both directions once more). The
-certificate is serialised vector by vector, through the scalar `unlift`
-and circle fit below. `io_json.verify_report` must give the same bytes
-from one certificate per direction.
+certificate is serialised vector by vector, through the scalar
+`kernel_oracle.unlift` and the circle fit below. `io_json.verify_report`
+must give the same bytes from one certificate per direction.
 """
 
 import math
@@ -22,7 +22,7 @@ from liechannel import liecore as lc
 from liechannel.cellcomplex import MINUS, PLUS
 from liechannel.channel import (
     ChannelFailure, cross_ratio_constancy, is_dupin_cyclide, is_multi_circular,
-    is_multi_circular_net, touching_circle_space,
+    is_multi_circular_net,
 )
 from liechannel.config import TOL
 from liechannel.curvature import is_isothermic_5point
@@ -31,28 +31,13 @@ from liechannel.legendre import (
     is_legendre, point_spheres,
 )
 from liechannel.liecore import (
-    POINT_COMPLEX, LieGeometryError, canonical_sign, gram_reflection, inner, normalized,
-    orthocomplement, signature, span, subspace_distance, unit_moebius_sphere,
+    POINT_COMPLEX, LieGeometryError, canonical_sign, inner, normalized, orthocomplement,
+    signature, span, subspace_distance,
 )
 
-
-def unlift(v, tol=None):
-    """`liecore.unlift` of one vector: (kind, center, radius, normal, offset)."""
-    t = TOL.null if tol is None else tol
-    n = normalized(v)
-    if not lc.is_null(n, t):
-        raise lc.NotALieSphereError(lc.NOT_A_LIE_SPHERE)
-    u0 = n[3]
-    if abs(u0) <= t:
-        if abs(n[5]) <= t:
-            return "point_at_infinity", None, None, None, None
-        w = n / n[5]
-        return "plane", None, None, w[:3].copy(), float(w[4])
-    w = n / u0
-    center, radius = w[:3].copy(), float(w[5])
-    if abs(radius) <= t * (1.0 + np.linalg.norm(center)):
-        return "point", center, None, None, None
-    return "sphere", center, radius, None, None
+from kernel_oracle import (
+    gram_reflection, projective_distance, touching_circle_space, unit_moebius_sphere, unlift,
+)
 
 
 def lie_descriptor(v):
@@ -127,10 +112,10 @@ def oracle_certificate(net, direction):
     line_spheres = []
     worst = 0.0
     for li, line in enumerate(lines):
-        spheres = [net.edge_sphere(*net.complex.edge_ends[e].tolist()) for e in line_edges[li]]
+        spheres = [net.spheres_of(e) for e in line_edges[li]]
         rep = normalized(spheres[0])
         for s in spheres[1:]:
-            d = lc.projective_distance(rep, s)
+            d = projective_distance(rep, s)
             worst = max(worst, d)
             if not d <= TOL.constancy:
                 return ChannelFailure(
@@ -149,7 +134,7 @@ def oracle_certificate(net, direction):
                                   location=f"ribbon {ri}",
                                   message=f"ribbon bounded by {len(bounds)} lines",
                                   envelopes=True)
-        sp = span([net.edge_sphere(*net.complex.edge_ends[e].tolist()) for e in ribbon_edges[ri]])
+        sp = span([net.spheres_of(e) for e in ribbon_edges[ri]])
         if sp.dim == 2 and signature(sp).triple == (1, 1, 0):
             try:
                 cy = face_cyclide_family(net, net.complex.face_vertices[strip[0]].tolist())(0.0)

@@ -17,11 +17,12 @@ from liechannel.builder import random_sphere_curve, sphere_curve_from_certificat
 from liechannel.channel import certificate_residuals
 from liechannel.curvature import (
     curvature_report, kappa_line_spread, is_isothermic_5point,
-    diagonal_concircular, vessiot_classify, ribbon_cmc_analysis,
+    vessiot_classify, ribbon_cmc_analysis,
 )
 from liechannel.liecore import span, orthocomplement
 
 from geo_helpers import strip_family
+from kernel_oracle import in_oriented_contact
 
 
 def report(n: int, text: str) -> None:
@@ -39,7 +40,7 @@ def test_01_lift_contact_identity():
         d = c1 - c2
         lhs, rhs = float(d @ d), (r1 - r2) ** 2
         gap = abs(lhs - rhs) / max(1.0, lhs, rhs)
-        got = L.in_oriented_contact(L.lift_sphere(c1, r1), L.lift_sphere(c2, r2))
+        got = in_oriented_contact(L.lift_sphere(c1, r1), L.lift_sphere(c2, r2))
         if gap <= 1e-9:
             assert got
         elif gap > 1e-7:
@@ -53,7 +54,7 @@ def test_01_lift_contact_identity():
         u /= np.linalg.norm(u)
         r2 = rng.uniform(-2, -0.2)
         c2 = c1 + (r1 - r2) * u
-        assert L.in_oriented_contact(L.lift_sphere(c1, r1), L.lift_sphere(c2, r2))
+        assert in_oriented_contact(L.lift_sphere(c1, r1), L.lift_sphere(c2, r2))
     report(1, "oriented contact iff |dc|^2 = (dr)^2 on 1200 random pairs")
 
 
@@ -71,7 +72,7 @@ def test_02_dupin_cyclide():
                    for other in cert_m.cyclides)
     assert spread_m <= 1e-8
     for (i, j), lab in zip(net.complex.edge_ends.tolist(), net.complex.edge_labels.tolist()):
-        s = net.edge_sphere(i, j)
+        s = net.spheres_of(net.complex.edge_id(i, j))
         target = cy.dplus if lab == "+" else cy.dminus
         assert target.residual(s) <= 1e-8
     assert L.signature(cy.dplus).triple == (2, 1, 0)
@@ -111,7 +112,7 @@ def test_04_counterexamples():
         from liechannel.cellcomplex import plus_lines
         line = plus_lines(net2.complex)[0]
         assert not L.points_concircular([pts[v] for v in line[:4]])
-        dc = diagonal_concircular(pts, net2.complex)
+        dc = is_isothermic_5point(pts, net2.complex).diagonal_circular
         assert not all(dc.values())
 
         net1 = L.make_reflection_example(1, seed)
@@ -193,8 +194,8 @@ def test_07_blend_freedom():
     fam = strip_family(p1, p2, f0)
     t_cyl = fam.parameter_of(cyl)
     res_cyl = L.blend_channel(p1, p2, f0, t0=t_cyl, samples_per_circle=8)
-    radii = [L.circle_euclidean(c.dplus)[1] for c in res_cyl.certificate.circles]
-    assert np.allclose(radii, radii[0], atol=1e-8)
+    circle, _, radii, _ = L.circles_euclidean(res_cyl.certificate.circle_spaces)
+    assert circle.all() and np.allclose(radii, radii[0], atol=1e-8)
     ok_cyl, _, _ = L.is_dupin_cyclide(res_cyl.net)
     assert ok_cyl
     res_tor = L.blend_channel(p1, p2, f0, t0=t_cyl + 0.8, samples_per_circle=8)

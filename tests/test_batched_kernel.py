@@ -42,7 +42,7 @@ def generated(make, *args, **kwargs):
 
 def assert_edge_spheres_match_oracle(net, bases):
     """Every row of the edge-sphere array is the oracle's sphere of its
-    edge, and `edge_sphere` on a failed edge raises the oracle's message."""
+    edge, and `spheres_of` a failed edge raises the oracle's message."""
     spheres, failed = oracle.edge_spheres(bases, net.complex)
     assert L.is_legendre(net).failed_edges == failed
     messages = {edge_key(i, j): msg for i, j, msg in failed}
@@ -52,10 +52,10 @@ def assert_edge_spheres_match_oracle(net, bases):
         if k in spheres:
             assert e not in net.edge_failures
             assert same_bits(net.edge_spheres[e], spheres[k])
-            assert same_bits(net.edge_sphere(j, i), spheres[k])
+            assert same_bits(net.spheres_of(net.complex.edge_id(j, i)), spheres[k])
         else:
             with pytest.raises(L.LieGeometryError) as err:
-                net.edge_sphere(i, j)
+                net.spheres_of(net.complex.edge_id(i, j))
             assert str(err.value) == messages[k] == str(net.edge_failures[e])
     return failed
 
@@ -121,7 +121,7 @@ def test_identical_and_non_contact_elements_fail_the_same_edges():
     assert {msg for _i, _j, msg in failed} == {
         "identical contact elements", "not in contact: contact elements do not intersect"}
     with pytest.raises(L.IdenticalContactElementsError):
-        net.edge_sphere(0, 1)
+        net.spheres_of(net.complex.edge_id(0, 1))
     with pytest.raises(L.IdenticalContactElementsError):
         L.curvature_sphere(net.element(0), net.element(1))
 
@@ -190,7 +190,7 @@ AT_INFINITY = (L.EINF, L.lift_plane((0.0, 0.0, 1.0), 0.5))   # <einf, plane>
     # two points at infinity: the lower vertex is named
     lambda t: {9: contact_from_vectors(*AT_INFINITY), 3: contact_from_vectors(*AT_INFINITY)},
     # vertex 1 moved onto vertex 0 with another normal: df = 0 on edge (0, 1)
-    lambda t: {1: L.contact_from_point_normal(t.vertex_point(0), (0.0, 0.0, 1.0))},
+    lambda t: {1: L.contact_from_point_normal(t.vertex_points([0])[0], (0.0, 0.0, 1.0))},
 ])
 def test_curvature_errors_match_oracle(replace):
     net = torus_with(replace)
@@ -215,8 +215,10 @@ def test_single_item_functions_are_stacks_of_one():
     f_quad = [oracle.lift_point(p) for p in [(0, 0, 0), (1, 0, 0.1), (1, 1, 0), (0, 1, 0.2)]]
     n_quad = [oracle.lift_plane(n / np.linalg.norm(n), 0.3)
               for n in np.array([(0, 0, 1.0), (0.1, 0, 1), (0, 0.1, 1), (0.1, 0.1, 1)])]
-    assert same_bits(L.gauss_mean(f_quad, n_quad), oracle.gauss_mean(f_quad, n_quad))
-    assert same_bits(L.principal_curvature(f_quad[0], f_quad[1], n_quad[0], n_quad[1]),
+    f, n = np.array(f_quad), np.array(n_quad)
+    assert same_bits(np.concatenate(L.gauss_means(f[None], n[None])),
+                     oracle.gauss_mean(f_quad, n_quad))
+    assert same_bits(np.concatenate(L.principal_curvatures(f[:1], f[1:2], n[:1], n[1:2])),
                      oracle.principal_curvature(f_quad[0], f_quad[1], n_quad[0], n_quad[1]))
     for a, b in np.random.default_rng(1).normal(size=(10, 2, 6)):
         assert same_bits(L.mixed_area([a, b, -a, b], [b, a, a, -b]),
@@ -227,7 +229,13 @@ def test_report_paths_make_no_per_edge_call():
     # the complex indexes its edges when it is built; the reports index arrays
     net = builder.make_dupin_torus(2.0, 0.8, 16, 16)
     net_edges = len(net.complex.edge_ends)
-    with mock.patch.object(LegendreNet, "edge_sphere", side_effect=AssertionError), \
+    spheres_of = LegendreNet.spheres_of
+
+    def stacked_only(self, edges):
+        assert np.ndim(edges) > 0, "the sphere of one edge was read"
+        return spheres_of(self, edges)
+
+    with mock.patch.object(LegendreNet, "spheres_of", stacked_only), \
             mock.patch.object(cellcomplex, "edge_key", wraps=cellcomplex.edge_key) as key:
         io_json.verify_report(net)
         L.vessiot_classify(L.first_full_certificate(net))
@@ -347,6 +355,6 @@ def test_error_classes():
     with pytest.raises(L.NotALieSphereError, match=r"not a Lie sphere"):
         net.vertex_points([12])
     with pytest.raises(L.LieGeometryError, match="orthogonal to the point sphere complex"):
-        net.vertex_point(7)
+        net.vertex_points([7])
     with pytest.raises(L.LieGeometryError, match="vertex 20 has no finite Euclidean position"):
         net.vertex_points([20, 25])

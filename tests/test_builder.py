@@ -5,13 +5,13 @@ import pytest
 
 import liechannel as L
 from liechannel import builder, io_json
-from liechannel.liecore import subspace_distance, unlift_moebius
+from liechannel.liecore import subspace_distance
 from liechannel.builder import (
     propagate_profile_normals, sphere_curve_from_certificate, check_profile_legendre,
     random_sphere_curve, blend_cyclide, _oriented_chain, _curve_circle_spaces,
 )
-from liechannel.channel import touching_circle_space
-from geo_helpers import revolution_net, cylinder_net, cone_net, strip_family
+from liechannel.channel import circle_bases, circle_points, equal_angles, touching_circle_spaces
+from geo_helpers import revolution_net, cylinder_net, cone_net, strip_family, unlift_moebius
 
 
 def _moebius_match(a, b):
@@ -39,10 +39,10 @@ class TestSphereCurveValidation:
     def test_radius_perturbation_breaks_angles(self, rev_build):
         _net, cert = rev_build
         sc = sphere_curve_from_certificate(cert)
-        d0 = unlift_moebius(sc.vertex_spheres[2])
-        assert d0.kind == "sphere"
+        kind, w = unlift_moebius(sc.vertex_spheres[2])
+        assert kind == "sphere"
         bad = sc.vertex_spheres.copy()
-        bad[2] = L.moebius_sphere(d0.center, d0.radius * 1.01)
+        bad[2] = L.moebius_sphere(w[:3], w[5] * 1.01)
         sc_bad = L.SphereCurve(vertex_spheres=bad, edge_spheres=sc.edge_spheres,
                                closed=sc.closed)
         diag = L.validate_sphere_curve(sc_bad)
@@ -102,12 +102,9 @@ class TestChannelFromSphereCurve:
         sc = L.SphereCurve(vertex_spheres=np.array(vs), edge_spheres=np.array(es))
         assert L.validate_sphere_curve(sc).ok
         res = L.channel_from_sphere_curve(sc, samples_per_circle=8)
-        radii = []
-        for circle in res.certificate.circles:
-            center, radius, _ = L.circle_euclidean(circle.dplus)
-            radii.append(radius)
-            assert center[1] == pytest.approx(0.0, abs=1e-9)
-            assert center[2] == pytest.approx(0.0, abs=1e-9)
+        ok, centers, radii, _ = L.circles_euclidean(res.certificate.circle_spaces)
+        assert ok.all()
+        assert np.allclose(centers[:, 1:], 0.0, atol=1e-9)
         assert np.allclose(radii, radii[0])
 
     def test_too_few_samples_rejected(self, rev_build):
@@ -144,8 +141,8 @@ class TestChannelFromSphereCurve:
         circles = _curve_circle_spaces(sc, hats)
         for j in range(len(sc) - 1):
             cy = blend_cyclide(circles[j], hats[j], hats[j + 1])
-            line = touching_circle_space(hats[j + 1], cy.dminus)
-            assert subspace_distance(line, circles[j + 1]) < 1e-9
+            line, rank = touching_circle_spaces(hats[j + 1][None], cy.dminus.basis[None])
+            assert rank[0] == 3 and L.liecore.subspace_distances(line[0], circles[j + 1]) < 1e-9
 
 
 @pytest.fixture(scope="module")
@@ -219,13 +216,9 @@ class TestBlend:
         t_cyl = strip_family(c1, c2, f0).parameter_of(cyl)
 
         res_cyl = L.blend_channel(c1, c2, f0, t0=t_cyl, samples_per_circle=8)
-        centers, radii = [], []
-        for circle in res_cyl.certificate.circles:
-            c, r, _ = L.circle_euclidean(circle.dplus)
-            centers.append(c)
-            radii.append(r)
+        ok, axis, radii, _ = L.circles_euclidean(res_cyl.certificate.circle_spaces)
+        assert ok.all()
         assert np.allclose(radii, radii[0], atol=1e-8)
-        axis = np.array(centers)
         assert np.allclose(axis[:, 0], dist / 2, atol=1e-8)
         assert np.allclose(axis[:, 1], 0.0, atol=1e-8)
         ok, _, _ = L.is_dupin_cyclide(res_cyl.net)
@@ -298,11 +291,11 @@ class TestPropagation:
         hats = _oriented_chain(sc)
         circles = _curve_circle_spaces(sc, hats)
         cy = blend_cyclide(circles[0], hats[0], hats[1])
-        from liechannel.channel import sample_circle
-        for x in sample_circle(circles[0], 5, phase=0.3):
+        g1, g2, g3, _ = circle_bases(circles[:1])
+        for x in circle_points(g1[0], g2[0], g3[0], equal_angles(5, phase=0.3)):
             y, disc = L.propagate_point(x, cy, hats[1])
             assert disc < 1e-9
-            assert circles[1].residual(y) < 1e-9
+            assert L.Subspace(circles[1]).residual(y) < 1e-9
 
     def test_point_off_cyclide_rejected(self, rev_build):
         _net, cert = rev_build
@@ -317,7 +310,7 @@ class TestPropagation:
         # (a,b) inner product zero: spheres in oriented contact
         a = L.moebius_sphere((0, 0, 0), 1.0) + L.E6
         b = L.moebius_sphere((2, 0, 0), -1.0) + L.E6
-        circle = L.orthocomplement(L.span([a, L.moebius_plane((0, 0, 1), 0.0), L.E6]))
+        circle = L.orthocomplement(L.span([a, L.moebius_plane((0, 0, 1), 0.0), L.E6])).basis
         with pytest.raises(L.LieGeometryError, match="degenerat"):
             blend_cyclide(circle, a, b)
 
@@ -361,7 +354,7 @@ class TestNanFailsClosed:
             blend_cyclide(circles[0], hats[0], hats[1])
 
     def test_chain_closing_residual(self, curve, monkeypatch):
-        monkeypatch.setattr(builder, "subspace_distance", lambda a, b: math.nan)
+        monkeypatch.setattr(builder.lc, "subspace_distances", lambda a, b: math.nan)
         with pytest.raises(L.LieGeometryError,
                            match=r"^cyclide chain does not close at vertex 1 \(residual nan\)$"):
             L.channel_from_sphere_curve(curve, 8)

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 import liechannel as L
-from liechannel.liecore import subspace_distance, unlift_moebius
+from liechannel.liecore import subspace_distance
 from liechannel import channel
 from liechannel.channel import certificate_residuals, moebius_complements
+from liechannel.legendre import point_spheres
 
 from liechannel.cli import random_generator_net
 
-from geo_helpers import revolution_net, cylinder_net
+from geo_helpers import cross_ratio, cylinder_net, revolution_net, unlift_moebius
+from kernel_oracle import gram_reflection
 
 
 @pytest.fixture(scope="module")
@@ -96,8 +98,9 @@ class TestVerifyChannel:
 class TestGeneratingCircles:
     def test_torus_parallels(self, torus, torus_cert):
         # line b lies at tube angle psi = 2 pi b / 10
-        for li in range(len(torus_cert.lines)):
-            center, radius, normal = L.circle_euclidean(torus_cert.circles[li].dplus)
+        ok, centers, radii, normals = L.circles_euclidean(torus_cert.circle_spaces)
+        assert ok.all()
+        for li, (center, radius, normal) in enumerate(zip(centers, radii, normals)):
             psi = 2 * math.pi * li / 10
             assert np.allclose(center, (0, 0, math.sin(psi)), atol=1e-9)
             assert radius == pytest.approx(2 + math.cos(psi), abs=1e-9)
@@ -112,7 +115,7 @@ class TestGeneratingCircles:
         for li, line in enumerate(torus_cert.lines):
             space = torus_cert.circles[li].dplus
             for v in line:
-                assert space.residual(torus.element(v).point_sphere()) < 1e-8
+                assert space.residual(point_spheres(torus.bases[[v]])[0][0]) < 1e-8
 
     def test_left_right_agreement(self, torus_cert):
         assert torus_cert.circle_agreement < 1e-8
@@ -181,22 +184,22 @@ class TestGeneratingCircles:
 class TestFaceSpheres:
     def test_torus_face_sphere_matches_circle_geometry(self, torus, torus_cert):
         # independent oracle: sphere (or plane) through two coaxial circles
+        ok, centers, radii, _ = L.circles_euclidean(torus_cert.circle_spaces)
+        assert ok.all()
         for ri, (la, lb) in enumerate(torus_cert.ribbon_lines):
-            c1, r1, _ = L.circle_euclidean(torus_cert.circles[la].dplus)
-            c2, r2, _ = L.circle_euclidean(torus_cert.circles[lb].dplus)
-            z1, z2 = c1[2], c2[2]
-            d = unlift_moebius(torus_cert.face_spheres[ri])
+            (z1, z2), r1, r2 = centers[[la, lb], 2], radii[la], radii[lb]
+            kind, w = unlift_moebius(torus_cert.face_spheres[ri])
             if abs(z1 - z2) < 1e-9:
                 # coplanar circles: the common carrier is their plane
-                assert d.kind == "plane"
-                assert abs(d.normal[2]) == pytest.approx(1.0, abs=1e-9)
-                assert d.offset * d.normal[2] == pytest.approx(z1, abs=1e-8)
+                assert kind == "plane"
+                assert abs(w[2]) == pytest.approx(1.0, abs=1e-9)
+                assert w[4] * w[2] == pytest.approx(z1, abs=1e-8)
                 continue
             z0 = (r1 ** 2 + z1 ** 2 - r2 ** 2 - z2 ** 2) / (2 * (z1 - z2))
             rad = math.sqrt(r1 ** 2 + (z1 - z0) ** 2)
-            assert d.kind == "sphere"
-            assert np.allclose(d.center, (0, 0, z0), atol=1e-8)
-            assert abs(d.radius) == pytest.approx(rad, abs=1e-8)
+            assert kind == "sphere"
+            assert np.allclose(w[:3], (0, 0, z0), atol=1e-8)
+            assert abs(w[5]) == pytest.approx(rad, abs=1e-8)
 
     def test_face_sphere_contains_both_circles(self, torus_cert):
         for ri, (la, lb) in enumerate(torus_cert.ribbon_lines):
@@ -210,7 +213,7 @@ class TestFaceSpheres:
         cert = L.full_certificate(net, "+")
         assert cert.ok
         for fs in cert.face_spheres:
-            assert unlift_moebius(fs).kind == "plane"
+            assert unlift_moebius(fs)[0] == "plane"
 
     def test_square_profile_cylinder(self):
         # square with inscribed-circle normals, translated along z
@@ -219,7 +222,7 @@ class TestFaceSpheres:
         net = L.make_cylinder(prof, nm, [0.0, 0.7, 1.5, 2.2])
         cert = L.full_certificate(net, "+")
         assert cert.ok
-        kinds = [unlift_moebius(fs).kind for fs in cert.face_spheres]
+        kinds = [unlift_moebius(fs)[0] for fs in cert.face_spheres]
         assert kinds == ["plane"] * 3
         from liechannel.curvature import vessiot_classify
         assert vessiot_classify(cert).kind == "cylinder"
@@ -242,7 +245,7 @@ class TestQuerSpheres:
             for e in torus.complex.vertex_edges(v):
                 a, b = torus.complex.edge_ends[e].tolist()
                 if torus.complex.edge_labels[e] == "-":
-                    tube = torus.edge_sphere(a, b)
+                    tube = torus.spheres_of(torus.complex.edge_id(a, b))
                     break
             val = abs(L.inner(q, tube)) / np.linalg.norm(tube)
             assert val < 1e-9
@@ -258,7 +261,7 @@ class TestQuerSpheres:
     def test_face_quer_swaps_circles(self, torus_cert):
         for ri, (la, lb) in enumerate(torus_cert.ribbon_lines):
             m = torus_cert.face_quer_spheres[ri]
-            img = L.span([L.gram_reflection(m, v)
+            img = L.span([gram_reflection(m, v)
                           for v in torus_cert.circles[la].dplus.basis])
             assert subspace_distance(img, torus_cert.circles[lb].dplus) < 1e-9
             assert abs(L.inner(m, torus_cert.face_spheres[ri])) < 1e-10
@@ -269,23 +272,22 @@ class TestQuerSpheres:
         pts = net.vertex_points()
         t = net.complex.grid.n_plus
         for ri, (la, lb) in enumerate(cert.ribbon_lines):
-            d = unlift_moebius(cert.face_quer_spheres[ri])
-            assert d.kind == "plane"
+            kind, w = unlift_moebius(cert.face_quer_spheres[ri])
+            assert kind == "plane"
             # the two rulings pass the profile points of lines la, lb
             pa = pts[cert.lines[la][0]]
             pb = pts[cert.lines[lb][0]]
             mid, diff = 0.5 * (pa + pb), pb - pa
             diff /= np.linalg.norm(diff)
-            assert abs(abs(float(d.normal @ diff)) - 1.0) < 1e-8
-            assert float(d.normal @ mid) == pytest.approx(d.offset, abs=1e-8)
+            assert abs(abs(float(w[:3] @ diff)) - 1.0) < 1e-8
+            assert float(w[:3] @ mid) == pytest.approx(w[4], abs=1e-8)
 
 
 class TestDupin:
     def test_torus_is_dupin(self, torus):
         ok, cy, _info = L.is_dupin_cyclide(torus)
         assert ok
-        spheres_p = [torus.edge_sphere(i, j) for (i, j), lab in zip(
-            torus.complex.edge_ends.tolist(), torus.complex.edge_labels.tolist()) if lab == "+"]
+        spheres_p = torus.spheres_of(np.flatnonzero(torus.complex.edge_labels == "+"))
         assert all(cy.dplus.contains(s) for s in spheres_p)
 
     def test_revolution_is_not_dupin(self):
@@ -322,30 +324,30 @@ class TestDupin:
 class TestCrossRatio:
     def test_square_on_circle(self):
         pts = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]
-        assert L.cross_ratio(pts) == pytest.approx(-1.0)
+        assert cross_ratio(pts) == pytest.approx(-1.0)
 
     def test_frame_invariance(self):
         rng = np.random.default_rng(8)
         base = np.array([[math.cos(t), math.sin(t), 0.0]
                          for t in (0.2, 1.1, 2.9, 4.6)])
-        want = L.cross_ratio(base)
+        want = cross_ratio(base)
         for _ in range(5):
             q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
             moved = base @ q.T + rng.normal(size=3)
-            assert L.cross_ratio(moved) == pytest.approx(want, rel=1e-9)
+            assert cross_ratio(moved) == pytest.approx(want, rel=1e-9)
 
     def test_collinear_points(self):
         pts = [(0, 0, 0), (1, 0, 0), (3, 0, 0), (7, 0, 0)]
         # cross ratio of reals 0,1,3,7: ((0-1)(3-7))/((1-3)(7-0)) = -2/7
-        assert L.cross_ratio(pts) == pytest.approx(4.0 / -14.0)
+        assert cross_ratio(pts) == pytest.approx(4.0 / -14.0)
 
     def test_rejects_coincident(self):
         with pytest.raises(L.LieGeometryError, match="coincident"):
-            L.cross_ratio([(0, 0, 0), (0, 0, 0), (1, 0, 0), (2, 0, 0)])
+            cross_ratio([(0, 0, 0), (0, 0, 0), (1, 0, 0), (2, 0, 0)])
 
     def test_rejects_non_concircular(self):
         with pytest.raises(L.LieGeometryError):
-            L.cross_ratio([(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0.3, 0.3, 1.0)])
+            cross_ratio([(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0.3, 0.3, 1.0)])
 
     def test_constancy_on_channel_nets(self, torus, torus_cert):
         assert L.cross_ratio_constancy(torus_cert, torus) < 1e-10

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 import liechannel as L
 from liechannel import curvature
 from liechannel.curvature import (
-    wedge, mixed_area, gauss_mean, curvature_report, kappa_line_spread,
-    is_isothermic_5point, diagonal_concircular, vessiot_classify,
+    wedge, mixed_area, gauss_means, curvature_report, kappa_line_spread,
+    is_isothermic_5point, vessiot_classify,
     ribbon_cmc_analysis, interior_vertex_stars,
 )
 from liechannel.builder import random_sphere_curve
@@ -17,6 +17,13 @@ from liechannel.cellcomplex import MINUS, PLUS, edge_key, face_edge_labels
 
 import complex_oracle
 from geo_helpers import revolution_net, cylinder_net, cone_net
+
+
+def gauss_mean(f_quad, n_quad):
+    """(K, H, collinearity residual) of one face: `gauss_means` of a stack of one."""
+    k, h, r = gauss_means(np.asarray(f_quad, dtype=float)[None],
+                          np.asarray(n_quad, dtype=float)[None])
+    return float(k[0]), float(h[0]), float(r[0])
 
 
 def spatial(x, y, z):
@@ -99,11 +106,9 @@ class TestGaussMean:
     def test_mean_flips_with_normal_orientation(self):
         net = regular_polygon_cylinder()
         pts = net.vertex_points()
-        normals = []
-        for v in range(net.complex.n_vertices):
-            pl = net.element(v).plane_lift()
-            normals.append((pl / pl[5])[:3])
-        flipped = L.net_from_points_normals(net.complex, pts, -np.asarray(normals))
+        pl, ok = L.legendre.plane_lifts(net.bases)
+        assert ok.all()
+        flipped = L.net_from_points_normals(net.complex, pts, -(pl / pl[:, 5:])[:, :3])
         rep = curvature_report(net)
         rep_f = curvature_report(flipped)
         assert np.allclose(rep_f.mean, -np.asarray(rep.mean))
@@ -165,8 +170,7 @@ class TestIsothermic:
         net = L.make_dupin_torus(2.0, 1.0, 14, 12)
         iso = is_isothermic_5point(net.vertex_points(), net.complex)
         assert iso.any_applicable() and iso.all_pass()
-        dc = diagonal_concircular(net.vertex_points(), net.complex)
-        assert all(dc.values())
+        assert all(iso.diagonal_circular.values())
 
     def test_perturbed_net_fails(self):
         net = L.make_dupin_torus(2.0, 1.0, 14, 12)

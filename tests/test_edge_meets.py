@@ -89,6 +89,27 @@ def test_nan_row_fails_and_never_meets(seed, log_sin1, row):
     assert list(failures) == [0] and isinstance(failures[0], L.NotInContactError)
 
 
+def test_non_finite_pair_leaves_the_other_meets_as_they_were():
+    # a NaN in one vertex's element fails the edges at that vertex closed;
+    # the meet SVDs of the other edges run as on the clean net
+    clean = L.make_dupin_torus(2.0, 1.0, 4, 4)
+    bases = clean.bases.copy()
+    bases[0, 0, 0] = math.nan
+    net = L.LegendreNet(complex=clean.complex, bases=bases)
+    failed = sorted(net.edge_failures)
+    assert failed == np.flatnonzero((clean.complex.edge_vertices == 0).any(axis=1)).tolist()
+    assert all(isinstance(net.edge_failures[e], L.NotInContactError) for e in failed)
+    kept = np.setdiff1d(np.arange(len(net.complex.edge_vertices)), failed)
+    assert np.array_equal(net.edge_spheres[kept].view(np.uint64),
+                          clean.edge_spheres[kept].view(np.uint64))
+    with pytest.raises(L.NotInContactError, match="^not in contact: contact elements do not "
+                                                  "intersect$"):
+        net.spheres_of(failed[0])
+    with pytest.raises(L.NotInContactError, match="^not in contact: contact elements do not "
+                                                  "intersect$"):
+        L.curvature_sphere(net.element(0), net.element(net.complex.edge_vertices[failed[0], 1]))
+
+
 def test_curvature_spheres_take_their_failures_from_the_test():
     pairs = [_pair(1, 0.0, 0.5), _pair(2, 0.0, 0.0), _pair(3, 1e-3, 0.5), _pair(4, 1e-10, 0.2)]
     a, b = (np.array(m) for m in zip(*pairs))

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 import liechannel as L
-from liechannel.liecore import is_null, projective_distance, subspace_distance, intersect
+from liechannel.liecore import subspace_distance
 from liechannel.cellcomplex import edge_key
 from liechannel.legendre import face_spheres_of
 
-from geo_helpers import revolution_net
+from geo_helpers import revolution_net, unlift
 import kernel_oracle as oracle
+from kernel_oracle import intersect, is_null, projective_distance
 
 
 @pytest.fixture(scope="module")
@@ -42,21 +43,24 @@ class TestContactElements:
         point = L.lift_point(x)
         plane = L.lift_plane(n, float(n @ x))
         for mu in (-2.0, -0.5, 0.7, 3.0):
-            d = L.unlift(point + mu * plane)
-            assert d.kind == "sphere"
-            assert np.allclose(d.center, x + mu * n, atol=1e-12)
-            assert d.radius == pytest.approx(mu)
+            kind, w = unlift(point + mu * plane)
+            assert kind == "sphere"
+            assert np.allclose(w[:3], x + mu * n, atol=1e-12)
+            assert w[5] == pytest.approx(mu)
 
     def test_point_sphere_and_plane_lift(self):
         x, n = np.array([0.5, -1, 2.0]), np.array([1.0, 0, 0])
         f = L.contact_from_point_normal(x, n)
-        p = f.point_sphere()
-        assert L.unlift(p).kind == "point"
-        assert np.allclose(L.unlift(p).center, x)
-        pl = f.plane_lift()
-        d = L.unlift(pl)
-        assert d.kind == "plane"
-        assert abs(float(d.normal @ n)) == pytest.approx(1.0)
+        (p,), ok = L.legendre.point_spheres(f.basis[None])
+        assert ok[0]
+        kind, w = unlift(p)
+        assert kind == "point"
+        assert np.allclose(w[:3], x)
+        (pl,), ok = L.legendre.plane_lifts(f.basis[None])
+        assert ok[0]
+        kind, w = unlift(pl)
+        assert kind == "plane"
+        assert abs(float(w[:3] @ n)) == pytest.approx(1.0)
 
 
 class TestCurvatureSphere:
@@ -93,11 +97,9 @@ class TestLegendreNets:
     def test_perturbed_normals_flagged(self, torus):
         rng = np.random.default_rng(5)
         pts = torus.vertex_points()
-        normals = []
-        for v in range(torus.complex.n_vertices):
-            pl = torus.element(v).plane_lift()
-            normals.append((pl / pl[5])[:3])
-        normals = np.asarray(normals)
+        pl, ok = L.legendre.plane_lifts(torus.bases)
+        assert ok.all()
+        normals = (pl / pl[:, 5:])[:, :3]
         normals += rng.normal(scale=0.05, size=normals.shape)
         normals /= np.linalg.norm(normals, axis=1)[:, None]
         bad = L.net_from_points_normals(torus.complex, pts, normals)
@@ -106,7 +108,7 @@ class TestLegendreNets:
     def test_net_from_edge_spheres_roundtrip(self, torus):
         spheres = {}
         for i, j in torus.complex.edge_ends.tolist():
-            spheres[edge_key(i, j)] = torus.edge_sphere(i, j)
+            spheres[edge_key(i, j)] = torus.spheres_of(torus.complex.edge_id(i, j))
         rebuilt = L.net_from_edge_spheres(torus.complex, spheres)
         for v in range(torus.complex.n_vertices):
             assert subspace_distance(rebuilt.element(v).space,
@@ -137,7 +139,8 @@ def _outcome(fn, *args):
 
 
 def _torus_spheres(torus):
-    return {edge_key(i, j): torus.edge_sphere(i, j) for i, j in torus.complex.edge_ends.tolist()}
+    return {edge_key(i, j): torus.spheres_of(e)
+            for e, (i, j) in enumerate(torus.complex.edge_ends.tolist())}
 
 
 def _with(spheres, **changes):

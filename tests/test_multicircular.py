@@ -63,7 +63,7 @@ def moved(net, v, delta, rng):
     """The net with vertex v moved by delta in a random direction."""
     d = rng.normal(size=3)
     bases = net.bases.copy()
-    bases[v] = contact_from_point_normal(net.vertex_point(v) + delta * d / np.linalg.norm(d),
+    bases[v] = contact_from_point_normal(net.vertex_points([v])[0] + delta * d / np.linalg.norm(d),
                                          (0.0, 0.0, 1.0)).basis
     return LegendreNet(complex=net.complex, bases=bases)
 

@@ -101,8 +101,8 @@ def test_one_certificate_and_one_walk_per_direction(counters, name, directions):
 
 @pytest.mark.parametrize("name", ["torus8", "built", "example2", "revolution"])
 def test_positions_and_lifts_are_batched(monkeypatch, name):
-    """One report lifts points only through `lift_points` and reads vertex
-    positions without a per-vertex `unlift`."""
+    """One report lifts points only through `lift_points`, none of them one
+    by one through `lift_point`, inside vertex position reads or outside."""
     net = NETS[name]()
     calls = Counter()
     reading = []
@@ -124,8 +124,6 @@ def test_positions_and_lifts_are_batched(monkeypatch, name):
     monkeypatch.setattr(L.LegendreNet, "vertex_points", vertex_points)
     monkeypatch.setattr(L.liecore, "lift_point", counted("lift_point", L.liecore.lift_point))
     monkeypatch.setattr(L.liecore, "lift_points", counted("lift_points", L.liecore.lift_points))
-    monkeypatch.setattr(L.liecore, "unlift", counted("unlift", L.liecore.unlift))
     io_json.verify_report(net)
     assert calls["lift_point", False] == calls["lift_point", True] == 0
-    assert calls["unlift", True] == 0
     assert calls["lift_points", False] > 0
