@@ -49,7 +49,7 @@ if __name__ == "__main__":
         res = L.blend_channel(c1, c2, f0, t0=t_cyl + dt, samples_per_circle=10)
         ok, _, _ = L.is_dupin_cyclide(res.net)
         kind = L.vessiot_classify(res.certificate).kind
-        circles, _, _, normals = L.circles_euclidean(res.certificate.circle_spaces)
+        circles, _, _, normals = L.circles_euclidean(res.certificate, res.net)
         if not circles.all():
             raise L.LieGeometryError("circle passes through the point at infinity")
         tilts = [math.degrees(math.acos(min(1.0, abs(normal[2])))) for normal in normals]

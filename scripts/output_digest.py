@@ -47,14 +47,18 @@ import numpy as np  # noqa: E402
 
 from liechannel import io_json  # noqa: E402
 from liechannel.builder import (  # noqa: E402
-    make_dupin_torus, make_reflection_example, random_sphere_curve,
+    _extend_element, make_dupin_torus, make_reflection_example, random_sphere_curve,
 )
 from liechannel.cellcomplex import (  # noqa: E402
     FACE_LABELS, QuadComplex, make_grid, swapped_labels,
 )
 from liechannel.cli import main, random_generator_net  # noqa: E402
-from liechannel.legendre import LegendreNet, contact_from_vectors, curvature_sphere  # noqa: E402
-from liechannel.liecore import inner  # noqa: E402
+from liechannel.channel import full_certificate  # noqa: E402
+from liechannel.legendre import (  # noqa: E402
+    FaceCyclideFamily, LegendreNet, contact_from_point_normal, contact_from_vectors,
+    curvature_sphere,
+)
+from liechannel.liecore import inner, lift_points, oriented_representative  # noqa: E402
 
 GENERATE = {
     "revolution": ["revolution", "--n", "6", "--m", "8", "--seed", "3"],
@@ -71,10 +75,10 @@ CURVE_SPHERES = 8
 SAMPLES = 8
 BLEND_COLUMNS = (0, 1)
 # 12-sphere curves built with 16 samples whose blend through columns 7 and 8,
-# at the t0 that should rebuild the first ribbon's cyclide, meets a
-# face-cyclide member with a 2-dimensional D- (at step 9 for seed 3 and at
-# step 5 for seed 9)
-PROPAGATION_FAILURES = {3: 1.4656630439821414, 9: 1.4808292377837171}
+# at the t0 that should rebuild the first ribbon's cyclide (`round_trip_t0`),
+# meets a face-cyclide member with a 2-dimensional D- (at step 9 for seed 3
+# and at step 5 for seed 9)
+PROPAGATION_FAILURES = (3, 9)
 
 
 def torus_patch(m: int, n: int) -> LegendreNet:
@@ -211,8 +215,8 @@ def digest_all() -> None:
 
     for k in CURVE_SEEDS:
         curve_commands(f"curve{k}", k, CURVE_SPHERES, SAMPLES, BLEND_COLUMNS)
-    for k, t0 in PROPAGATION_FAILURES.items():
-        curve_commands(f"curve{k}-12x16", k, 12, 16, (7, 8), ["--t0", repr(t0)])
+    for k in PROPAGATION_FAILURES:
+        curve_commands(f"curve{k}-12x16", k, 12, 16, (7, 8), round_trip=True)
 
     io_json.save_net(moved_corner_patch(), "moved-corner.net.json")
     Path("beside.net.json").write_text(json.dumps(patch_beside_example()), encoding="utf-8")
@@ -223,10 +227,28 @@ def digest_all() -> None:
                                     "--report", report], [report])
 
 
-def curve_commands(name: str, seed: int, spheres: int, samples: int, columns, blend_args=()):
+def round_trip_t0(net_path: str, points, normal) -> float:
+    """Face-cyclide parameter at which the blend through two columns of a
+    built net, from the contact element of the first column's vertex 0,
+    should rebuild the ribbon between the net's '+' lines 0 and 1."""
+    cert = full_certificate(io_json.load_net(net_path), "+")
+    x1, x2 = (lift_points(np.array(p)) for p in points)
+    f0 = contact_from_point_normal(points[0][0], np.array(normal) / np.linalg.norm(normal))
+    f11, s1 = _extend_element(f0, x1[1])
+    f20, _ = _extend_element(f0, x2[0])
+    f21, s2 = _extend_element(f20, x2[1])
+    family = FaceCyclideFamily.from_spheres(
+        [oriented_representative(curvature_sphere(f, g)) for f, g in ((f0, f20), (f11, f21))],
+        [s1, s2])
+    return family.parameter_of(cert.cyclides[cert.ribbon_lines.index((0, 1))])
+
+
+def curve_commands(name: str, seed: int, spheres: int, samples: int, columns,
+                   round_trip=False):
     """`build` on a random sphere curve, `verify --direction both`, classify
     and export --circles on the built net, then `blend` through two columns
-    of the built net from the contact element of the first column's vertex 0."""
+    of the built net from the contact element of the first column's vertex
+    0, at the default t0 or, with round_trip, at `round_trip_t0`."""
     path = f"{name}.spheres.json"
     io_json.save_sphere_curve(random_sphere_curve(np.random.default_rng(seed), spheres), path)
     print(f"{name} input {sha(Path(path).read_bytes())}")
@@ -251,6 +273,8 @@ def curve_commands(name: str, seed: int, spheres: int, samples: int, columns, bl
                                encoding="utf-8")
         curves.append(curve)
     p0, n0 = vertices[columns[0]]["point"], vertices[columns[0]]["normal"]
+    blend_args = ["--t0", repr(round_trip_t0(net, [points[col::samples] for col in columns],
+                                             n0))] if round_trip else []
     out = f"{name}.blend.json"
     run(f"{name} blend", ["blend", "--c1", curves[0], "--c2", curves[1],
                           "--contact-point", *map(repr, p0),

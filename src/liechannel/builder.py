@@ -53,7 +53,7 @@ from .legendre import (
 from .channel import (
     ChannelCertificate, DiscreteCurve3D, full_certificate, is_ribaucour_pair,
     touching_circle_spaces, moebius_complements, circle_bases, circle_points,
-    circle_chart_angle, equal_angles,
+    circle_chart_angles, equal_angles,
 )
 
 
@@ -494,7 +494,7 @@ def _family_parameter_solve(family: FaceCyclideFamily, sphere_hat: LieVec,
         raise LieGeometryError("no continuation parameter: conditions are incompatible")
     _, _, vt = np.linalg.svd(m)
     x, y = vt[-1]
-    return math.atan2(y, x)
+    return math.atan2(y, x) % math.pi  # the period of the family, as `parameter_of`
 
 
 def blend_channel(c1: DiscreteCurve3D, c2: DiscreteCurve3D, f0: ContactElement,
@@ -558,19 +558,20 @@ def blend_channel(c1: DiscreteCurve3D, c2: DiscreteCurve3D, f0: ContactElement,
                                    f"(t = {param!r}): dims {cy.dplus.dim}, {cy.dminus.dim}")
         cyclides.append(cy)
 
-    # sample the first circle, keeping the two prescribed points as vertices
+    # sample the first circle, keeping the two prescribed points as vertices;
+    # the samples run from c1 to c2 along the shorter arc, then on around
     circle = _touching_circle(cross[0], cyclides[0])
-    th1 = circle_chart_angle(circle, x1[0])
-    th2 = circle_chart_angle(circle, x2[0])
-    arc1 = (th2 - th1) % (2 * math.pi)
+    th1, th2 = circle_chart_angles(circle[None], np.array([[x1[0], x2[0]]]))[0].tolist()
+    arc = (th2 - th1) % (2 * math.pi)
+    turn, arc1 = (1.0, arc) if arc <= math.pi else (-1.0, 2 * math.pi - arc)
     free = samples_per_circle - 2
     n1 = min(max(int(round(free * arc1 / (2 * math.pi))), 0), free)
     n2 = free - n1
     thetas = [th1]
-    thetas += [th1 + arc1 * (k + 1) / (n1 + 1) for k in range(n1)]
+    thetas += [th1 + turn * arc1 * (k + 1) / (n1 + 1) for k in range(n1)]
     thetas.append(th2)
-    thetas += [th2 + (2 * math.pi - arc1) * (k + 1) / (n2 + 1) for k in range(n2)]
-    g1, g2, g3, _ = circle_bases(circle[None])  # of signature (2,1): circle_chart_angle checks
+    thetas += [th2 + turn * (2 * math.pi - arc1) * (k + 1) / (n2 + 1) for k in range(n2)]
+    g1, g2, g3, _ = circle_bases(circle[None])  # of signature (2,1): circle_chart_angles checks
     row0 = circle_points(g1[0], g2[0], g3[0], thetas)
     row0[0] = normalized(x1[0])
     row0[n1 + 1] = normalized(x2[0])

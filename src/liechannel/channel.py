@@ -27,17 +27,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .config import TOL
 from . import liecore as lc
 from .liecore import (
-    LieVec, LieGeometryError, DegenerateGramError, Subspace, POINT_COMPLEX, inner,
-    canonical_sign, span, signature, orthocomplement, subspace_distance,
+    LieGeometryError, DegenerateGramError, Subspace, POINT_COMPLEX, canonical_sign, span,
+    signature, orthocomplement, subspace_distance,
 )
-from .cellcomplex import PLUS, MINUS, Incidence
+from .cellcomplex import PLUS, MINUS, SLOTS, Incidence
 from .legendre import (
     NO_POINT_SPHERE, LegendreNet, DupinCyclide, is_legendre, face_cyclide_family,
     point_spheres, DegenerateFaceError,
@@ -294,12 +294,16 @@ def moebius_complements(rows: np.ndarray, rank: int) -> Tuple[np.ndarray, np.nda
 
 
 def _unit_spheres(v: np.ndarray, checks) -> np.ndarray:
-    """Canonically signed unit Moebius spheres of the rows of v; raises the
-    first error of the (mask, message) checks and of a row that has no
-    real unoriented sphere part."""
+    """Unit Moebius spheres of the rows of v, each signed so that a sphere
+    has positive radius (u0 > 0) and a plane (|u0| <= TOL.null, as
+    `liecore.unlifts` reads it) is canonically signed; raises the first
+    error of the (mask, message) checks and of a row that has no real
+    unoriented sphere part."""
     units, ok = lc.unit_moebius_spheres(v)
     lc.raise_first([*checks, (~ok, "vector has no real unoriented sphere part")])
-    return canonical_sign(units)
+    u0 = units[..., 3] / np.sqrt(lc.dots(units, units))
+    return np.where((np.abs(u0) <= TOL.null)[..., None], canonical_sign(units),
+                    np.where((u0 < 0.0)[..., None], -units, units))
 
 
 def _face_spheres(circles: np.ndarray, ribbon_lines) -> np.ndarray:
@@ -311,22 +315,69 @@ def _face_spheres(circles: np.ndarray, ribbon_lines) -> np.ndarray:
         f"- certificate corrupt"))])
 
 
-def _quer_spheres(circles: np.ndarray, line_spheres: np.ndarray) -> np.ndarray:
-    """Per line: sphere through the circle orthogonal to the enveloped sphere."""
+def _quer_spheres(circles: np.ndarray, line_spheres: np.ndarray, sides: np.ndarray) -> np.ndarray:
+    """Per line: sphere through the circle orthogonal to the enveloped
+    sphere, oriented so that its normal points to the side of the point
+    lift in `sides` (signed as `_unit_spheres` signs it where that point is
+    missing or on the sphere)."""
     pencils, rank = moebius_complements(circles, 4)
     q1, q2 = pencils[:, 0], pencils[:, 1]
     v = (lc.inner_rows(q2, line_spheres)[:, None] * q1
          - lc.inner_rows(q1, line_spheres)[:, None] * q2)
-    return _unit_spheres(v, [(rank != 4, "line {}: circle spans no sphere pencil"),
-                             (np.sqrt(lc.dots(v, v)) <= TOL.membership,
-                              "line {}: enveloped sphere orthogonal to the whole pencil")])
+    units = _unit_spheres(v, [(rank != 4, "line {}: circle spans no sphere pencil"),
+                              (np.sqrt(lc.dots(v, v)) <= TOL.membership,
+                               "line {}: enveloped sphere orthogonal to the whole pencil")])
+    return np.where(lc.inner_rows(units, sides)[:, None] < 0.0, -units, units)
 
 
-def _face_quer_spheres(circles: np.ndarray, face_spheres: np.ndarray, ribbon_lines) -> np.ndarray:
+def _line_sides(cert: ChannelCertificate, net: LegendreNet) -> np.ndarray:
+    """Point lift (L, 6) of the side vertex of each line: the neighbour of
+    smallest id, across an edge of the other label, of the line's first
+    vertex; NaN where it has none or no finite position. The surface
+    crosses a quer sphere there, so the vertex lies off it."""
+    c = net.complex
+    heads = cert.lines.ids[cert.lines.offsets[:-1]]
+    edges, at = c.vertex_edges_csr.gather(heads)
+    across = c.edge_labels[edges] != cert.direction
+    side = np.full(len(heads), c.n_vertices)
+    np.minimum.at(side, at[across], c.edge_vertices[edges[across]].sum(axis=1) - heads[at[across]])
+    lifts, has = np.full((len(heads), 6), np.nan), side < c.n_vertices
+    lifts[has] = _point_lifts(net, side[has])
+    return lifts
+
+
+def _ribbon_crossings(cert: ChannelCertificate, net: LegendreNet) -> np.ndarray:
+    """Point lifts (R, 2, 6) of the ends of each ribbon's crossing edge: the
+    first edge of the other label of its first face; NaN where an end has
+    no finite position."""
+    slot = SLOTS[MINUS if cert.direction == PLUS else PLUS][0]
+    face = net.complex.face_vertices[cert.ribbons.ids[cert.ribbons.offsets[:-1]]]
+    return _point_lifts(net, face[:, [slot, (slot + 1) % 4]].ravel()).reshape(-1, 2, 6)
+
+
+def _positions(net: LegendreNet, vertices: np.ndarray) -> np.ndarray:
+    """Euclidean positions (n, 3) of the vertices, NaN for a vertex with none."""
+    s, ok = point_spheres(net.bases[vertices])
+    kind, w = lc.unlifts(s)
+    return np.where((ok & (kind == 0))[:, None], w[:, :3], np.nan)
+
+
+def _point_lifts(net: LegendreNet, vertices: np.ndarray) -> np.ndarray:
+    """Point lifts (n, 6) of the vertices' positions, NaN for a vertex with none."""
+    with np.errstate(invalid="ignore"):
+        return lc.lift_points(_positions(net, vertices))
+
+
+def _face_quer_spheres(circles: np.ndarray, face_spheres: np.ndarray, ribbon_lines,
+                       crossings: np.ndarray) -> np.ndarray:
     """Per ribbon: real sphere whose reflection swaps the bounding circles.
 
     Orthogonal to the face-sphere by construction. Both algebraic
-    candidates are tried; failure reports their residuals.
+    candidates are tried; failure reports their residuals. Bounding circles
+    that meet are swapped by both (the two bisectors), and the one taken
+    separates the point lifts (R, 2, 6) of the ribbon's crossing edge in
+    `crossings`: its reflection maps the ribbon's vertices on one line to
+    those on the other.
     """
     la, lb = np.array(ribbon_lines, dtype=int).reshape(-1, 2).T
     n, sigma = len(la), face_spheres[:, None, None]
@@ -349,8 +400,12 @@ def _face_quer_spheres(circles: np.ndarray, face_spheres: np.ndarray, ribbon_lin
     vt, rank = lc.spans(v - (2.0 * lc.inner_rows(v, mv) / mm[rows, cols, None])[..., None] * mv)
     residual = np.full((n, 2), math.inf)  # 1 for spaces of different dimensions
     residual[live] = np.where(rank == 3, lc.subspace_distances(vt[:, :3], circles[lb[rows]]), 1.0)
-    # the better candidate first, the first one on a tie (a stable sort)
-    best = (residual[:, 1] < residual[:, 0]).astype(int)
+    # a swapping candidate that separates the crossing edge first, then the
+    # better one, the first one on a tie
+    sides = lc.inner_rows(m[:, :, None], crossings[:, None])
+    rank = np.where(residual <= TOL.agreement, np.where(sides[..., 0] * sides[..., 1] < 0.0, 0, 1), 2)
+    best = ((rank[:, 1] < rank[:, 0])
+            | ((rank[:, 1] == rank[:, 0]) & (residual[:, 1] < residual[:, 0]))).astype(int)
     ranked = np.take_along_axis(residual, np.stack([best, 1 - best], axis=1), axis=1)
     return _unit_spheres(m[np.arange(n), best], [
         (~sound, "ribbon {}: degenerate circle normals"),
@@ -367,8 +422,8 @@ def complete_certificate(res, net: LegendreNet):
     if res.ok:
         circles, agreement = _circle_spaces(res, net)
         faces = _face_spheres(circles, res.ribbon_lines)
-        quer = _quer_spheres(circles, res.line_spheres)
-        face_quer = _face_quer_spheres(circles, faces, res.ribbon_lines)
+        quer = _quer_spheres(circles, res.line_spheres, _line_sides(res, net))
+        face_quer = _face_quer_spheres(circles, faces, res.ribbon_lines, _ribbon_crossings(res, net))
         res.circle_spaces, res.circle_agreement = circles, agreement
         res.face_spheres, res.quer_spheres, res.face_quer_spheres = faces, quer, face_quer
     return res
@@ -664,46 +719,88 @@ def equal_angles(m: int, phase: float = 0.0) -> List[float]:
     return [phase + 2 * math.pi * k / m for k in range(m)]
 
 
-def circle_points(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray,
-                  angles: Sequence[float]) -> np.ndarray:
-    """Null directions (..., len(angles), 6) at the chart angles of the
-    circle bases (g1, g2, g3), each (..., 6)."""
-    cos, sin = (np.array([f(a) for a in angles])[:, None] for f in (math.cos, math.sin))
+def circle_points(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray, angles) -> np.ndarray:
+    """Null directions (..., m, 6) at the chart angles of the circle bases
+    (g1, g2, g3), each (..., 6): the same m angles for every circle, or a
+    stack (..., m) of angles per circle."""
+    a = np.asarray(angles, dtype=float)
+    cos, sin = (np.vectorize(f, otypes=[float])(a)[..., None] for f in (math.cos, math.sin))
     return g3[..., None, :] + cos * g1[..., None, :] + sin * g2[..., None, :]
 
 
-def circle_chart_angle(space: np.ndarray, point_sphere: LieVec) -> float:
-    """Chart angle of a point sphere lying on the circle of a (3, 6) space."""
-    g1, g2, g3, ok = (g[0] for g in circle_bases(space[None]))
-    if not ok:
-        raise LieGeometryError("circle space must have signature (2,1)")
-    alpha = -inner(point_sphere, g3)
-    if abs(alpha) <= 1e-13 * lc.aux_norm(point_sphere):
-        raise LieGeometryError("point sphere has no timelike component in the circle chart")
-    x = point_sphere / alpha
-    return math.atan2(inner(x, g2), inner(x, g1))
-
-
-def circles_euclidean(spaces: np.ndarray, n_probe: int = 12):
-    """(ok, center, radius, plane normal): the mask (L,) of the circle
-    spaces of a stack (L, 3, 6) that are Euclidean circles, the others
-    passing through the point at infinity (lines) or being no circle, and
-    the center, radius and normal of each of those. Their n_probe samples
-    are read by one `liecore.unlifts` and fitted by one batched plane SVD
-    and one least-squares circle per circle.
-    """
+def circle_chart_angles(spaces: np.ndarray, point_spheres: np.ndarray) -> np.ndarray:
+    """Chart angles (L, k) of point spheres (L, k, 6) lying on the circles
+    of a stack of spaces (L, 3, 6), in the charts of `circle_bases`."""
     g1, g2, g3, ok = circle_bases(spaces)
-    kind, w = lc.unlifts(circle_points(g1, g2, g3, equal_angles(n_probe)))
-    ok &= np.all(kind == 0, axis=1)
-    pts = w[ok, :, :3]
-    centroid = pts.mean(axis=1)
-    vt = np.linalg.svd(pts - centroid[:, None])[2]
-    u, v = vt[:, 0, :, None], vt[:, 1, :, None]
-    xy = np.concatenate([(pts - centroid[:, None]) @ u, (pts - centroid[:, None]) @ v], axis=-1)
-    # least squares circle in the plane: |q|^2 - 2 q.c0 = const
-    a = np.concatenate([2 * xy, np.ones(xy.shape[:-1] + (1,))], axis=-1)
-    sol = np.array([np.linalg.lstsq(ak, bk, rcond=None)[0]
-                    for ak, bk in zip(a, (xy ** 2).sum(axis=-1))]).reshape(-1, 3)
-    r2 = sol[:, 2] + lc.dots(sol[:, :2], sol[:, :2])
-    center = centroid + sol[:, :1] * u[..., 0] + sol[:, 1:2] * v[..., 0]
-    return ok, center, np.sqrt(np.where(0.0 > r2, 0.0, r2)), vt[:, 2]
+    alpha = -lc.inner_rows(point_spheres, g3[:, None])
+    flat = np.abs(alpha) <= 1e-13 * np.sqrt(lc.dots(point_spheres, point_spheres))
+    lc.raise_first([(~ok, "circle space must have signature (2,1)"),
+                    (flat.any(axis=1), "point sphere has no timelike component in the circle chart")])
+    x = point_spheres / alpha[..., None]
+    return np.arctan2(lc.inner_rows(x, g2[:, None]), lc.inner_rows(x, g1[:, None]))
+
+
+def _line_heads(cert: ChannelCertificate) -> Tuple[np.ndarray, np.ndarray]:
+    """The first three vertices (L, 3) of each line in line order, and the
+    mask (L,) of the lines of two vertices, whose third is their first."""
+    lines, at = cert.lines, cert.lines.offsets[:-1, None] + np.arange(3)
+    two = lines.degrees == 2
+    at[two, 2] = at[two, 0]
+    return lines.ids[at], two
+
+
+def circle_starts(cert: ChannelCertificate, net: LegendreNet) -> Tuple[np.ndarray, np.ndarray]:
+    """Chart angle (L,) of the first vertex of each line on its generating
+    circle, and the sign (L,) of the chart direction in which the line's
+    first three vertices run (a line of two vertices takes the point of
+    the circle opposite its first vertex as the third)."""
+    heads, two = _line_heads(cert)
+    theta = circle_chart_angles(cert.circle_spaces,
+                                point_spheres(net.bases[heads.ravel()])[0].reshape(-1, 3, 6))
+    theta[two, 2] = theta[two, 0] + math.pi
+    turn = (theta[:, 1:] - theta[:, :1]) % (2 * math.pi)
+    return theta[:, 0], np.where(turn[:, 0] < turn[:, 1], 1.0, -1.0)
+
+
+def circles_euclidean(cert: ChannelCertificate, net: LegendreNet):
+    """(ok, center, radius, plane normal) of the generating circle of each
+    line of a completed certificate, in closed form from the pencil W of
+    spheres through it: with k the products of a basis of W with the
+    point at infinity and G its Gram matrix, the curvature is
+    sqrt(k^T G^-1 k), the member G^-1 k of W is the smallest sphere through
+    the circle (its center) and the member orthogonal to it the circle's
+    plane.
+
+    ok masks the circles (L,); the others are no circle of signature (2,1)
+    or read as lines: their curvature times the diagonal of the bounding box
+    of the net's finite vertices is below TOL.rank, the relative cutoff of
+    the rank decisions. The plane normal is
+    oriented by the right-hand rule of the line's first three vertices in
+    line order (a line of two vertices takes the point of the circle
+    opposite its first vertex as the third).
+    """
+    spaces = cert.circle_spaces
+    *_, ok = circle_bases(spaces)
+    pencils, rank = moebius_complements(spaces, 4)
+    w1, w2 = pencils[:, 0], pencils[:, 1]
+    k1, k2 = -w1[:, 3], -w2[:, 3]  # (w, einf)
+    g11, g22, g12 = lc.inner_rows(w1, w1), lc.inner_rows(w2, w2), lc.inner_rows(w1, w2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c1, c2 = g22 * k1 - g12 * k2, g11 * k2 - g12 * k1  # det(G) G^-1 k
+        kappa = np.sqrt((c1 * k1 + c2 * k2) / (g11 * g22 - g12 * g12))
+        p = c1[:, None] * w1 + c2[:, None] * w2
+        center = p[:, :3] / p[:, 3:4]
+        normal = k2[:, None] * w1[:, :3] - k1[:, None] * w2[:, :3]
+        normal /= np.sqrt(lc.dots(normal, normal))[:, None]
+    points = _positions(net, np.arange(net.complex.n_vertices))
+    box = np.fmax.reduce(points, axis=0, initial=-np.inf) - np.fmin.reduce(points, axis=0,
+                                                                           initial=np.inf)
+    with np.errstate(invalid="ignore"):
+        ok &= (rank == 4) & (kappa * np.sqrt(box @ box) >= TOL.rank)
+    heads, two = _line_heads(cert)
+    p0, p1, p2 = _positions(net, heads.T.ravel()).reshape(3, -1, 3)
+    p2[two] = 2.0 * center[two] - p0[two]
+    with np.errstate(invalid="ignore"):
+        flip = lc.dots(normal, np.cross(p1 - p0, p2 - p0)) < 0.0
+    normal = np.where(flip[:, None], -normal, normal)
+    return ok, center[ok], 1.0 / kappa[ok], normal[ok]

@@ -27,7 +27,7 @@ from .legendre import (
 from .channel import (
     DiscreteCurve3D, certified, first_full_certificate, certificate_residuals,
     cross_ratio_constancy, is_multi_circular, is_multi_circular_net, dupin_verdict,
-    circle_bases, circle_points, circles_euclidean, equal_angles,
+    circle_bases, circle_points, circle_starts, circles_euclidean, equal_angles,
 )
 from .builder import SphereCurve
 from .curvature import curvature_report, kappa_line_spread, is_isothermic_5point
@@ -72,17 +72,21 @@ def net_to_dict(net: LegendreNet, form: str = "auto") -> dict:
     if form in ("auto", "euclidean"):
         p, has_point = point_spheres(net.bases)
         pl, has_plane = plane_lifts(net.bases)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            points, normals = p[:, :3] / p[:, 3:4], pl[:, :3] / pl[:, 5:6]
+        # a normal that the loader's unit test refuses (an element isotropic to
+        # TOL.membership only) is written in the hexaspherical form
         checks = [(~has_point, NO_POINT_SPHERE),
                   (~has_plane, NO_PLANE_LIFT),
                   ((np.abs(p[:, 3]) <= 1e-13) | (np.abs(pl[:, 5]) <= 1e-13),
-                   "vertex {} has no Euclidean representative")]
+                   "vertex {} has no Euclidean representative"),
+                  (point_normal_generators(points, normals)[1],
+                   "vertex {}: normal must have unit length")]
         failure = lc.first_failure(checks)
         if form == "euclidean" and failure is not None:
             raise LieGeometryError(failure[1])
         euclidean = ~np.any([bad for bad, _ in checks], axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            points = (p[:, :3] / p[:, 3:4]).tolist()
-            normals = (pl[:, :3] / pl[:, 5:6]).tolist()
+        points, normals = points.tolist(), normals.tolist()
     vertices: List[dict] = []
     for v in range(c.n_vertices):
         if euclidean[v]:
@@ -377,25 +381,25 @@ def _moebius_descriptors(vectors: np.ndarray) -> List[dict]:
             for good, k, row in zip(ok.tolist(), kind.tolist(), w.tolist())]
 
 
-def _circle_descriptors(spaces: np.ndarray) -> List[dict]:
-    """Circle (center, radius, plane normal) of each circle space of a
-    stack, or "line" where the circle passes through infinity."""
-    ok, *circle = circles_euclidean(spaces)
+def _circle_descriptors(cert, net: LegendreNet) -> List[dict]:
+    """Circle (center, radius, plane normal) of each generating circle of
+    a certificate, or "line" (`circles_euclidean`)."""
+    ok, *circle = circles_euclidean(cert, net)
     found = zip(*(x.tolist() for x in circle))
     return [{"kind": "circle", **dict(zip(("center", "radius", "plane_normal"), next(found)))}
             if good else {"kind": "line"} for good in ok.tolist()]
 
 
-def certificate_to_dict(cert) -> dict:
-    """Serializable content of a channel certificate; each family of
-    vectors is read as one stack."""
+def certificate_to_dict(cert, net: LegendreNet) -> dict:
+    """Serializable content of a channel certificate of the net; each
+    family of vectors is read as one stack."""
     return {
         "direction": cert.direction,
         "lines": cert.lines.tolist(),
         "ribbons": cert.ribbons.tolist(),
         "ribbon_lines": [list(rl) for rl in cert.ribbon_lines],
         "enveloped_spheres": _lie_descriptors(cert.line_spheres),
-        "circles": _circle_descriptors(cert.circle_spaces),
+        "circles": _circle_descriptors(cert, net),
         "face_spheres": _moebius_descriptors(cert.face_spheres),
         "quer_spheres": _moebius_descriptors(cert.quer_spheres),
         "face_quer_spheres": _moebius_descriptors(cert.face_quer_spheres),
@@ -438,7 +442,7 @@ def verify_report(net: LegendreNet, directions: Sequence[str] = (PLUS, MINUS)) -
                 entry["multi_circular_ribbons"] = is_multi_circular(net, d)
             except LieGeometryError:
                 entry["multi_circular_ribbons"] = None
-            entry["certificate"] = certificate_to_dict(cert)
+            entry["certificate"] = certificate_to_dict(cert, net)
             any_channel = True
         else:
             entry.update({
@@ -493,7 +497,9 @@ def curvature_report_json(net: LegendreNet) -> dict:
 def export_obj(net: LegendreNet, path: Union[str, Path], circles: bool = False,
                circle_samples: int = 64) -> None:
     """Write vertices as v-records and faces as quads; with circles, the
-    generating circles are appended as sampled closed polylines."""
+    generating circles are appended as sampled closed polylines, each from
+    the first vertex of its line in the direction of the line's first
+    vertices (`circle_starts`)."""
     lines = ["# liechannel export", "o net"]
     for p in net.vertex_points():
         lines.append(f"v {float(p[0])!r} {float(p[1])!r} {float(p[2])!r}")
@@ -502,17 +508,19 @@ def export_obj(net: LegendreNet, path: Union[str, Path], circles: bool = False,
         cert = first_full_certificate(net)
         if not cert.ok:
             raise LieGeometryError("cannot export circles: net is not a channel surface")
-        g1, g2, g3, ok = circle_bases(cert.circle_spaces)
-        kind, w = lc.unlifts(circle_points(g1, g2, g3, equal_angles(circle_samples)))
-        # a circle through infinity is left out; its samples are read in order
-        stop = kind[np.arange(len(kind)), np.argmax(kind != 0, axis=1)]
-        lc.raise_first([(~ok, "circle space must have signature (2,1)"),
-                        (stop == -2, "cannot normalize the zero vector"),
-                        (stop == -1, lambda _: lc.NotALieSphereError(lc.NOT_A_LIE_SPHERE))])
+        ok = circles_euclidean(cert, net)[0]
+        g1, g2, g3, _ = circle_bases(cert.circle_spaces)
+        phase, turn = circle_starts(cert, net)
+        angles = phase[:, None] + turn[:, None] * np.array(equal_angles(circle_samples))
+        kind, w = lc.unlifts(circle_points(g1, g2, g3, angles))
+        # a circle that reads as a line is left out
+        lc.raise_first([(ok & np.any(kind == -2, axis=1), "cannot normalize the zero vector"),
+                        (ok & np.any(kind == -1, axis=1),
+                         lambda _: lc.NotALieSphereError(lc.NOT_A_LIE_SPHERE))])
         base = net.complex.n_vertices
-        for li, (kinds, pts) in enumerate(zip(kind, w[..., :3].tolist())):
+        for li, pts in enumerate(w[..., :3].tolist()):
             lines.append(f"o circle_{li}")
-            if np.all(kinds == 0):
+            if ok[li]:
                 lines += [f"v {p[0]!r} {p[1]!r} {p[2]!r}" for p in pts]
                 lines.append("l " + " ".join(str(base + k + 1) for k in [*range(len(pts)), 0]))
                 base += len(pts)

@@ -205,23 +205,33 @@ def contact_failures(a: np.ndarray, b: np.ndarray) -> Dict[int, LieGeometryError
 
 def meet_spheres(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Common null direction (E, 6) of each pair (a[e], b[e]) of (E, 2, 6)
-    aux-orthonormal bases, canonically signed; the row of a pair that does
-    not meet in a line (`contact_failures`) is undefined.
+    aux-orthonormal bases, unit and canonically signed; the row of a pair
+    that does not meet in a line (`contact_failures`) is undefined.
 
-    The meet is the last right singular vector of one batched SVD of the
-    (E, 6, 4) stack [a_e | -b_e]^T, read in a_e and normalised by a batched
-    SVD of (E, 1, 6), both thin. A pair with a non-finite coordinate is
-    zeroed first, so that it cannot stop the SVDs of the others.
+    The meet is read in a_e, in closed form, as the principal vector of
+    the smallest principal angle: the residual rows R = a - (a b^T) b of
+    a_e off the plane of b_e are parallel where the planes meet in a line.
+    With r1 the longer row (a1 its row of a), r2 the other and
+    r11, r12, r22 their Gram-Schmidt (`liecore.gram_schmidt2`), the member
+    alpha a1 - a2 with alpha = r12 / r11 leaves the residual r22 of r2
+    against r1; the principal vector takes alpha / (1 - r22^2 / s^2), with
+    s the larger singular value of R, which differs from it only where the
+    planes do not quite meet. A pair with a non-finite coordinate is zeroed
+    first.
     """
     finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b).all(axis=(1, 2))
     if not finite.all():
         a, b = (np.where(finite[:, None, None], x, 0.0) for x in (a, b))
-    m = np.concatenate([a, -b], axis=1).transpose(0, 2, 1)
-    # thin, no 6x6 U: tests/test_batched_kernel.py checks the spheres bit for bit
-    vt = np.linalg.svd(m, full_matrices=False)[2]
-    meet = (a.transpose(0, 2, 1) @ vt[:, 3, :2, None])[:, :, 0]
-    # thin, no 6x6 Vt to normalise one vector: checked by tests/test_batched_kernel.py
-    return canonical_sign(np.linalg.svd(meet[:, None, :], full_matrices=False)[2][:, 0])
+    r = a - (a @ b.transpose(0, 2, 1)) @ b
+    swap = (lc.dots(r[:, 1], r[:, 1]) > lc.dots(r[:, 0], r[:, 0]))[:, None]
+    (a1, a2), (r1, r2) = ((np.where(swap, x[:, 1], x[:, 0]), np.where(swap, x[:, 0], x[:, 1]))
+                          for x in (a, r))
+    _, _, r11, r12, r22 = lc.gram_schmidt2(r1, r2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = r11 * r11 + r12 * r12 + r22 * r22  # s^2 + (r11 r22 / s)^2
+        s2 = 0.5 * (t + np.sqrt(np.maximum(t * t - 4.0 * (r11 * r22) ** 2, 0.0)))
+        meet = (r12 / r11 / (1.0 - r22 * r22 / s2))[:, None] * a1 - a2
+        return canonical_sign(meet / np.sqrt(lc.dots(meet, meet))[:, None])
 
 
 def curvature_spheres(a: np.ndarray, b: np.ndarray
@@ -251,8 +261,8 @@ class LegendreNet:
     elements of the edge's (smaller, larger) vertex pair in the order of
     the complex's edges: which edges fail to meet in a line by one
     `contact_failures` (`is_legendre`, run when a net is loaded), and their
-    curvature spheres by one `meet_spheres` (its SVDs run only for a
-    command that reads them).
+    curvature spheres by one `meet_spheres` (run only for a command that
+    reads them).
     """
 
     complex: QuadComplex
@@ -407,13 +417,20 @@ class FaceCyclideFamily:
     """All Dupin cyclides sharing the four curvature spheres of one face.
 
     Calling the family at a parameter value returns one member; the
-    parameter is periodic with period pi.
+    parameter is periodic with period pi, and its frame (w1, w2) is fixed by
+    their canonical signs.
     """
 
     u: Subspace   # span of the two '+' curvature spheres, signature (1,1)
     v: Subspace   # span of the two '-' curvature spheres, signature (1,1)
     w1: LieVec    # spacelike unit
     w2: LieVec    # spacelike unit, orthogonal to w1
+
+    def __post_init__(self):
+        # the parameter's frame: each of w1, w2 canonically signed, so that a
+        # parameter names the same member whichever signs `eigh` chose
+        object.__setattr__(self, "w1", canonical_sign(self.w1))
+        object.__setattr__(self, "w2", canonical_sign(self.w2))
 
     @classmethod
     def from_spheres(cls, plus: Sequence[LieVec], minus: Sequence[LieVec]) -> "FaceCyclideFamily":

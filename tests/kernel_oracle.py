@@ -190,6 +190,17 @@ def curvature_sphere(a, b):
     return canonical_sign(meet[0].copy())
 
 
+def meet_gap(sphere, a, b):
+    """Projective distance min |sphere -+ meet| of a unit sphere from the
+    meet of the bases a, b (`curvature_sphere`), in units of eps / sin theta_2,
+    theta_2 the larger principal angle of their planes (the largest singular
+    value of the residual rows b - (b a^T) a)."""
+    meet = curvature_sphere(a, b)
+    sin2 = np.linalg.norm(b - (b @ a.T) @ a, 2)
+    gap = min(np.linalg.norm(sphere - meet), np.linalg.norm(sphere + meet))
+    return gap * sin2 / np.finfo(float).eps
+
+
 def edge_spheres(bases, complex_):
     """(spheres by edge key, failed edges) as the per-edge loop found them."""
     spheres, failed = {}, []

@@ -9,8 +9,9 @@ from their own public functions: `cross_ratio_constancy`,
 `is_multi_circular`, `is_multi_circular_net`, `is_isothermic_5point` and
 `is_dupin_cyclide` (which completes both directions once more). The
 certificate is serialised vector by vector, through the scalar
-`kernel_oracle.unlift` and the circle fit below. `io_json.verify_report`
-must give the same bytes from one certificate per direction.
+`kernel_oracle.unlift` and the closed-form circles below, each oriented by
+the rules of docs/schema.md. `io_json.verify_report` must give the same
+bytes from one certificate per direction.
 """
 
 import math
@@ -19,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from liechannel import liecore as lc
-from liechannel.cellcomplex import MINUS, PLUS
+from liechannel.cellcomplex import MINUS, PLUS, face_edge_labels
 from liechannel.channel import (
     ChannelFailure, cross_ratio_constancy, is_dupin_cyclide, is_multi_circular,
     is_multi_circular_net,
@@ -36,7 +37,8 @@ from liechannel.liecore import (
 )
 
 from kernel_oracle import (
-    gram_reflection, projective_distance, touching_circle_space, unit_moebius_sphere, unlift,
+    gram_reflection, lift_point, projective_distance, touching_circle_space, unit_moebius_sphere,
+    unlift,
 )
 
 
@@ -61,41 +63,76 @@ def moebius_descriptor(v):
     return {"kind": "sphere", "center": list(center), "radius": radius}
 
 
-def circle_euclidean(basis, n_probe=12):
-    """Circle (center, radius, plane normal) of a circle space basis, from
-    n_probe samples unlifted one by one and a plane and circle fit."""
-    eig, vecs = np.linalg.eigh(basis @ lc.GRAM @ basis.T)
-    if not (eig[0] < 0 < eig[1]):
-        raise LieGeometryError("circle space must have signature (2,1)")
-    g3 = basis.T @ vecs[:, 0] / math.sqrt(-eig[0])
-    g1 = basis.T @ vecs[:, 1] / math.sqrt(eig[1])
-    g2 = basis.T @ vecs[:, 2] / math.sqrt(eig[2])
-    pts = []
-    for k in range(n_probe):
-        p = g3 + math.cos(2 * math.pi * k / n_probe) * g1 + math.sin(2 * math.pi * k / n_probe) * g2
-        kind, center, *_ = unlift(p)
-        if kind != "point":
-            raise LieGeometryError("circle passes through the point at infinity")
-        pts.append(center)
-    pts = np.array(pts)
-    centroid = pts.mean(axis=0)
-    _, _, vt = np.linalg.svd(pts - centroid)
-    normal, u, v = vt[2], vt[0], vt[1]
-    xy = np.stack([(pts - centroid) @ u, (pts - centroid) @ v], axis=1)
-    a = np.hstack([2 * xy, np.ones((n_probe, 1))])
-    b = (xy ** 2).sum(axis=1)
-    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-    c0, r = sol[:2], math.sqrt(max(sol[2] + sol[:2] @ sol[:2], 0.0))
-    return centroid + c0[0] * u + c0[1] * v, r, normal
-
-
-def circle_descriptor(basis):
+def position(net, v):
+    """Euclidean position of vertex v, one `unlift`; None where it has none."""
+    s, ok = point_spheres(net.bases[[v]])
     try:
-        center, radius, normal = circle_euclidean(basis)
+        kind, center, *_ = unlift(s[0])
     except LieGeometryError:
+        return None
+    return center if ok[0] and kind == "point" else None
+
+
+def net_size(net):
+    """Diagonal of the bounding box of the vertices with a position."""
+    points = [p for p in (position(net, v) for v in range(net.complex.n_vertices))
+              if p is not None]
+    box = np.max(points, axis=0) - np.min(points, axis=0)
+    return math.sqrt(box @ box)
+
+
+def circle_descriptor(cert, net, li):
+    """Circle (center, radius, plane normal) of line li's circle space, in
+    closed form from the pencil of spheres through it; "line" below the
+    TOL.rank cutoff. The normal follows the right-hand rule of the line's
+    first three vertices (the point opposite the first for a line of two)."""
+    basis = cert.circles[li].basis
+    eig = np.linalg.eigvalsh(basis @ lc.GRAM @ basis.T)
+    pencil = orthocomplement(span(list(basis) + [POINT_COMPLEX]))
+    if not (eig[0] < 0 < eig[1]) or pencil.dim != 2:
         return {"kind": "line"}
-    return {"kind": "circle", "center": list(center), "radius": radius,
+    w1, w2 = pencil.basis
+    k1, k2 = -w1[3], -w2[3]
+    g11, g22, g12 = inner(w1, w1), inner(w2, w2), inner(w1, w2)
+    c1, c2 = g22 * k1 - g12 * k2, g11 * k2 - g12 * k1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = np.sqrt((c1 * k1 + c2 * k2) / (g11 * g22 - g12 * g12))
+    if not kappa * net_size(net) >= TOL.rank:
+        return {"kind": "line"}
+    p = c1 * w1 + c2 * w2
+    center = p[:3] / p[3]
+    normal = k2 * w1[:3] - k1 * w2[:3]
+    normal = normal / np.sqrt(normal @ normal)
+    line = cert.lines[li]
+    p0, p1 = position(net, line[0]), position(net, line[1])
+    p2 = position(net, line[2]) if len(line) > 2 else 2.0 * center - p0
+    if normal @ np.cross(p1 - p0, p2 - p0) < 0.0:
+        normal = -normal
+    return {"kind": "circle", "center": list(center), "radius": 1.0 / kappa,
             "plane_normal": list(normal)}
+
+
+def crossing_edge(face, direction):
+    """The ends of the first edge of a face whose label is not direction."""
+    for i, j, label in face_edge_labels(face):
+        if label != direction:
+            return i, j
+
+
+def side_point(net, direction, v):
+    """Point lift of the neighbour of smallest id of vertex v across an
+    edge of the other label, or None."""
+    c = net.complex
+    others = [sum(c.edge_vertices[e].tolist()) - v for e in c.vertex_edges(v)
+              if c.edge_labels[e] != direction]
+    q = position(net, min(others)) if others else None
+    return None if q is None else lift_point(q)
+
+
+def oriented(unit):
+    """A unit Moebius sphere with positive radius; a plane canonically signed."""
+    u0 = unit[3] / np.linalg.norm(unit)
+    return canonical_sign(unit) if abs(u0) <= TOL.null else -unit if u0 < 0.0 else unit
 
 
 def oracle_certificate(net, direction):
@@ -225,7 +262,7 @@ def oracle_complete(cert, net):
             raise LieGeometryError(
                 f"ribbon {ri}: bounding circles are not cospherical "
                 f"(complement dim {comp.dim}) - certificate corrupt")
-        cert.face_spheres.append(canonical_sign(unit_moebius_sphere(comp.basis[0])))
+        cert.face_spheres.append(oriented(unit_moebius_sphere(comp.basis[0])))
     cert.quer_spheres = []
     for li in range(len(cert.lines)):
         q1, q2 = orthocomplement(span(list(circles[li].basis) + [POINT_COMPLEX])).basis
@@ -233,7 +270,9 @@ def oracle_complete(cert, net):
         v = inner(q2, s) * q1 - inner(q1, s) * q2
         if np.linalg.norm(v) <= TOL.membership:
             raise LieGeometryError(f"line {li}: enveloped sphere orthogonal to the whole pencil")
-        cert.quer_spheres.append(canonical_sign(unit_moebius_sphere(v)))
+        unit, side = oriented(unit_moebius_sphere(v)), side_point(net, cert.direction,
+                                                                       cert.lines[li][0])
+        cert.quer_spheres.append(-unit if side is not None and inner(unit, side) < 0 else unit)
     cert.face_quer_spheres = []
     for ri, (la, lb) in enumerate(cert.ribbon_lines):
         sigma, ca, cb = cert.face_spheres[ri], circles[la], circles[lb]
@@ -245,31 +284,37 @@ def oracle_complete(cert, net):
         b = nb.basis[0] / math.sqrt(abs(inner(nb.basis[0], nb.basis[0])))
         if inner(a, b) < 0:
             b = -b
+        face = net.complex.face_vertices[cert.ribbons[ri][0]].tolist()
+        ends = [position(net, v) for v in crossing_edge(face, cert.direction)]
         candidates = []
         for m in (a - b, a + b):
             if inner(m, m) <= TOL.membership:
-                candidates.append((math.inf, m))
+                candidates.append((2, math.inf, m))
                 continue
             img = span([gram_reflection(m, v) for v in ca.basis])
-            candidates.append((subspace_distance(img, cb), m))
-        candidates.sort(key=lambda t: t[0])
+            residual = subspace_distance(img, cb)
+            sides = [inner(m, lift_point(p)) for p in ends if p is not None]
+            candidates.append((0 if len(sides) == 2 and sides[0] * sides[1] < 0.0 else 1, residual, m)
+                              if residual <= TOL.agreement else (2, residual, m))
+        # a swapping candidate that separates the crossing edge, then the better one
+        candidates = [(r, m) for _, r, m in sorted(candidates, key=lambda t: t[:2])]
         if not candidates[0][0] <= TOL.agreement:
             raise LieGeometryError(
                 f"ribbon {ri}: no swapping reflection found "
                 f"(candidate residuals {candidates[0][0]:.3e}, {candidates[1][0]:.3e})")
-        cert.face_quer_spheres.append(canonical_sign(unit_moebius_sphere(candidates[0][1])))
+        cert.face_quer_spheres.append(oriented(unit_moebius_sphere(candidates[0][1])))
     return cert
 
 
-def oracle_certificate_dict(cert) -> dict:
-    """certificate_to_dict of a completed oracle certificate."""
+def oracle_certificate_dict(cert, net) -> dict:
+    """certificate_to_dict of a completed oracle certificate of the net."""
     return {
         "direction": cert.direction,
         "lines": [list(line) for line in cert.lines],
         "ribbons": [list(r) for r in cert.ribbons],
         "ribbon_lines": [list(rl) for rl in cert.ribbon_lines],
         "enveloped_spheres": [lie_descriptor(s) for s in cert.line_spheres],
-        "circles": [circle_descriptor(c.basis) for c in cert.circles],
+        "circles": [circle_descriptor(cert, net, li) for li in range(len(cert.circles))],
         "face_spheres": [moebius_descriptor(s) for s in cert.face_spheres],
         "quer_spheres": [moebius_descriptor(s) for s in cert.quer_spheres],
         "face_quer_spheres": [moebius_descriptor(s) for s in cert.face_quer_spheres],
@@ -314,7 +359,7 @@ def oracle_verify_report(net, directions=(PLUS, MINUS)) -> dict:
                 entry["multi_circular_ribbons"] = is_multi_circular(net, d)
             except LieGeometryError:
                 entry["multi_circular_ribbons"] = None
-            entry["certificate"] = oracle_certificate_dict(cert)
+            entry["certificate"] = oracle_certificate_dict(cert, net)
             any_channel = True
         else:
             entry.update({

@@ -194,7 +194,7 @@ def test_07_blend_freedom():
     fam = strip_family(p1, p2, f0)
     t_cyl = fam.parameter_of(cyl)
     res_cyl = L.blend_channel(p1, p2, f0, t0=t_cyl, samples_per_circle=8)
-    circle, _, radii, _ = L.circles_euclidean(res_cyl.certificate.circle_spaces)
+    circle, _, radii, _ = L.circles_euclidean(res_cyl.certificate, res_cyl.net)
     assert circle.all() and np.allclose(radii, radii[0], atol=1e-8)
     ok_cyl, _, _ = L.is_dupin_cyclide(res_cyl.net)
     assert ok_cyl

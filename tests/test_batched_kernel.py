@@ -1,10 +1,12 @@
 """The batched R^{4,2} kernel equals the scalar oracle bit for bit.
 
-Contact element bases, edge curvature spheres, failed-edge lists,
-curvature reports, vertex positions and point lifts are compared with
-`kernel_oracle` on every generator kind, on tori from 3^2 to 16^2 and on the
-reflection examples; error cases must raise the oracle's message for the
-same vertex, edge or face.
+Contact element bases, failed-edge lists, curvature reports, vertex
+positions and point lifts are compared with `kernel_oracle` on every
+generator kind, on tori from 3^2 to 16^2 and on the reflection examples;
+error cases must raise the oracle's message for the same vertex, edge or
+face. The edge curvature spheres, which the kernel reads in closed form and
+the oracle from an SVD, agree up to sign to `MEET_EPS` eps / sin theta_2
+(`kernel_oracle.meet_gap`).
 """
 
 import json
@@ -31,6 +33,10 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+# the closed-form meet agrees with the SVD oracle to this many eps / sin theta_2
+MEET_EPS = 16
+
+
 def generated(make, *args, **kwargs):
     """A generator's net and the points and normals it was built from."""
     with mock.patch.object(builder, "net_from_points_normals",
@@ -42,7 +48,8 @@ def generated(make, *args, **kwargs):
 
 def assert_edge_spheres_match_oracle(net, bases):
     """Every row of the edge-sphere array is the oracle's sphere of its
-    edge, and `spheres_of` a failed edge raises the oracle's message."""
+    edge up to sign, to MEET_EPS, and `spheres_of` a failed edge raises the
+    oracle's message; the failed edges are the oracle's (its SVD's rank)."""
     spheres, failed = oracle.edge_spheres(bases, net.complex)
     assert L.is_legendre(net).failed_edges == failed
     messages = {edge_key(i, j): msg for i, j, msg in failed}
@@ -51,8 +58,8 @@ def assert_edge_spheres_match_oracle(net, bases):
         k = edge_key(i, j)
         if k in spheres:
             assert e not in net.edge_failures
-            assert same_bits(net.edge_spheres[e], spheres[k])
-            assert same_bits(net.spheres_of(net.complex.edge_id(j, i)), spheres[k])
+            assert oracle.meet_gap(net.edge_spheres[e], bases[k[0]], bases[k[1]]) <= MEET_EPS
+            assert same_bits(net.spheres_of(net.complex.edge_id(j, i)), net.edge_spheres[e])
         else:
             with pytest.raises(L.LieGeometryError) as err:
                 net.spheres_of(net.complex.edge_id(i, j))

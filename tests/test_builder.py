@@ -102,7 +102,7 @@ class TestChannelFromSphereCurve:
         sc = L.SphereCurve(vertex_spheres=np.array(vs), edge_spheres=np.array(es))
         assert L.validate_sphere_curve(sc).ok
         res = L.channel_from_sphere_curve(sc, samples_per_circle=8)
-        ok, centers, radii, _ = L.circles_euclidean(res.certificate.circle_spaces)
+        ok, centers, radii, _ = L.circles_euclidean(res.certificate, res.net)
         assert ok.all()
         assert np.allclose(centers[:, 1:], 0.0, atol=1e-9)
         assert np.allclose(radii, radii[0])
@@ -216,7 +216,7 @@ class TestBlend:
         t_cyl = strip_family(c1, c2, f0).parameter_of(cyl)
 
         res_cyl = L.blend_channel(c1, c2, f0, t0=t_cyl, samples_per_circle=8)
-        ok, axis, radii, _ = L.circles_euclidean(res_cyl.certificate.circle_spaces)
+        ok, axis, radii, _ = L.circles_euclidean(res_cyl.certificate, res_cyl.net)
         assert ok.all()
         assert np.allclose(radii, radii[0], atol=1e-8)
         assert np.allclose(axis[:, 0], dist / 2, atol=1e-8)
@@ -315,19 +315,24 @@ class TestPropagation:
             blend_cyclide(circle, a, b)
 
 
-def test_degenerate_face_cyclide_member_is_named():
-    # columns 7 and 8 of a 12-sphere curve built with 16 samples, at the t0
-    # meant to rebuild its first ribbon's cyclide: the member of step 5 has
-    # a 2-dimensional D- (as blended by scripts/output_digest.py)
-    built = L.channel_from_sphere_curve(random_sphere_curve(np.random.default_rng(9), 12), 16)
+def test_degenerate_face_cyclide_member_is_named(tmp_path):
+    # columns 7 and 8 of a 12-sphere curve built with 16 samples from its
+    # file, at the t0 that rebuilds its first ribbon's cyclide: the member of
+    # step 5 has a 2-dimensional D- (as blended by perfbench's generic-build
+    # and scripts/output_digest.py)
+    io_json.save_sphere_curve(random_sphere_curve(np.random.default_rng(9), 12),
+                              tmp_path / "curve.json")
+    built = L.channel_from_sphere_curve(io_json.load_sphere_curve(tmp_path / "curve.json"), 16)
     vertices = io_json.net_to_dict(built.net)["vertices"]
     c1, c2 = (L.DiscreteCurve3D(points=np.array([v["point"] for v in vertices[col::16]]))
               for col in (7, 8))
     normal = np.array(vertices[7]["normal"])
     f0 = L.contact_from_point_normal(vertices[7]["point"], normal / np.linalg.norm(normal))
+    cert = built.certificate
+    t0 = strip_family(c1, c2, f0).parameter_of(cert.cyclides[cert.ribbon_lines.index((0, 1))])
     with pytest.raises(L.LieGeometryError, match=r"^degenerate face-cyclide member at step 5 "
                                                  r"\(t = 1\.5696\d+\): dims 3, 2$"):
-        L.blend_channel(c1, c2, f0, 1.4808292377837171, 16)
+        L.blend_channel(c1, c2, f0, t0, 16)
 
 
 class TestNanFailsClosed:

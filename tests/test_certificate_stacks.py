@@ -85,7 +85,7 @@ def assert_matches_oracle(net, data=None):
         for circle, space in zip(got.circles, want.circles):
             assert same_bits(circle.dplus.basis, space.basis)
             assert same_bits(circle.dminus.basis, L.orthocomplement(space).basis)
-        serialised = [outcome(lambda c, f=f: json.dumps(f(c)), cert) for f, cert in
+        serialised = [outcome(lambda c, f=f: json.dumps(f(c, net)), cert) for f, cert in
                       ((io_json.certificate_to_dict, got), (oracle.oracle_certificate_dict, want))]
         assert serialised[0] == serialised[1]
 

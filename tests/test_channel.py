@@ -98,7 +98,7 @@ class TestVerifyChannel:
 class TestGeneratingCircles:
     def test_torus_parallels(self, torus, torus_cert):
         # line b lies at tube angle psi = 2 pi b / 10
-        ok, centers, radii, normals = L.circles_euclidean(torus_cert.circle_spaces)
+        ok, centers, radii, normals = L.circles_euclidean(torus_cert, torus)
         assert ok.all()
         for li, (center, radius, normal) in enumerate(zip(centers, radii, normals)):
             psi = 2 * math.pi * li / 10
@@ -172,19 +172,20 @@ class TestGeneratingCircles:
     def test_nan_swapping_residual_fails_closed(self):
         # neither candidate reflection of a cone's ribbons is null, so both
         # residuals are the injected NaN (a torus has one null candidate)
-        cert = L.full_certificate(random_generator_net("cone", 5, 5, 7), "+")
+        net = random_generator_net("cone", 5, 5, 7)
+        cert = L.full_certificate(net, "+")
         with mock.patch.object(channel.lc, "subspace_distances",
                                lambda a, b: np.full(a.shape[:-2], math.nan)):
             with pytest.raises(L.LieGeometryError, match=r"ribbon 0: no swapping reflection "
                                                          r"found \(candidate residuals nan, nan\)"):
                 channel._face_quer_spheres(cert.circle_spaces, cert.face_spheres,
-                                           cert.ribbon_lines)
+                                           cert.ribbon_lines, channel._ribbon_crossings(cert, net))
 
 
 class TestFaceSpheres:
     def test_torus_face_sphere_matches_circle_geometry(self, torus, torus_cert):
         # independent oracle: sphere (or plane) through two coaxial circles
-        ok, centers, radii, _ = L.circles_euclidean(torus_cert.circle_spaces)
+        ok, centers, radii, _ = L.circles_euclidean(torus_cert, torus)
         assert ok.all()
         for ri, (la, lb) in enumerate(torus_cert.ribbon_lines):
             (z1, z2), r1, r2 = centers[[la, lb], 2], radii[la], radii[lb]

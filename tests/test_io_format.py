@@ -272,3 +272,23 @@ def test_corrupt_vertex_entries_raise_the_oracle_message(doc):
 @given(torus_docs(corrupted=False))
 def test_mixed_nets_load_the_oracle_bases(doc):
     assert same_bits(load(doc).bases, oracle.vertex_bases(doc["vertices"]))
+
+
+def test_element_isotropic_to_the_tolerance_is_written_to_read_back(tmp_path):
+    # a normal 2e-9 off unit length spans an element isotropic to within
+    # TOL.membership; its Euclidean form would fail the loader's unit test
+    # (1e-9), so that vertex is written in the hexaspherical form
+    torus = L.make_dupin_torus(2.0, 1.0, 4, 4)
+    doc = io_json.net_to_dict(torus)
+    points = np.array([v["point"] for v in doc["vertices"]])
+    normals = np.array([v["normal"] for v in doc["vertices"]])
+    normals[5] *= 1.0 + 2e-9
+    net = L.LegendreNet(complex=torus.complex,
+                        bases=L.contact_bases(L.legendre.point_normal_generators(points, normals)[0]))
+    written = io_json.net_to_dict(net)
+    assert [k for k, v in enumerate(written["vertices"]) if "contact" in v] == [5]
+    io_json.save_net(net, tmp_path / "net.json")
+    loaded = io_json.load_net(tmp_path / "net.json")
+    assert L.liecore.subspace_distances(loaded.bases[5], net.bases[5]) <= 1e-15
+    with pytest.raises(L.LieGeometryError, match="^vertex 5: normal must have unit length$"):
+        io_json.net_to_dict(net, form="euclidean")

@@ -28,7 +28,7 @@ ROOTS_DISAGREE = "propagation roots disagree with the tangency direction"
 # 12-sphere curves built with 16 samples whose blend through columns 7 and 8,
 # at the t0 that should rebuild the first ribbon's cyclide, meets a
 # face-cyclide member with a 2-dimensional D- (as in scripts/output_digest.py)
-FAILING_BLENDS = {3: 1.4656630439821414, 9: 1.4808292377837171}
+FAILING_BLENDS = (3, 9)
 
 
 def record(run):
@@ -48,8 +48,9 @@ def record(run):
     return calls
 
 
-def failing_blend(tmp_path, seed, t0):
-    """The blend of FAILING_BLENDS, from files as the CLI reads them."""
+def failing_blend(tmp_path, seed):
+    """The blend of FAILING_BLENDS, from files as the CLI reads them, at the
+    t0 that rebuilds the built net's first ribbon."""
     path = tmp_path / f"curve{seed}.json"
     io_json.save_sphere_curve(random_sphere_curve(np.random.default_rng(seed), 12), path)
     built = builder.channel_from_sphere_curve(io_json.load_sphere_curve(path), 16)
@@ -57,8 +58,10 @@ def failing_blend(tmp_path, seed, t0):
     points = np.array([v["point"] for v in vertices])
     normal = np.array(vertices[7]["normal"])
     f0 = contact_from_point_normal(points[7], normal / np.linalg.norm(normal))
-    return lambda: builder.blend_channel(L.DiscreteCurve3D(points=points[7::16]),
-                                         L.DiscreteCurve3D(points=points[8::16]), f0, t0, 16)
+    c1, c2 = L.DiscreteCurve3D(points=points[7::16]), L.DiscreteCurve3D(points=points[8::16])
+    cert = built.certificate
+    t0 = strip_family(c1, c2, f0).parameter_of(cert.cyclides[cert.ribbon_lines.index((0, 1))])
+    return lambda: builder.blend_channel(c1, c2, f0, t0, 16)
 
 
 def torus_blend():
@@ -84,8 +87,8 @@ def calls(tmp_path_factory):
             random_sphere_curve(np.random.default_rng(seed), 6), 8, 0.3 * seed))
     out += record(closed_torus_build)
     out += record(torus_blend)
-    for seed, t0 in FAILING_BLENDS.items():
-        out += record(failing_blend(tmp, seed, t0))
+    for seed in FAILING_BLENDS:
+        out += record(failing_blend(tmp, seed))
     return out
 
 
@@ -176,10 +179,10 @@ def test_two_dimensional_dminus(calls, passing, tmp_path):
     # the failing blends stop at their face-cyclide member with a
     # 2-dimensional D-, before any propagation through it
     assert all(cy.dminus.dim == 3 for _, cy, _ in calls)
-    for seed, t0 in FAILING_BLENDS.items():
+    for seed in FAILING_BLENDS:
         with pytest.raises(L.LieGeometryError, match=r"^degenerate face-cyclide member at step "
                                                      r"\d+ \(t = \S+\): dims 3, 2$"):
-            failing_blend(tmp_path, seed, t0)()
+            failing_blend(tmp_path, seed)()
     # on such a member the off-cyclide test or the next circle's dimension fails
     x, cy, hat = passing[0]
     xm = L.project_onto(x[0], cy.dminus)
